@@ -83,3 +83,20 @@ def planted_prism_with_noise(s: int, ell: int, noise_vertices: int, seed: int) -
         nxt += length
         edges.extend(zip(chain, chain[1:]))
     return Graph(stop, edges)
+
+
+def hub_graph(seed: int, n: int = 2000, hubs: int = 40, hub_degree: int = 100) -> Graph:
+    """rr(n, 12) shifted up by ``hubs`` ids, plus hub vertices 0..hubs-1,
+    each joined to ``hub_degree`` distinct seeded random rr vertices.
+
+    Hubs sit above the high-degree threshold and come first in every
+    sorted adjacency row, so kraken legs grow into them and the robust
+    pipeline has to build anchors and links."""
+    from pillarkit.generators import random_regular
+
+    base = random_regular(n, 12, seed)
+    rng = random.Random(f"hubs-{seed}")
+    edges = [(u + hubs, v + hubs) for u, v in base.edges()]
+    for h in range(hubs):
+        edges.extend((h, v + hubs) for v in rng.sample(range(n), hub_degree))
+    return Graph(n + hubs, edges)
