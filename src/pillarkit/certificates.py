@@ -17,7 +17,7 @@ KINDS = ("pillar", "kraken", "q3", "expansion")
 
 def dumps_certificate(obj) -> str:
     data = obj.to_json_dict()
-    if data.get("kind") not in KINDS and data.get("kind") != "expansion-report":
+    if data.get("kind") not in KINDS:
         raise PreconditionError(f"not a certificate object: {type(obj).__name__}")
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 

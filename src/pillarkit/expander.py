@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import PreconditionError, StageError
-from .graph import Graph, edge_subgraph, induced_subgraph
+from .graph import Graph, induced_subgraph
 
 @dataclass(frozen=True)
 class ExpanderParams:
@@ -247,6 +247,16 @@ def greedy_max_cut_sides(g: Graph, order: list[int] | None = None) -> list[int]:
     return side
 
 
+def _max_cut_graph(g: Graph) -> Graph:
+    """The spanning subgraph of edges crossing a two-coloring: g itself when
+    bipartite, else g's rows filtered by a greedy max-cut."""
+    if g.side is not None:
+        return g
+    side = greedy_max_cut_sides(g)
+    return Graph._from_rows(tuple([tuple([w for w in row if side[w] != side[u]])
+                                   for u, row in enumerate(g._adj)]), g.labels)
+
+
 def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
     """Iteratively drop vertices with fewer than d neighbors inside keep."""
     deg = {v: sum(1 for w in g.neighbors(v) if w in keep) for v in keep}
@@ -282,10 +292,7 @@ def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
     if g.average_degree() < 8 * d:
         raise PreconditionError(
             f"average degree {g.average_degree():.3f} below 8*d = {8 * d}")
-    side = list(g.side) if g.side is not None else greedy_max_cut_sides(g)
-    cross = [(u, v) for u, v in g.edges() if side[u] != side[v]]
-    cut = edge_subgraph(g, cross)
-
+    cut = _max_cut_graph(g)
     keep = set(range(cut.n))
     for round_no in range(max_rounds):
         keep = _peel(cut, keep, d)

@@ -5,12 +5,15 @@ Vertices are dense integers ``0..n-1``.  Deletions are never expressed by
 mutation: operations take an ``avoid`` set and work in the graph minus
 that set.  A graph carries an optional ``labels`` side table mapping its
 ids back to the ids of a parent graph (used by induced subgraphs).
+``Graph(n, edges)`` validates outside input; derived graphs filter a valid
+parent's rows and trust them, and one that would equal its parent is the
+parent itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -27,52 +30,65 @@ class Graph:
     Immutable after construction.  ``side`` is a per-vertex two-coloring
     (0/1), present iff the graph is bipartite; every edge crosses sides.
     ``comp`` gives a connected-component id per vertex.
+
+    ``Graph(n, edges)`` rejects self-loops and out-of-range ids, collapses
+    duplicate edges and sorts rows.  ``Graph._from_rows`` takes symmetric,
+    sorted, duplicate-free, loop-free rows as given: filtering a valid
+    graph's rows and renumbering the kept vertices in increasing order
+    keeps all four properties, so derived graphs skip the checks.
     """
 
     __slots__ = ("n", "m", "_adj", "side", "comp", "labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: tuple[int, ...] | None = None):
         nbrs: list[set[int]] = [set() for _ in range(n)]
-        m = 0
         for u, v in edges:
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
-            if v not in nbrs[u]:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-                m += 1
-        self.n = n
-        self.m = m
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in nbrs)
+            nbrs[u].add(v)
+            nbrs[v].add(u)
         if labels is not None and len(labels) != n:
             raise PreconditionError("labels length must equal n")
-        self.labels = labels
-        self.side, self.comp = self._two_color()
+        self._adopt(tuple(tuple(sorted(s)) for s in nbrs), labels)
 
-    def _two_color(self) -> tuple[tuple[int, ...] | None, tuple[int, ...]]:
-        side = [-1] * self.n
-        comp = [-1] * self.n
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...], labels: tuple[int, ...] | None) -> "Graph":
+        g = cls.__new__(cls)
+        g._adopt(rows, labels)
+        return g
+
+    def _adopt(self, rows: tuple[tuple[int, ...], ...], labels: tuple[int, ...] | None) -> None:
+        self.n = n = len(rows)
+        self.m = sum(map(len, rows)) // 2
+        self._adj = rows
+        self.labels = labels
+        # Component ids follow each component's lowest vertex, and a connected
+        # bipartite graph has one coloring with that vertex on side 0.
+        side = [-1] * n
+        comp = [-1] * n
         bipartite = True
         cid = 0
-        for root in range(self.n):
+        for root in range(n):
             if comp[root] >= 0:
                 continue
             comp[root] = cid
             side[root] = 0
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                su = side[u]
+                for w in rows[u]:
                     if comp[w] < 0:
                         comp[w] = cid
-                        side[w] = side[u] ^ 1
-                        queue.append(w)
-                    elif side[w] == side[u]:
+                        side[w] = su ^ 1
+                        stack.append(w)
+                    elif side[w] == su:
                         bipartite = False
             cid += 1
-        return (tuple(side) if bipartite else None), tuple(comp)
+        self.side = tuple(side) if bipartite else None
+        self.comp = tuple(comp)
 
     # -- basic queries -------------------------------------------------
 
@@ -382,32 +398,22 @@ def induced_degree(g: Graph, v: int, target: Iterable[int]) -> int:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Induced subgraph relabeled to 0..k-1; labels map back to g's ids."""
+    """Induced subgraph relabeled to 0..k-1; labels map back to g's ids.
+    g itself when ``vertices`` covers a labelled g: the copy would equal it."""
     keep = sorted(set(vertices))
+    if len(keep) == g.n and g.labels is not None:
+        return g
     index = {v: i for i, v in enumerate(keep)}
-    edges = []
-    for v in keep:
-        for w in g.neighbors(v):
-            if v < w and w in index:
-                edges.append((index[v], index[w]))
-    if g.labels is None:
-        labels = tuple(keep)
-    else:
-        labels = tuple(g.labels[v] for v in keep)
-    return Graph(len(keep), edges, labels=labels)
-
-
-def edge_subgraph(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Spanning subgraph on the same vertex set with only the given edges."""
-    return Graph(g.n, edges, labels=g.labels)
+    rows = tuple([tuple([index[w] for w in g._adj[v] if w in index]) for v in keep])
+    labels = tuple(keep) if g.labels is None else tuple([g.labels[v] for v in keep])
+    return Graph._from_rows(rows, labels)
 
 
 def largest_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest connected component (ties: lowest id)."""
-    if g.n == 0:
+    """Induced subgraph on the largest connected component (ties: lowest id);
+    g itself when g is connected."""
+    if g.n == 0 or max(g.comp) == 0:
         return g
-    sizes: dict[int, int] = {}
-    for c in g.comp:
-        sizes[c] = sizes.get(c, 0) + 1
+    sizes = Counter(g.comp)
     best = max(sizes, key=lambda c: (sizes[c], -c))
     return induced_subgraph(g, [v for v in range(g.n) if g.comp[v] == best])

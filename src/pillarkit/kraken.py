@@ -73,7 +73,9 @@ class Kraken:
             ends = tuple(int(v) for v in data["ends"])
             paths = tuple(Path(tuple(int(v) for v in p)) for p in data["paths"])
             legs = []
-            for end, members in zip(ends, data["legs"]):
+            for j, members in enumerate(data["legs"]):
+                # keep every leg so a miscount fails the shape clause (extras get no center)
+                end = ends[j] if j < len(ends) else -1
                 mset = frozenset(int(v) for v in members)
                 dist = _leg_distances(g, end, mset)
                 radius = max(dist.values()) if dist and len(dist) == len(mset) else int(data["s"])
@@ -293,8 +295,6 @@ class LegLink:
 @dataclass
 class KrakenEntry:
     kraken: Kraken
-    n_h: int  # size of the survivor subgraph it was found in
-    m_h: int
 
 
 @dataclass
@@ -312,12 +312,6 @@ class KrakenSearchState:
     collection: list[KrakenEntry] = field(default_factory=list)
     anchors: list[Expansion] = field(default_factory=list)
     links: list[dict[int, LegLink]] = field(default_factory=list)
-
-    def paths_to_high_degree(self) -> list[Path]:
-        return [l.path for links in self.links for l in links.values() if l.kind == "P"]
-
-    def paths_to_anchors(self) -> list[Path]:
-        return [l.path for links in self.links for l in links.values() if l.kind == "Q"]
 
     def used_anchors(self, i: int) -> set[int]:
         return {l.anchor for l in self.links[i].values() if l.anchor is not None}
@@ -483,10 +477,7 @@ def _build_collection(state: KrakenSearchState, config: RunConfig, seed: int) ->
                 raise StageError("kraken-collection", f"no kraken found: {exc}",
                                  {"survivors": sub.n})
             break
-        kr = _translate_kraken(local, h.labels)
-        n_h = h.n
-        m_h = max(1, math.ceil(200 * math.log(max(n_h, 3)) ** 3 / config.eps1))
-        state.collection.append(KrakenEntry(kr, n_h, min(m_h, rc.m)))
+        state.collection.append(KrakenEntry(_translate_kraken(local, h.labels)))
         state.links.append({})
     if not state.collection:
         raise StageError("kraken-collection", "no kraken found in the survivor graph", {})

@@ -11,7 +11,7 @@ from .errors import (LengthNotRealizedError, NoPathError, PillarkitError,
                      PreconditionError, StageError)
 from .graph import (Cycle, Graph, Path, ball, distances_from, largest_component,
                     parity, set_distance, shortest_set_path)
-from .kraken import Kraken, robust_kraken, verify_kraken
+from .kraken import Kraken, _child_seed, robust_kraken, verify_kraken
 from .primitives import (Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
 from .validity import ValidityReport
@@ -618,10 +618,6 @@ def _translate_pillar(p: Pillar, labels: tuple[int, ...] | None) -> Pillar:
         Cycle(tuple(remap(v) for v in p.cycle1.vertices)),
         Cycle(tuple(remap(v) for v in p.cycle2.vertices)),
         tuple(Path(tuple(remap(v) for v in q.vertices)) for q in p.paths))
-
-
-def _child_seed(seed: int, tag: int) -> int:
-    return (seed * 0x9E3779B97F4A7C15 + tag) & 0xFFFFFFFFFFFF
 
 
 def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,10 +6,11 @@ from pillarkit.errors import GraphParseError, PreconditionError
 from pillarkit.generators import (cycle_graph, hypercube, path_graph, prism,
                                   random_bipartite, random_regular,
                                   subdivided_prism, subdivided_prism_rungs)
+from pillarkit.expander import _max_cut_graph, greedy_max_cut_sides
 from pillarkit.graph import (Graph, ball, induced_degree, induced_subgraph,
                              largest_component, load_graph, parity, save_graph)
 
-from util import all_simple_path_lengths, random_connected_graph
+from util import all_simple_path_lengths, random_connected_graph, to_nx
 
 class TestLoadGraph:
     def test_path_with_bipartition(self):
@@ -201,3 +203,76 @@ class TestSubgraphs:
     def test_largest_component(self):
         g = load_graph("0 1\n1 2\n3 4")
         assert largest_component(g).n == 3
+
+
+# -- derived graphs against the validating constructor -------------------
+
+
+@st.composite
+def graph_and_keep(draw):
+    """Small graphs (often disconnected, non-bipartite or with isolated
+    vertices), with or without labels, and a keep set that is empty,
+    complete or arbitrary."""
+    n = draw(st.integers(0, 12))
+    ids = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                          max_size=30)) if n > 1 else []
+    labels = draw(st.none() | st.permutations(range(100, 100 + n)).map(tuple))
+    g = Graph(n, edges, labels)
+    keep = draw(st.just(set()) | st.just(set(range(n))) | st.sets(ids, max_size=n))
+    return g, keep
+
+
+def _reference_induced(g: Graph, keep) -> Graph:
+    """The induced subgraph built edge by edge through ``Graph.__init__``."""
+    keep = sorted(keep)
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    labels = tuple(keep) if g.labels is None else tuple(g.labels[v] for v in keep)
+    return Graph(len(keep), edges, labels)
+
+
+def _fields(g: Graph):
+    return g.n, g._adj, g.m, g.side, g.comp, g.labels
+
+
+class TestRowConstructor:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_and_keep())
+    def test_induced_subgraph_matches_reference(self, case):
+        g, keep = case
+        assert _fields(induced_subgraph(g, keep)) == _fields(_reference_induced(g, keep))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_and_keep())
+    def test_largest_component_matches_reference(self, case):
+        g, _ = case
+        h = largest_component(g)
+        if g.n == 0 or nx.is_connected(to_nx(g)):
+            assert h is g
+            return
+        comps = nx.connected_components(to_nx(g))
+        best = max(comps, key=lambda c: (len(c), -min(c)))
+        assert _fields(h) == _fields(_reference_induced(g, best))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_and_keep())
+    def test_max_cut_graph_matches_reference(self, case):
+        g, _ = case
+        cut = _max_cut_graph(g)
+        if g.is_bipartite():
+            assert cut is g
+            return
+        side = greedy_max_cut_sides(g)
+        ref = Graph(g.n, [(u, v) for u, v in g.edges() if side[u] != side[v]], g.labels)
+        assert _fields(cut) == _fields(ref)
+
+    def test_outside_edges_still_validated(self):
+        with pytest.raises(PreconditionError):
+            Graph(3, [(1, 1)])
+        with pytest.raises(PreconditionError):
+            Graph(3, [(0, 3)])
+        with pytest.raises(PreconditionError):
+            Graph(3, [(0, 1)], labels=(7, 8))
+        g = Graph(3, [(0, 1), (1, 0), (0, 1)])
+        assert g.m == 1 and g.neighbors(0) == (1,)

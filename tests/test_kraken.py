@@ -2,26 +2,14 @@ import pytest
 
 from pillarkit.config import RunConfig
 from pillarkit.errors import PillarkitError, PreconditionError, StageError
-from pillarkit.generators import (cycle_graph, hypercube, random_regular,
-                                  subdivided_prism)
+from pillarkit.generators import cycle_graph, hypercube, random_regular
 from pillarkit.graph import Cycle, Graph, Path, set_distance
 from pillarkit.kraken import (Kraken, KrakenEntry, KrakenSearchState, LegLink,
                               _collective_round, _connect_winner, _qualifies,
                               find_kraken, robust_kraken, verify_kraken)
 from pillarkit.primitives import Expansion
 
-def prism_kraken(s_param: int = 1) -> tuple[Graph, Kraken]:
-    """Hand-built kraken on subdivided_prism(4,2): the first cycle, the
-    rung midpoints as paths, the far endpoints as singleton legs."""
-    g = subdivided_prism(4, 2)  # rung i = (i, 8+i, 4+i)
-    kr = Kraken(
-        cycle=Cycle((0, 1, 2, 3)),
-        ends=(4, 5, 6, 7),
-        legs=tuple(Expansion(4 + i, frozenset({4 + i}), 0) for i in range(4)),
-        paths=tuple(Path((i, 8 + i, 4 + i)) for i in range(4)),
-        s=s_param, t=1)
-    return g, kr
-
+from util import prism_kraken
 
 class TestVerifyKraken:
     def test_hand_built_valid(self):
@@ -117,7 +105,7 @@ def _gadget_state(cfg: RunConfig):
     assert verify_kraken(g, kr).valid
     rc = cfg.resolve(g.n)
     state = KrakenSearchState(g, rc, frozenset(), frozenset(), frozenset(), frozenset())
-    state.collection.append(KrakenEntry(kr, g.n, rc.m))
+    state.collection.append(KrakenEntry(kr))
     state.links.append({})
     state.anchors.append(Expansion(20, frozenset({20, 21, 22}), 2))
     return g, kr, state

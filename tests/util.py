@@ -10,7 +10,10 @@ import random
 
 import networkx as nx
 
-from pillarkit.graph import Graph
+from pillarkit.generators import random_regular, subdivided_prism
+from pillarkit.graph import Cycle, Graph, Path
+from pillarkit.kraken import Kraken
+from pillarkit.primitives import Expansion
 
 def to_nx(g: Graph) -> nx.Graph:
     h = nx.Graph()
@@ -69,8 +72,6 @@ def planted_prism_with_noise(s: int, ell: int, noise_vertices: int, seed: int) -
     """A subdivided prism plus seeded noise: chains of 2..6 fresh vertices
     hung on random prism vertices.  Every noise vertex has degree <= 2 and
     the graph stays bipartite (chains are trees)."""
-    from pillarkit.generators import subdivided_prism
-
     base = subdivided_prism(s, ell)
     rng = random.Random(seed)
     edges = base.edges()
@@ -92,11 +93,22 @@ def hub_graph(seed: int, n: int = 2000, hubs: int = 40, hub_degree: int = 100) -
     Hubs sit above the high-degree threshold and come first in every
     sorted adjacency row, so kraken legs grow into them and the robust
     pipeline has to build anchors and links."""
-    from pillarkit.generators import random_regular
-
     base = random_regular(n, 12, seed)
     rng = random.Random(f"hubs-{seed}")
     edges = [(u + hubs, v + hubs) for u, v in base.edges()]
     for h in range(hubs):
         edges.extend((h, v + hubs) for v in rng.sample(range(n), hub_degree))
     return Graph(n + hubs, edges)
+
+
+def prism_kraken(s_param: int = 1) -> tuple[Graph, Kraken]:
+    """Hand-built kraken on subdivided_prism(4,2): the first cycle, the
+    rung midpoints as paths, the far endpoints as singleton legs."""
+    g = subdivided_prism(4, 2)  # rung i = (i, 8+i, 4+i)
+    kr = Kraken(
+        cycle=Cycle((0, 1, 2, 3)),
+        ends=(4, 5, 6, 7),
+        legs=tuple(Expansion(4 + i, frozenset({4 + i}), 0) for i in range(4)),
+        paths=tuple(Path((i, 8 + i, 4 + i)) for i in range(4)),
+        s=s_param, t=1)
+    return g, kr
