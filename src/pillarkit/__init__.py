@@ -3,8 +3,8 @@ rungs) in sparse graphs via sublinear expansion machinery, with
 independently checkable certificates at every stage."""
 
 from .config import RunConfig, ResolvedConfig, load_config, save_config
-from .errors import (GraphParseError, LengthNotRealizedError, NoPathError,
-                     PillarkitError, PreconditionError, StageError)
+from .errors import (GraphParseError, InternalError, LengthNotRealizedError,
+                     NoPathError, PillarkitError, PreconditionError, StageError)
 from .expander import (ExpanderParams, ExpansionReport, check_expansion,
                        epsilon, extract_expander)
 from .graph import (Cycle, Graph, Path, VertexSet, ball, induced_degree,
@@ -16,10 +16,9 @@ from .generators import (cycle_graph, hypercube, path_graph, prism,
 from .kraken import Kraken, KrakenSearchState, find_kraken, robust_kraken, verify_kraken
 from .pillar import (Adjuster, Detour, Pillar, connect_fixed_length,
                      find_pillar, link_krakens, pillar_from_q3, verify_pillar)
-from .primitives import (Expansion, GrowthResult, Q3Certificate, ThinSetWitness,
-                         connect_short, expand_collectively, find_large_ball,
+from .primitives import (Expansion, Q3Certificate, connect_short, find_large_ball,
                          find_q3_bipartite, find_q3_bruteforce, find_q3_sampled,
-                         grow_past_thin, trim_expansion)
+                         trim_expansion)
 from .validity import ValidityReport
 
 __version__ = "0.1.0"

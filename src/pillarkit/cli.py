@@ -2,7 +2,8 @@
 verification, and a small benchmark.
 
 Exit codes are uniform across subcommands: 0 success/valid, 1 search
-starved or certificate invalid, 2 malformed input.  Every randomized
+starved or certificate invalid, 2 malformed input, 3 a broken internal
+invariant (a bug in pillarkit, not in the input).  Every randomized
 subcommand takes its seed from --seed or the config file; there is no
 ambient entropy.
 """
@@ -18,8 +19,8 @@ import time
 from . import generators
 from .certificates import dumps_certificate, loads_certificate, verify_certificate
 from .config import RunConfig, load_config
-from .errors import (GraphParseError, LengthNotRealizedError, NoPathError,
-                     PillarkitError, PreconditionError, StageError)
+from .errors import (GraphParseError, InternalError, LengthNotRealizedError,
+                     NoPathError, PillarkitError, PreconditionError, StageError)
 from .expander import check_expansion
 from .graph import Graph, ball, load_graph, save_graph
 from .kraken import robust_kraken
@@ -31,12 +32,10 @@ def _read_graph(path: str) -> Graph:
         return load_graph(fh.read())
 
 
-def _read_config(path: str | None, seed: int | None, workers: int | None) -> RunConfig:
+def _read_config(path: str | None, seed: int | None) -> RunConfig:
     cfg = load_config(path) if path else RunConfig()
     if seed is not None:
         cfg.overrides["seed"] = seed
-    if workers is not None:
-        cfg.overrides["workers"] = workers
     return cfg
 
 
@@ -76,7 +75,7 @@ def _need(args: argparse.Namespace, name: str):
 def cmd_find(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph)
-        cfg = _read_config(args.config, args.seed, args.workers)
+        cfg = _read_config(args.config, args.seed)
     except (OSError, GraphParseError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -106,6 +105,9 @@ def cmd_find(args: argparse.Namespace) -> int:
     except (NoPathError, LengthNotRealizedError) as exc:
         print(f"not found: {exc}")
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (PreconditionError, PillarkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -143,7 +145,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph)
-        cfg = _read_config(args.config, args.seed, args.workers)
+        cfg = _read_config(args.config, args.seed)
     except (OSError, GraphParseError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -180,8 +182,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if g.n > 0:
         report = check_expansion(g, rc.params, "sampled", seed=rc.seed,
                                  trials=rc.expansion_trials,
-                                 sample_cap=rc.expansion_sample_cap,
-                                 workers=rc.workers)
+                                 sample_cap=rc.expansion_sample_cap)
         runs = 1
         units = report.samples
     writer.writerow(["check_expansion_sampled", runs, units,
@@ -214,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--graph", required=True)
     find.add_argument("--config")
     find.add_argument("--seed", type=int)
-    find.add_argument("--workers", type=int)
     find.add_argument("--out")
     find.set_defaults(func=cmd_find)
 
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--graph", required=True)
     bench.add_argument("--config")
     bench.add_argument("--seed", type=int)
-    bench.add_argument("--workers", type=int)
     bench.set_defaults(func=cmd_bench)
     return ap
 

@@ -63,7 +63,6 @@ _CONSTANTS: list[tuple[str, int, object]] = [
 ]
 
 _KNOBS_INT = [
-    ("expansion_exact_cap", 20),
     ("connector_exact_cap", 64),
     ("q3_cap", 40),
     ("expansion_trials", 40),
@@ -72,7 +71,6 @@ _KNOBS_INT = [
     ("max_link_rounds", 64),
     ("d_target", 2),
     ("ball_candidates", 20),
-    ("workers", 1),
     ("b", 10),
     ("seed", 0),
 ]
@@ -188,7 +186,6 @@ class ResolvedConfig:
     ell_min: int
     ell_max: int
     pillar_ell_min: int
-    expansion_exact_cap: int
     connector_exact_cap: int
     q3_cap: int
     expansion_trials: int
@@ -197,7 +194,6 @@ class ResolvedConfig:
     max_link_rounds: int
     d_target: int
     ball_candidates: int
-    workers: int
     b: int
     seed: int
     expansion_sample_cap: int | None

@@ -15,6 +15,10 @@ class GraphParseError(PillarkitError):
         self.line_no = line_no
 
 
+class InternalError(PillarkitError):
+    """A broken invariant inside the toolkit: a bug, never bad input."""
+
+
 class PreconditionError(PillarkitError, ValueError):
     """An operation was called outside its stated contract."""
 

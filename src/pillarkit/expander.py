@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import PreconditionError, StageError
-from .graph import Graph, induced_subgraph
+from .graph import Graph, bfs_layers, induced_subgraph
 
 @dataclass(frozen=True)
 class ExpanderParams:
@@ -132,7 +131,7 @@ def _violation(g: Graph, members: list[int],
 
 def check_expansion(g: Graph, params: ExpanderParams, mode: str = "exact", *,
                     seed: int = 0, trials: int = 500, exact_cap: int = 20,
-                    sample_cap: int | None = None, workers: int = 1) -> ExpansionReport:
+                    sample_cap: int | None = None) -> ExpansionReport:
     """Search for a set violating the expansion condition.
 
     Exact mode enumerates every X with k/2 <= |X| <= n/2 (only allowed up
@@ -143,7 +142,7 @@ def check_expansion(g: Graph, params: ExpanderParams, mode: str = "exact", *,
     if mode == "exact":
         return _check_exact(g, params, exact_cap)
     if mode == "sampled":
-        return _check_sampled(g, params, seed, trials, sample_cap, workers)
+        return _check_sampled(g, params, seed, trials, sample_cap)
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
@@ -165,6 +164,7 @@ def _check_exact(g: Graph, params: ExpanderParams, exact_cap: int) -> ExpansionR
 
 
 def _sample_connected(g: Graph, rng: random.Random, size: int) -> list[int]:
+    # Not on bfs_layers: it takes frontier vertices in random order.
     start = rng.randrange(g.n)
     out = [start]
     seen = {start}
@@ -183,7 +183,7 @@ def _sample_connected(g: Graph, rng: random.Random, size: int) -> list[int]:
 
 
 def _check_sampled(g: Graph, params: ExpanderParams, seed: int, trials: int,
-                   sample_cap: int | None, workers: int) -> ExpansionReport:
+                   sample_cap: int | None) -> ExpansionReport:
     if g.n == 0:
         return ExpansionReport("sampled", 0, params=params)
     lo, hi = _size_bounds(g.n, params)
@@ -192,24 +192,12 @@ def _check_sampled(g: Graph, params: ExpanderParams, seed: int, trials: int,
     if hi < lo:
         return ExpansionReport("sampled", 0, params=params)
 
-    def run_trial(t: int):
+    for t in range(trials):
         rng = random.Random((seed * 0x9E3779B9 + t) & 0xFFFFFFFFFFFF)
         members = _sample_connected(g, rng, rng.randint(lo, hi))
         if len(members) < lo:
-            return None
-        return _violation(g, members, params)
-
-    if workers > 1:
-        # Deterministic reduce: first violation by trial index wins.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-        for t, hit in enumerate(results):
-            if hit is not None:
-                return ExpansionReport("sampled", t + 1, hit[0], hit[1], params)
-        return ExpansionReport("sampled", trials, params=params)
-
-    for t in range(trials):
-        hit = run_trial(t)
+            continue
+        hit = _violation(g, members, params)
         if hit is not None:
             return ExpansionReport("sampled", t + 1, hit[0], hit[1], params)
     return ExpansionReport("sampled", trials, params=params)
@@ -224,22 +212,15 @@ def greedy_max_cut_sides(g: Graph, order: list[int] | None = None) -> list[int]:
     inputs and keeps at least half the edges in general."""
     side = [-1] * g.n
     if order is None:
-        from collections import deque
-
+        # one BFS per component from its lowest vertex, the vertex where
+        # its id first appears (ids count up in the order of those vertices)
         order = []
-        seen = [False] * g.n
-        for root in range(g.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                order.append(u)
-                for w in g.neighbors(u):
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
+        roots = 0
+        for root, c in enumerate(g.comp):
+            if c == roots:
+                roots += 1
+                for layer in bfs_layers(g, [root]):
+                    order += layer
     for v in order:
         same0 = sum(1 for w in g.neighbors(v) if side[w] == 0)
         same1 = sum(1 for w in g.neighbors(v) if side[w] == 1)
@@ -259,6 +240,7 @@ def _max_cut_graph(g: Graph) -> Graph:
 
 def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
     """Iteratively drop vertices with fewer than d neighbors inside keep."""
+    # Not on bfs_layers: it peels by degree and does not traverse.
     deg = {v: sum(1 for w in g.neighbors(v) if w in keep) for v in keep}
     queue = [v for v, dv in deg.items() if dv < d]
     alive = set(keep)
@@ -277,7 +259,7 @@ def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
 
 def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
                      trials: int = 200, sample_cap: int | None = None,
-                     max_rounds: int = 30, workers: int = 1) -> Graph:
+                     max_rounds: int = 30) -> Graph:
     """Extract a bipartite subgraph H with min degree >= d that passes the
     sampled expansion check.
 
@@ -302,7 +284,7 @@ def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
         keep_sorted = sorted(keep)
         h = induced_subgraph(cut, keep)
         report = check_expansion(h, params, "sampled", seed=seed + round_no,
-                                 trials=trials, sample_cap=sample_cap, workers=workers)
+                                 trials=trials, sample_cap=sample_cap)
         if report.clean:
             return h
         witness = {keep_sorted[v] for v in report.witness}  # back to cut ids

@@ -8,20 +8,36 @@ ids back to the ids of a parent graph (used by induced subgraphs).
 ``Graph(n, edges)`` validates outside input; derived graphs filter a valid
 parent's rows and trust them, and one that would equal its parent is the
 parent itself.
+
+Every breadth-first search in the package runs on one kernel,
+:func:`bfs_layers`: it yields the layers of a search in g minus an
+``avoid`` set, optionally inside a ``within`` set, and callers stop it at
+a radius or a size.  Five walks stay separate, each for a reason given
+where it is written: the two-coloring in ``Graph``, which checks every
+edge as it walks; ``kraken._shortest_cycle_from``, which needs non-tree
+edges as it meets them; ``kraken._collective_round``, which counts the
+link vertices it refuses to grow through; ``expander._sample_connected``,
+which takes the frontier in random order; and ``expander._peel``, which
+peels by degree and does not traverse.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import GraphParseError, PreconditionError
 
 VertexSet = frozenset[int]
 
 _EMPTY: frozenset[int] = frozenset()
+
+# load_graph rejects ids from here up: n is max id + 1, so without a bound
+# a one-line file could make it allocate any number of adjacency rows.
+MAX_VERTICES = 10 ** 6
 
 
 class Graph:
@@ -66,6 +82,7 @@ class Graph:
         self.labels = labels
         # Component ids follow each component's lowest vertex, and a connected
         # bipartite graph has one coloring with that vertex on side 0.
+        # Not on bfs_layers: this walk checks every edge for a same-side end.
         side = [-1] * n
         comp = [-1] * n
         bipartite = True
@@ -214,7 +231,7 @@ def load_graph(text: str) -> Graph:
 
     A line with a single id declares an isolated vertex (this is what
     keeps save/load a faithful round trip).  Duplicate edges collapse;
-    self-loops are rejected.  n is max id + 1.
+    self-loops and ids of MAX_VERTICES or more are rejected.  n is max id + 1.
     """
     edges: list[tuple[int, int]] = []
     max_id = -1
@@ -227,8 +244,8 @@ def load_graph(text: str) -> Graph:
             ids = [int(p) for p in parts]
         except ValueError:
             raise GraphParseError(line_no, f"non-integer token in {line!r}")
-        if any(v < 0 for v in ids):
-            raise GraphParseError(line_no, f"negative vertex id in {line!r}")
+        if any(not 0 <= v < MAX_VERTICES for v in ids):
+            raise GraphParseError(line_no, f"vertex id outside 0..{MAX_VERTICES - 1} in {line!r}")
         if len(ids) == 1:
             max_id = max(max_id, ids[0])
         elif len(ids) == 2:
@@ -252,85 +269,109 @@ def save_graph(g: Graph) -> str:
 # -- BFS primitives ----------------------------------------------------
 
 
+def bfs_layers(g: Graph, sources: Iterable[int], avoid: Container[int] = _EMPTY,
+               within: Container[int] | None = None,
+               parents: dict[int, int | None] | None = None) -> Iterator[list[int]]:
+    """The BFS layers of g minus ``avoid`` (inside ``within`` when given),
+    each a list in discovery order.
+
+    Layer 0 is ``sources`` without repeats, used as given: a source may lie
+    in ``avoid`` or outside ``within``.  The next layer is built only when
+    the caller asks for it, so a caller stops at a radius or a size by
+    leaving the loop.  ``parents``, an empty dict when given, gets every
+    reached vertex, mapped to the vertex that reached it (None for a
+    source).
+    """
+    adj = g._adj
+    seen = dict.fromkeys(sources)
+    layer = list(seen)
+    if parents is not None:
+        parents.update(seen)
+        seen = parents
+    while True:
+        yield layer
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if w not in seen and w not in avoid and (within is None or w in within):
+                    seen[w] = u
+                    nxt.append(w)
+        if not nxt:
+            return
+        layer = nxt
+
+
+def _as_set(items: Iterable[int]) -> set[int] | frozenset[int]:
+    return items if isinstance(items, (set, frozenset)) else set(items)
+
+
+def _trace(parents: dict[int, int | None], v: int) -> Path:
+    """The BFS-tree path from a source to v."""
+    chain = [v]
+    while parents[chain[-1]] is not None:
+        chain.append(parents[chain[-1]])
+    chain.reverse()
+    return Path(tuple(chain))
+
+
+def _first_hit(layers: Iterator[list[int]], parents: dict[int, int | None],
+               targets: set[int] | frozenset[int], cap: int | None = None) -> Path | None:
+    """Path to the first target, in discovery order, of the first layer past
+    the sources that holds one; None when the layers run out or pass ``cap``."""
+    for depth, layer in enumerate(layers):
+        if depth and not targets.isdisjoint(layer):
+            return _trace(parents, next(w for w in layer if w in targets))
+        if cap is not None and depth >= cap:
+            return None
+    return None
+
+
+def ball_layers(g: Graph, seed: Iterable[int], radius: int, avoid: Iterable[int] = _EMPTY) -> list[set[int]]:
+    """The BFS spheres of :func:`ball`, layer 0 = seed."""
+    avoid_set = _as_set(avoid)
+    seed_set = set(seed)
+    if not avoid_set.isdisjoint(seed_set):
+        raise PreconditionError("seed intersects avoid set")
+    return [set(layer) for layer in islice(bfs_layers(g, seed_set, avoid_set), max(radius, 0) + 1)]
+
+
 def ball(g: Graph, seed: Iterable[int], radius: int, avoid: Iterable[int] = _EMPTY) -> set[int]:
     """All vertices within ``radius`` steps of ``seed`` in g minus ``avoid``.
 
     Includes the seed.  The seed must be disjoint from the avoid set.
     """
-    avoid_set = avoid if isinstance(avoid, (set, frozenset)) else set(avoid)
-    reached = set(seed)
-    if reached & avoid_set:
-        raise PreconditionError("seed intersects avoid set")
-    frontier = list(reached)
-    adj = g._adj
-    for _ in range(radius):
-        if not frontier:
-            break
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in reached and w not in avoid_set:
-                    reached.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return reached
-
-
-def ball_layers(g: Graph, seed: Iterable[int], radius: int, avoid: Iterable[int] = _EMPTY) -> list[set[int]]:
-    """Like :func:`ball` but returns the BFS spheres, layer 0 = seed."""
-    avoid_set = avoid if isinstance(avoid, (set, frozenset)) else set(avoid)
-    layer = set(seed)
-    if layer & avoid_set:
-        raise PreconditionError("seed intersects avoid set")
-    reached = set(layer)
-    layers = [layer]
-    adj = g._adj
-    for _ in range(radius):
-        nxt = set()
-        for u in layers[-1]:
-            for w in adj[u]:
-                if w not in reached and w not in avoid_set:
-                    reached.add(w)
-                    nxt.add(w)
-        if not nxt:
-            break
-        layers.append(nxt)
-    return layers
+    return set().union(*ball_layers(g, seed, radius, avoid))
 
 
 def distances_from(g: Graph, sources: Iterable[int], avoid: Iterable[int] = _EMPTY,
                    cap: int | None = None) -> dict[int, int]:
-    """BFS distance map from a source set in g minus avoid (cap optional)."""
-    avoid_set = avoid if isinstance(avoid, (set, frozenset)) else set(avoid)
-    dist = {s: 0 for s in sources if s not in avoid_set}
-    queue = deque(dist)
-    adj = g._adj
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if cap is not None and du >= cap:
-            continue
-        for w in adj[u]:
-            if w not in dist and w not in avoid_set:
-                dist[w] = du + 1
-                queue.append(w)
+    """BFS distance map from a source set in g minus avoid (cap optional),
+    in discovery order."""
+    avoid_set = _as_set(avoid)
+    dist: dict[int, int] = {}
+    src = [s for s in sources if s not in avoid_set] if avoid_set else sources
+    for d, layer in enumerate(bfs_layers(g, src, avoid_set)):
+        dist.update(dict.fromkeys(layer, d))
+        if cap is not None and d >= cap:
+            break
     return dist
 
 
 def set_distance(g: Graph, a: Iterable[int], b: Iterable[int],
                  avoid: Iterable[int] = _EMPTY, cap: int | None = None) -> int | None:
-    """Shortest distance between two vertex sets in g minus avoid."""
-    bset = set(b)
-    hit = [v for v in a if v in bset]
-    if hit:
+    """Shortest distance between two vertex sets in g minus avoid; None when
+    farther than ``cap``."""
+    bset = _as_set(b)
+    if not bset.isdisjoint(a):
         return 0
-    dist = distances_from(g, a, avoid, cap)
-    best = None
-    for v in bset:
-        d = dist.get(v)
-        if d is not None and (best is None or d < best):
-            best = d
-    return best
+    avoid_set = _as_set(avoid)
+    src = [v for v in a if v not in avoid_set] if avoid_set else a
+    for d, layer in enumerate(bfs_layers(g, src, avoid_set)):
+        if d and not bset.isdisjoint(layer):
+            return d
+        if cap is not None and d >= cap:
+            return None
+    return None
 
 
 def shortest_set_path(g: Graph, sources: Iterable[int], targets: Iterable[int],
@@ -341,38 +382,26 @@ def shortest_set_path(g: Graph, sources: Iterable[int], targets: Iterable[int],
     usual from-A-to-B path convention).  Returns None if disconnected
     (or farther than ``cap``).
     """
-    avoid_set = avoid if isinstance(avoid, (set, frozenset)) else set(avoid)
+    avoid_set = _as_set(avoid)
     src = [s for s in sources if s not in avoid_set]
-    tgt = set(t for t in targets if t not in avoid_set)
+    tgt = {t for t in targets if t not in avoid_set}
     if not src or not tgt:
         return None
-    direct = sorted(set(src) & tgt)
+    direct = sorted(tgt.intersection(src))
     if direct:
         return Path((direct[0],))
-    parent: dict[int, int] = {s: -1 for s in src}
-    queue = deque(src)
-    adj = g._adj
-    depth = {s: 0 for s in src}
-    src_set = set(src)
-    while queue:
-        u = queue.popleft()
-        if cap is not None and depth[u] >= cap:
-            continue
-        for w in adj[u]:
-            if w in parent or w in avoid_set:
-                continue
-            if w in tgt:
-                seq = [w, u]
-                while parent[seq[-1]] != -1:
-                    seq.append(parent[seq[-1]])
-                seq.reverse()
-                return Path(tuple(seq))
-            if w in src_set:
-                continue
-            parent[w] = u
-            depth[w] = depth[u] + 1
-            queue.append(w)
-    return None
+    parents: dict[int, int | None] = {}
+    return _first_hit(bfs_layers(g, src, avoid_set, parents=parents), parents, tgt, cap)
+
+
+def path_within(g: Graph, source: int, targets: set[int] | frozenset[int],
+                within: Container[int]) -> Path | None:
+    """Shortest path from ``source`` to ``targets`` whose other vertices all
+    lie in ``within``; it ends at the first target BFS reaches."""
+    if source in targets:
+        return Path((source,))
+    parents: dict[int, int | None] = {}
+    return _first_hit(bfs_layers(g, [source], within=within, parents=parents), parents, targets)
 
 
 # -- set and parity operations ---------------------------------------
@@ -393,7 +422,7 @@ def parity(g: Graph, u: int, v: int) -> int:
 
 def induced_degree(g: Graph, v: int, target: Iterable[int]) -> int:
     """Number of neighbors of v inside the target set."""
-    tset = target if isinstance(target, (set, frozenset)) else set(target)
+    tset = _as_set(target)
     return sum(1 for w in g.neighbors(v) if w in tset)
 
 

@@ -15,11 +15,12 @@ import random
 from dataclasses import dataclass, field
 
 from .config import ResolvedConfig, RunConfig
-from .errors import NoPathError, PillarkitError, PreconditionError, StageError
+from .errors import InternalError, NoPathError, PreconditionError, StageError
 from .expander import extract_expander
-from .graph import (Cycle, Graph, Path, ball, induced_degree, induced_subgraph,
-                    largest_component, set_distance, shortest_set_path)
-from .primitives import (Expansion, connect_short, find_large_ball,
+from .graph import (Cycle, Graph, Path, ball, bfs_layers, induced_degree,
+                    induced_subgraph, largest_component, path_within, set_distance,
+                    shortest_set_path)
+from .primitives import (Expansion, _distances_within, connect_short, find_large_ball,
                          find_q3_bruteforce, trim_expansion)
 from .validity import ValidityReport
 
@@ -86,19 +87,10 @@ class Kraken:
 
 
 def _leg_distances(g: Graph, center: int, members: frozenset[int]) -> dict[int, int]:
-    from collections import deque
-
+    # certificates are outside input: check ids before touching rows
     if center not in members or not all(0 <= v < g.n for v in members):
         return {}
-    dist = {center: 0}
-    queue = deque([center])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w in members and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    return _distances_within(g, center, members)
 
 
 def verify_kraken(g: Graph, kr: Kraken) -> ValidityReport:
@@ -170,6 +162,7 @@ def verify_kraken(g: Graph, kr: Kraken) -> ValidityReport:
 
 def _shortest_cycle_from(g: Graph, start: int) -> list[int] | None:
     """Cycle recovered from the first non-tree edge in a BFS from start."""
+    # Not on bfs_layers: it needs each non-tree edge as the BFS meets it.
     parent = {start: -1}
     depth = {start: 0}
     queue = [start]
@@ -240,45 +233,29 @@ def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
     ends: list[int] = []
     paths: list[Path] = []
     for j, v in enumerate(cycle.vertices):
-        p = shortest_set_path(g, [v], set(range(g.n)) - claimed - {v},
-                              claimed - {v}, cap=10 * s)
-        if p is None:
-            raise StageError("paths", f"no unclaimed territory reachable from cycle vertex {v}",
+        # The end is the first unclaimed neighbour with room for a t-vertex
+        # leg: claims only grow, so one without room now would starve later.
+        end = next((w for w in g.neighbors(v) if w not in claimed
+                    and len(_bfs_prefix(g, w, t, s, avoid=claimed)[0]) == t), None)
+        if end is None:
+            raise StageError("paths", f"no unclaimed neighbour of cycle vertex {v} has room for a leg",
                              {"cycle_index": j, "claimed": len(claimed)})
-        ends.append(p.vertices[-1])
-        paths.append(p)
-        claimed.update(p.vertices)
+        ends.append(end)
+        paths.append(Path((v, end)))
+        claimed.add(end)
     legs: list[Expansion] = []
     for j, u in enumerate(ends):
-        members = [u]
-        frontier = [u]
-        depth = 0
-        seen = set(members)
-        while len(members) < t and frontier and depth < s:
-            nxt = []
-            for a in frontier:
-                for w in g.neighbors(a):
-                    if w not in seen and w not in claimed:
-                        seen.add(w)
-                        nxt.append(w)
-                        members.append(w)
-                        if len(members) == t:
-                            break
-                if len(members) == t:
-                    break
-            frontier = nxt
-            depth += 1
+        members, radius = _bfs_prefix(g, u, t, s, avoid=claimed)
         if len(members) < t:
             raise StageError("legs", f"leg {j} starved at {len(members)}/{t} vertices",
                              {"leg_index": j, "reached": len(members)})
-        radius = _leg_distances(g, u, frozenset(members))
-        legs.append(Expansion(u, frozenset(members), max(radius.values())))
+        legs.append(Expansion(u, frozenset(members), radius))
         claimed.update(members)
 
     kr = Kraken(cycle, tuple(ends), tuple(legs), tuple(paths), s, t)
     rep = verify_kraken(g, kr)
     if not rep.valid:
-        raise PillarkitError(f"internal: constructed kraken invalid ({rep})")
+        raise InternalError(f"internal: constructed kraken invalid ({rep})")
     return kr
 
 
@@ -329,23 +306,23 @@ class KrakenSearchState:
             for j, link in links.items():
                 p = link.path
                 if p.vertices[0] not in kr.legs[j].members:
-                    raise PillarkitError(f"link for kraken {i} leg {j} does not start in the leg")
+                    raise InternalError(f"link for kraken {i} leg {j} does not start in the leg")
                 if link.kind == "P":
                     if p.length > self.cfg.p_len_cap:
-                        raise PillarkitError(f"high-degree link longer than {self.cfg.p_len_cap}")
+                        raise InternalError(f"high-degree link longer than {self.cfg.p_len_cap}")
                     if p.vertices[-1] not in self.high_degree - self.forbidden:
-                        raise PillarkitError("high-degree link does not end in L minus U")
+                        raise InternalError("high-degree link does not end in L minus U")
                 else:
                     if p.length > self.cfg.q_len_cap:
-                        raise PillarkitError(f"anchor link longer than {self.cfg.q_len_cap}")
+                        raise InternalError(f"anchor link longer than {self.cfg.q_len_cap}")
                     if link.anchor is None or p.vertices[-1] not in self.anchors[link.anchor].members:
-                        raise PillarkitError("anchor link does not end in its anchor")
+                        raise InternalError("anchor link does not end in its anchor")
                     if link.anchor in anchors_used:
-                        raise PillarkitError(f"anchor {link.anchor} linked twice to kraken {i}")
+                        raise InternalError(f"anchor {link.anchor} linked twice to kraken {i}")
                     anchors_used.add(link.anchor)
                 overlap = seen & set(p.vertices)
                 if overlap:
-                    raise PillarkitError(
+                    raise InternalError(
                         f"links of kraken {i} share vertices {sorted(overlap)[:3]}")
                 seen |= set(p.vertices)
 
@@ -461,8 +438,7 @@ def _build_collection(state: KrakenSearchState, config: RunConfig, seed: int) ->
             h = extract_expander(sub, target_d, config.params,
                                  seed=_child_seed(seed, round_no),
                                  trials=rc.expansion_trials,
-                                 sample_cap=rc.expansion_sample_cap,
-                                 workers=rc.workers)
+                                 sample_cap=rc.expansion_sample_cap)
             h = largest_component(h)
         except (PreconditionError, StageError):
             h = sub  # survivor graph too thin to re-extract; search it directly
@@ -539,7 +515,7 @@ def _assert_anchor_separation(state: KrakenSearchState, anchor: Expansion) -> No
     d = set_distance(g, anchor.members, others, avoid=state.high_degree,
                      cap=rc.separation - 1)
     if d is not None and d < rc.separation:
-        raise PillarkitError(
+        raise InternalError(
             f"internal: new anchor lands {d} < {rc.separation} from existing anchors or U")
 
 
@@ -599,6 +575,7 @@ def _collective_round(state: KrakenSearchState):
     first rewrite, else the first kraken whose ball hits the collective
     threshold, else the final sizes.
     """
+    # Not on bfs_layers: each step counts the link vertices it refuses to grow through.
     g, rc = state.graph, state.cfg
     sizes: list[int] = []
     grown: list[tuple[int, dict[int, int | None]] | None] = []
@@ -670,7 +647,7 @@ def _apply_shortcut(state: KrakenSearchState, i: int, j: int, j0: int,
     y = min(v for v in g.neighbors(z) if v in parents)
     new_path = Path(tuple(_chain_from(parents, y)) + verts[idx:])
     if new_path.length >= link.path.length:
-        raise PillarkitError("internal: shortcut rewrite failed to shorten the path")
+        raise InternalError("internal: shortcut rewrite failed to shorten the path")
     del state.links[i][j]
     state.links[i][j0] = LegLink(link.kind, new_path, link.anchor)
     state.check()
@@ -746,18 +723,12 @@ def _assemble(state: KrakenSearchState, i: int) -> Kraken:
         old = kr.paths[j].vertices
         if old[0] != kr.cycle.vertices[j]:
             old = old[::-1]
-        if kr.ends[j] == a:
-            traverse: tuple[int, ...] = (a,)
-        else:
-            tr = shortest_set_path(g, [kr.ends[j]], [a],
-                                   (blocked | (set(g.vertices()) - kr.legs[j].members))
-                                   - {kr.ends[j], a})
-            if tr is None:
-                raise StageError("assembly",
-                                 f"cannot route through leg {j} around crossing links",
-                                 {"kraken": i, "leg": j})
-            traverse = tr.vertices
-        new_paths.append(Path(old + traverse[1:] + lp.vertices[1:]))
+        tr = path_within(g, kr.ends[j], {a}, (kr.legs[j].members - blocked) | {a})
+        if tr is None:
+            raise StageError("assembly",
+                             f"cannot route through leg {j} around crossing links",
+                             {"kraken": i, "leg": j})
+        new_paths.append(Path(old + tr.vertices[1:] + lp.vertices[1:]))
     claims = set(kr.cycle.vertices)
     for p in new_paths:
         claims |= p.vertex_set()
@@ -768,12 +739,13 @@ def _assemble(state: KrakenSearchState, i: int) -> Kraken:
             continue
         anchor = state.anchors[links[j].anchor]
         end = new_ends[j]
-        piece = _grow_within(g, end, anchor.members - (claims - {end}), rc.leg_size)
-        if piece is None:
+        allowed = anchor.members - (claims - {end})
+        members, radius = _bfs_prefix(g, end, rc.leg_size, g.n, within=allowed)
+        if end not in allowed or len(members) < rc.leg_size:
             raise StageError("assembly", f"anchor {links[j].anchor} too crowded to seat leg {j}",
                              {"kraken": i, "leg": j})
-        new_legs[j] = piece
-        claims |= piece.members
+        new_legs[j] = Expansion(end, frozenset(members), radius)
+        claims |= new_legs[j].members
     for j in range(kr.k):
         if links[j].kind != "P":
             continue
@@ -792,36 +764,24 @@ def _assemble(state: KrakenSearchState, i: int) -> Kraken:
                       s_new, rc.leg_size)
     rep = verify_kraken(g, upgraded)
     if not rep.valid:
-        raise PillarkitError(f"internal: assembled kraken invalid ({rep})")
+        raise InternalError(f"internal: assembled kraken invalid ({rep})")
     if not _qualifies(g, upgraded, state.high_degree, state.forbidden, rc):
         raise StageError("assembly-quality",
                          "assembled kraken misses the separation properties", {"kraken": i})
     return upgraded
 
 
-def _grow_within(g: Graph, start: int, allowed: frozenset[int] | set[int],
-                 size: int) -> Expansion | None:
-    if start not in allowed:
-        return None
-    members = [start]
-    seen = {start}
-    frontier = [start]
+def _bfs_prefix(g: Graph, start: int, size: int, radius: int, *,
+                avoid: set[int] | frozenset[int] = frozenset(),
+                within: set[int] | frozenset[int] | None = None) -> tuple[list[int], int]:
+    """The first ``size`` vertices in BFS order from ``start`` (itself first,
+    whatever ``avoid`` and ``within`` say) within ``radius`` steps, and the
+    distance of the last one.  Each vertex's BFS parent comes before it, so
+    that distance is also the prefix's radius inside the prefix."""
+    members: list[int] = []
     depth = 0
-    while len(members) < size and frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    members.append(w)
-                    nxt.append(w)
-                    if len(members) == size:
-                        break
-            if len(members) == size:
-                break
-        frontier = nxt
-        depth += 1
-    if len(members) < size:
-        return None
-    dist = _leg_distances(g, start, frozenset(members))
-    return Expansion(start, frozenset(members), max(dist.values()))
+    for depth, layer in enumerate(bfs_layers(g, [start], avoid, within)):
+        members += layer[:size - len(members)]
+        if len(members) == size or depth >= radius:
+            break
+    return members, depth

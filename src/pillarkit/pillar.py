@@ -7,10 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ResolvedConfig, RunConfig
-from .errors import (LengthNotRealizedError, NoPathError, PillarkitError,
+from .errors import (InternalError, LengthNotRealizedError, NoPathError,
                      PreconditionError, StageError)
-from .graph import (Cycle, Graph, Path, ball, distances_from, largest_component,
-                    parity, set_distance, shortest_set_path)
+from .graph import (Cycle, Graph, Path, _trace, ball, bfs_layers, distances_from,
+                    largest_component, parity, path_within, set_distance)
 from .kraken import Kraken, _child_seed, robust_kraken, verify_kraken
 from .primitives import (Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
@@ -301,14 +301,6 @@ def _exact_fixed_path(g: Graph, v1: int, v2: int, ell: int, avoid: frozenset[int
     return found, nodes <= node_budget
 
 
-def _chain_within(g: Graph, members: frozenset[int], a: int, b: int) -> Path | None:
-    """Shortest a,b-path staying inside a vertex set."""
-    if a == b:
-        return Path((a,))
-    outside = frozenset(range(g.n)) - members
-    return shortest_set_path(g, [a], [b], outside - {a, b})
-
-
 def _base_path(g: Graph, f1: Expansion, f2: Expansion, avoid: frozenset[int],
                params) -> Path:
     mid = connect_short(g, f1.members, f2.members, avoid, params)
@@ -316,10 +308,10 @@ def _base_path(g: Graph, f1: Expansion, f2: Expansion, avoid: frozenset[int],
     if mid.vertices[0] in f2.members:
         a1, a2 = a2, a1
         mid = Path(mid.vertices[::-1])
-    c1 = _chain_within(g, f1.members, f1.center, a1)
-    c2 = _chain_within(g, f2.members, a2, f2.center)
+    c1 = path_within(g, f1.center, {a1}, f1.members)
+    c2 = path_within(g, a2, {f2.center}, f2.members)
     if c1 is None or c2 is None:
-        raise PillarkitError("internal: expansion not connected to its center")
+        raise InternalError("internal: expansion not connected to its center")
     return Path(c1.vertices + mid.vertices[1:] + c2.vertices[1:])
 
 
@@ -349,28 +341,15 @@ def _harvest_detours(g: Graph, core: Path, avoid: frozenset[int], need: int) -> 
 
 def _alt_route(g: Graph, a: int, b: int, blocked: set[int], max_len: int) -> Path | None:
     """Shortest a,b-path of length >= 2 with free interior (None if over
-    max_len)."""
-    dist = {a: 0}
-    parent = {a: -1}
-    queue = [a]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        if dist[u] + 1 > max_len:
-            break
-        for w in g.neighbors(u):
-            if w == b:
-                if u == a:
-                    continue  # that is the core edge itself
-                chain = [b, u]
-                while parent[chain[-1]] != -1:
-                    chain.append(parent[chain[-1]])
-                return Path(tuple(chain[::-1]))
-            if w not in dist and w not in blocked:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
+    max_len).  ``blocked`` holds b, so the search never steps onto it."""
+    into_b = set(g.neighbors(b))
+    parents: dict[int, int | None] = {}
+    for depth, layer in enumerate(bfs_layers(g, [a], blocked, parents=parents)):
+        if depth + 1 > max_len:
+            return None
+        # from depth 1 on: a's own edge to b is the core edge itself
+        if depth and not into_b.isdisjoint(layer):
+            return Path(_trace(parents, next(u for u in layer if u in into_b)).vertices + (b,))
     return None
 
 
@@ -416,7 +395,7 @@ def connect_fixed_length(g: Graph, f1: Expansion, f2: Expansion, ell: int,
     path = adj.realize(ell)  # raises with nearest achievable lengths
     bad = path.failures(g)
     if bad or path.ends not in ((v1, v2), (v2, v1)):
-        raise PillarkitError(f"internal: spliced path invalid ({bad})")
+        raise InternalError(f"internal: spliced path invalid ({bad})")
     return path
 
 
@@ -553,12 +532,11 @@ def _side_expansion(g: Graph, kr: Kraken, j: int, z: frozenset[int],
             if sep is None and grown & others:
                 # separation hypothesis held with room to spare, so the
                 # ball cannot have reached a still-unused low-degree leg
-                raise PillarkitError(
+                raise InternalError(
                     "internal: leg ball reached a separated unused leg")
         members = grown | pathv
         return Expansion(center, members, rc.ell0 + kr.legs[j].radius + len(pathv)), 2
-    route = shortest_set_path(g, [u], touched,
-                              frozenset(range(g.n)) - grown - {u} - touched)
+    route = path_within(g, u, touched, grown)
     if route is None:
         raise StageError("link-route",
                          f"{side_name} side, index {j + 1}: high-degree vertex "
@@ -574,12 +552,12 @@ def _assert_link_output(g: Graph, ka: Kraken, kb: Kraken, built: list[Path]) -> 
     seen: set[int] = set()
     for j, q in enumerate(built):
         if set(q.interior()) & cycles:
-            raise PillarkitError(f"internal: link path {j} runs through a cycle")
+            raise InternalError(f"internal: link path {j} runs through a cycle")
         if seen & q.vertex_set():
-            raise PillarkitError(f"internal: link path {j} overlaps an earlier one")
+            raise InternalError(f"internal: link path {j} overlaps an earlier one")
         seen |= q.vertex_set()
         if q.failures(g):
-            raise PillarkitError(f"internal: link path {j} invalid in the host graph")
+            raise InternalError(f"internal: link path {j} invalid in the host graph")
 
 
 # -- end-to-end driver --------------------------------------------------
@@ -640,8 +618,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
         try:
             h = largest_component(extract_expander(
                 g, target, config.params, seed=_child_seed(seed, 0),
-                trials=rc.expansion_trials, sample_cap=rc.expansion_sample_cap,
-                workers=rc.workers))
+                trials=rc.expansion_trials, sample_cap=rc.expansion_sample_cap))
             break
         except (PreconditionError, StageError):
             continue
@@ -656,7 +633,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
         pillar = _translate_pillar(pillar_from_q3(cube), h.labels)
         rep = verify_pillar(g, pillar)
         if not rep.valid:
-            raise PillarkitError(f"internal: cube pillar invalid ({rep})")
+            raise InternalError(f"internal: cube pillar invalid ({rep})")
         return pillar
 
     forbidden: set[int] = set()
@@ -695,11 +672,11 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                     pillar = Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths))
                     rep = verify_pillar(h, pillar)
                     if not rep.valid:
-                        raise PillarkitError(f"internal: linked pillar invalid ({rep})")
+                        raise InternalError(f"internal: linked pillar invalid ({rep})")
                     out = _translate_pillar(pillar, h.labels)
                     rep = verify_pillar(g, out)
                     if not rep.valid:
-                        raise PillarkitError(f"internal: translated pillar invalid ({rep})")
+                        raise InternalError(f"internal: translated pillar invalid ({rep})")
                     return out
                 except (StageError, LengthNotRealizedError, NoPathError) as exc:
                     last_error = exc

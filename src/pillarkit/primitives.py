@@ -1,6 +1,5 @@
 """Reusable expansion and connection machinery: cube finding, short robust
-connection, growth past thin obstacle sets, large-ball finding, expansion
-trimming, and collective expansion of set families."""
+connection, large-ball finding and expansion trimming."""
 
 from __future__ import annotations
 
@@ -10,9 +9,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import NoPathError, PillarkitError, PreconditionError, StageError
-from .expander import ExpanderParams, epsilon
-from .graph import Graph, Path, ball, distances_from, shortest_set_path
+from .errors import InternalError, NoPathError, PillarkitError, PreconditionError, StageError
+from .expander import ExpanderParams
+from .graph import Graph, Path, ball, bfs_layers, shortest_set_path
 
 # Cube positions are 3-bit coordinates; adjacency = one differing bit.
 CUBE_EDGES = [(i, j) for i in range(8) for j in range(8)
@@ -54,16 +53,9 @@ class Expansion:
 
 
 def _distances_within(g: Graph, start: int, members: frozenset[int]) -> dict[int, int]:
-    from collections import deque
-
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w in members and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    dist: dict[int, int] = {}
+    for d, layer in enumerate(bfs_layers(g, [start], within=members)):
+        dist.update(dict.fromkeys(layer, d))
     return dist
 
 
@@ -93,33 +85,6 @@ class Q3Certificate:
     def to_json_dict(self) -> dict:
         return {"kind": "q3", "version": 1, "vertices": list(self.vertices),
                 "edges": [[self.vertices[i], self.vertices[j]] for i, j in CUBE_EDGES]}
-
-
-@dataclass(frozen=True)
-class ThinSetWitness:
-    """Per-step record of how much an obstacle set meets the growing ball.
-
-    ``trace[i-1]`` is the number of obstacle vertices adjacent to the
-    (i-1)-ball of ``around`` when the obstacle set itself is avoided.
-    The set is (lam, k)-thin when trace[i-1] <= lam * i**k throughout.
-    """
-
-    around: frozenset[int]
-    thin_set: frozenset[int]
-    lam: float
-    k: int
-    trace: tuple[int, ...]
-
-    def is_satisfied(self) -> bool:
-        return all(t <= self.lam * (i ** self.k) for i, t in enumerate(self.trace, 1))
-
-
-@dataclass(frozen=True)
-class GrowthResult:
-    ball: frozenset[int]
-    witness: ThinSetWitness
-    met: bool
-    target: float
 
 
 # -- Q3 finding --------------------------------------------------------
@@ -190,13 +155,13 @@ def find_q3_bipartite(g: Graph, u_side: Iterable[int], w_side: Iterable[int], d:
         triple = frozenset(q for i, q in enumerate(quad) if i != omit)
         rep = color.get(triple)
         if rep is None:
-            raise PillarkitError(
+            raise InternalError(
                 "internal: uncolored triple in the neighborhood of an unused vertex")
         reps.append(rep)
     cert = _assemble_cube(quad, reps)
     bad = cert.failures(g)
     if bad:
-        raise PillarkitError(f"internal: assembled cube invalid ({bad[0]})")
+        raise InternalError(f"internal: assembled cube invalid ({bad[0]})")
     return cert
 
 
@@ -371,57 +336,6 @@ def connect_short(g: Graph, a: Iterable[int], b: Iterable[int], w: Iterable[int]
     return path
 
 
-# -- growth past thin sets ---------------------------------------------
-
-
-def grow_past_thin(g: Graph, x: Iterable[int], y: Iterable[int], w_thin: Iterable[int],
-                   r: int, params: ExpanderParams, *, lam: float | None = None,
-                   k: int = 1) -> GrowthResult:
-    """Grow the ball of X for r steps avoiding Y and the thin set, recording
-    how often the thin set touches each sphere.
-
-    Whether the final ball met the exp(r^(1/4)) benchmark is reported,
-    not raised: non-expander inputs are legitimate.
-    """
-    xset = frozenset(x)
-    yset = frozenset(y)
-    wset = frozenset(w_thin)
-    if not xset:
-        raise PreconditionError("X must be nonempty")
-    if xset & wset:
-        raise PreconditionError("thin set must be disjoint from X")
-    if xset & yset:
-        raise PreconditionError("Y must be disjoint from X")
-    if r < 1:
-        raise PreconditionError("need r >= 1")
-    cap = 0.25 * epsilon(len(xset), params) * len(xset)
-    if len(yset) > cap:
-        raise PreconditionError(f"|Y| = {len(yset)} exceeds eps(|X|)|X|/4 = {cap:.3f}")
-    if lam is None:
-        lam = math.sqrt(len(xset))
-
-    # frontier-incremental growth: a thin-set vertex stays adjacent to the
-    # ball once seen, so the per-step intersection is the cumulative set
-    # of blocked vertices discovered so far
-    reached = set(xset)
-    frontier = set(xset)
-    blocked_seen: set[int] = set()
-    trace: list[int] = []
-    for _ in range(r):
-        fresh = set()
-        for u in frontier:
-            for v in g.neighbors(u):
-                if v not in reached and v not in yset and v not in blocked_seen:
-                    fresh.add(v)
-        blocked_seen |= fresh & wset
-        trace.append(len(blocked_seen))
-        frontier = fresh - wset
-        reached |= frontier
-    target = math.exp(r ** 0.25)
-    witness = ThinSetWitness(xset, wset, lam, k, tuple(trace))
-    return GrowthResult(frozenset(reached), witness, len(reached) >= target, target)
-
-
 # -- large balls and trimming ------------------------------------------
 
 
@@ -448,19 +362,11 @@ def find_large_ball(g: Graph, w: Iterable[int], params: ExpanderParams, *,
     if max_candidates is not None:
         order = order[:max_candidates]
     for center in order:
-        reached = {center}
-        frontier = [center]
-        depth = 0
-        while frontier and depth < radius_budget and len(reached) < target:
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors(u):
-                    if v not in reached and v not in wset:
-                        reached.add(v)
-                        nxt.append(v)
-            if nxt:
-                depth += 1
-            frontier = nxt
+        reached: list[int] = []
+        for depth, layer in enumerate(bfs_layers(g, [center], wset)):
+            reached += layer
+            if depth >= radius_budget or len(reached) >= target:
+                break
         if len(reached) >= target:
             return Expansion(center, frozenset(reached), depth)
     raise StageError("large-ball", "no center grows a large enough ball",
@@ -484,21 +390,9 @@ def trim_expansion(g: Graph, e: Expansion, d_target: int) -> Expansion:
 
 
 def _bfs_order_within(g: Graph, start: int, members: frozenset[int]) -> list[int]:
-    from collections import deque
-
     if start not in members:
         raise PreconditionError("center not a member")
-    order = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v in members and v not in seen:
-                seen.add(v)
-                order.append(v)
-                queue.append(v)
-    return order
+    return [v for layer in bfs_layers(g, [start], within=members) for v in layer]
 
 
 def restrict_and_trim(g: Graph, e: Expansion, d_target: int,
@@ -509,115 +403,8 @@ def restrict_and_trim(g: Graph, e: Expansion, d_target: int,
     avoid_set = frozenset(avoid)
     if e.center in avoid_set:
         return None
-    members = e.members - avoid_set
-    dist = _distances_within(g, e.center, frozenset(members))
+    dist = _distances_within(g, e.center, e.members - avoid_set)
     if len(dist) < d_target:
         return None
     order = sorted(dist, key=lambda v: (dist[v], v))[:d_target]
     return Expansion(e.center, frozenset(order), max(dist[v] for v in order))
-
-
-# -- collective expansion ----------------------------------------------
-
-
-def expand_collectively(g: Graph, u: Iterable[int],
-                        family: Sequence[tuple[Iterable[int], Iterable[int], Iterable[int]]],
-                        ell0: int, threshold: int) -> tuple[int, frozenset[int]]:
-    """Grow each family member's ball ell0 steps avoiding U, B_i and C_i;
-    return the lowest index whose ball reaches the threshold.
-
-    Parallel growth must agree with this sequential selection rule.
-    """
-    if not family:
-        raise PreconditionError("family must be nonempty")
-    uset = frozenset(u)
-    sizes = []
-    for i, (a, b, c) in enumerate(family):
-        aset, bset, cset = frozenset(a), frozenset(b), frozenset(c)
-        if aset & (bset | cset | uset):
-            raise PreconditionError(f"family[{i}]: A intersects B, C or U")
-        grown = ball(g, aset, ell0, uset | bset | cset)
-        if len(grown) >= threshold:
-            return i, frozenset(grown)
-        sizes.append(len(grown))
-    raise StageError("collective-expansion", "no family member reached the threshold",
-                     {"final_sizes": sizes, "threshold": threshold})
-
-
-def collective_hypotheses_report(g: Graph, u: Iterable[int],
-                                 family: Sequence[tuple[Iterable[int], Iterable[int], Iterable[int]]],
-                                 ell0: int, d: int, *, d0: int = 1,
-                                 lam: float | None = None,
-                                 size_exponent: float = 10.0) -> list[dict]:
-    """Check the collective-expansion hypotheses in their relaxed,
-    parameterized forms and report per family member (never enforces).
-
-    The thinness default for C_i is lam = sqrt(|A_i|); the original
-    statement's fixed (4,1)-thinness works the same way and both are
-    covered by the parameter.
-    """
-    uset = frozenset(u)
-    reports = []
-    balls = []
-    for a, b, c in family:
-        aset, bset, cset = frozenset(a), frozenset(b), frozenset(c)
-        obstacles = uset | bset | cset
-        seeds = aset - obstacles
-        balls.append(ball(g, seeds, ell0, obstacles - aset) if seeds else set())
-    for i, (a, b, c) in enumerate(family):
-        aset, bset, cset = frozenset(a), frozenset(b), frozenset(c)
-        lam_i = math.sqrt(len(aset)) if lam is None else lam
-        rep = {
-            "index": i,
-            "min_size": len(aset) >= d0,
-            "disjoint": not (aset & (bset | cset | uset)),
-            "b_small": len(bset) <= _size_bound(len(aset), size_exponent),
-            "c_thin": _is_thin(g, aset, cset, uset | bset, lam_i, 1, ell0),
-            "u_degree": all(
-                sum(1 for nb in g.neighbors(v) if nb in uset) <= d / 2
-                for v in balls[i]),
-        }
-        far = True
-        for j in range(len(family)):
-            if j == i:
-                continue
-            oa, ob, oc = family[j]
-            avoid = (uset | bset | cset | frozenset(ob) | frozenset(oc)) - aset - frozenset(oa)
-            dist = _family_distance(g, aset, frozenset(oa), avoid)
-            if dist is not None and dist < 2 * ell0:
-                far = False
-                break
-        rep["pairwise_far"] = far
-        reports.append(rep)
-    return reports
-
-
-def _size_bound(a: int, exponent: float) -> float:
-    if a <= 3:
-        return float(a)
-    return a / math.log(a) ** exponent
-
-
-def _is_thin(g: Graph, around: frozenset[int], thin: frozenset[int],
-             extra_avoid: frozenset[int], lam: float, k: int, steps: int) -> bool:
-    reached = set(around)
-    for i in range(1, steps + 1):
-        boundary = set()
-        for uu in reached:
-            for v in g.neighbors(uu):
-                if v not in reached and v not in extra_avoid:
-                    boundary.add(v)
-        if len(boundary & thin) > lam * i ** k:
-            return False
-        grow = boundary - thin
-        if not grow:
-            return True
-        reached |= grow
-    return True
-
-
-def _family_distance(g: Graph, a: frozenset[int], b: frozenset[int],
-                     avoid: frozenset[int]) -> int | None:
-    dist = distances_from(g, a, avoid)
-    hits = [dist[v] for v in b if v in dist]
-    return min(hits) if hits else None

@@ -1,0 +1,118 @@
+"""Every search built on ``graph.bfs_layers`` against a slow FIFO-queue
+reference from ``util``: same results, and where order is visible, same
+order.  The graphs are small, often disconnected and often not bipartite."""
+
+from hypothesis import given, settings, strategies as st
+
+from pillarkit.expander import greedy_max_cut_sides
+from pillarkit.graph import Graph, distances_from, path_within, set_distance, shortest_set_path
+from pillarkit.kraken import _bfs_prefix
+from pillarkit.pillar import _alt_route
+from pillarkit.primitives import Expansion, restrict_and_trim, trim_expansion
+
+from util import (ref_alt_route, ref_distances_from, ref_leg_growth, ref_set_distance,
+                  ref_shortest_set_path)
+
+
+@st.composite
+def search_case(draw):
+    """A graph, a source list (repeats allowed), and target, avoid and
+    within sets drawn independently, plus a cap that may be None or below 0."""
+    n = draw(st.integers(1, 16))
+    ids = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    subset = st.sets(ids, max_size=n).map(frozenset)
+    return (Graph(n, edges), draw(st.lists(ids, min_size=1, max_size=4)), draw(subset),
+            draw(subset), draw(subset), draw(st.none() | st.integers(-1, n)))
+
+
+def _outside(g: Graph, keep) -> frozenset[int]:
+    return frozenset(range(g.n)) - keep
+
+
+@settings(max_examples=250, deadline=None)
+@given(search_case())
+def test_distances_from_same_dict_same_order(case):
+    g, sources, _, avoid, _, cap = case
+    got = distances_from(g, sources, avoid, cap)
+    assert list(got.items()) == list(ref_distances_from(g, sources, avoid, cap).items())
+
+
+@settings(max_examples=250, deadline=None)
+@given(search_case())
+def test_set_distance(case):
+    g, sources, targets, avoid, _, cap = case
+    assert set_distance(g, sources, targets, avoid, cap) == ref_set_distance(g, sources, targets, avoid, cap)
+
+
+@settings(max_examples=250, deadline=None)
+@given(search_case())
+def test_shortest_set_path_same_path(case):
+    g, sources, targets, avoid, _, cap = case
+    assert shortest_set_path(g, sources, targets, avoid, cap) == \
+        ref_shortest_set_path(g, sources, targets, avoid, cap)
+
+
+@settings(max_examples=250, deadline=None)
+@given(search_case())
+def test_path_within_is_a_path_avoiding_the_outside(case):
+    g, sources, targets, _, within, _ = case
+    s = sources[0]
+    assert path_within(g, s, targets, within) == \
+        ref_shortest_set_path(g, [s], targets, _outside(g, within) - {s})
+
+
+@settings(max_examples=250, deadline=None)
+@given(search_case(), st.integers(1, 6))
+def test_leg_growth_same_members_and_radius(case, size):
+    g, sources, _, avoid, within, cap = case
+    start, radius = sources[0], g.n if cap is None else max(cap, 0)
+    members, depth = _bfs_prefix(g, start, size, radius, avoid=avoid, within=within)
+    assert members == ref_leg_growth(g, start, size, radius, avoid | _outside(g, within))
+    if len(members) == size:
+        inside = ref_distances_from(g, [start], _outside(g, frozenset(members)))
+        assert depth == max(inside.values())
+
+
+@settings(max_examples=250, deadline=None)
+@given(search_case(), st.integers(0, 4), st.integers(1, 16))
+def test_trim_and_restrict_same_members(case, r, d_target):
+    g, sources, _, avoid, _, _ = case
+    center = sources[0]
+    members = frozenset(ref_distances_from(g, [center], cap=r))
+    e = Expansion(center, members, r)
+    order = list(ref_distances_from(g, [center], _outside(g, members)))
+    if d_target <= e.size:
+        assert trim_expansion(g, e, d_target).members == frozenset(order[:d_target])
+    got = restrict_and_trim(g, e, d_target, avoid)
+    dist = {} if center in avoid else ref_distances_from(g, [center], _outside(g, members - avoid))
+    if len(dist) < d_target:
+        assert got is None
+    else:
+        kept = sorted(dist, key=lambda v: (dist[v], v))[:d_target]
+        assert (got.members, got.radius) == (frozenset(kept), max(dist[v] for v in kept))
+
+
+@settings(max_examples=250, deadline=None)
+@given(search_case(), st.integers(0, 8))
+def test_alt_route_same_path(case, max_len):
+    g, _, _, avoid, _, _ = case
+    edges = g.edges()
+    if not edges:
+        return
+    a, b = edges[len(avoid) % len(edges)]
+    blocked = set(avoid) | {a, b}
+    assert _alt_route(g, a, b, blocked, max_len) == ref_alt_route(g, a, b, blocked, max_len)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_case())
+def test_max_cut_sides_follow_bfs_order(case):
+    g = case[0]
+    order, seen = [], set()
+    for root in range(g.n):
+        if root not in seen:
+            layer = list(ref_distances_from(g, [root]))
+            order += layer
+            seen.update(layer)
+    assert greedy_max_cut_sides(g) == greedy_max_cut_sides(g, order)

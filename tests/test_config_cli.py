@@ -1,10 +1,16 @@
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+import pillarkit
+import pillarkit.cli
 from pillarkit.cli import main
-from pillarkit.config import RunConfig
-from pillarkit.errors import PreconditionError
+from pillarkit.config import ResolvedConfig, RunConfig
+from pillarkit.errors import InternalError, PreconditionError
+from pillarkit.graph import MAX_VERTICES
 
 class TestRunConfig:
     def test_relaxed_defaults_resolve(self):
@@ -46,6 +52,29 @@ class TestRunConfig:
     def test_comments_allowed(self):
         cfg = RunConfig.from_text("# comment\nd = 6\nseparation = 3  # inline\n")
         assert cfg.d == 6 and cfg.overrides["separation"] == 3
+
+
+def _config_reads() -> set[str]:
+    """Names the package reads off a resolved config: ``rc.x``, ``cfg.x`` or
+    ``<...>.cfg.x`` attributes, and ``r["x"]`` in the formulas of ``_CONSTANTS``."""
+    reads = set()
+    for path in Path(pillarkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = node.value
+                name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                if name in ("rc", "cfg"):
+                    reads.add(node.attr)
+            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                  and node.value.id == "r" and isinstance(node.slice, ast.Constant)):
+                reads.add(node.slice.value)
+    return reads
+
+
+def test_every_resolved_config_field_is_read():
+    """A knob that nothing reads is dead: settable, documented, and inert."""
+    fields = {f.name for f in dataclasses.fields(ResolvedConfig)}
+    assert fields - _config_reads() == set()
 
 
 @pytest.fixture()
@@ -162,6 +191,25 @@ class TestCli:
         assert main(["find", "pillar", "--graph", str(tmp_path / "nope.el"),
                      "--seed", "0"]) == 2
 
+    def test_vertex_id_at_limit_exit_2(self, tmp_path):
+        g = tmp_path / "huge.el"
+        g.write_text(f"0 {MAX_VERTICES}\n")
+        assert main(["find", "pillar", "--graph", str(g), "--seed", "0"]) == 2
+
+    @pytest.mark.parametrize("error, code", [(InternalError, 3), (PreconditionError, 2)])
+    def test_internal_error_exit_3(self, q3_file, monkeypatch, capsys, error, code):
+        def broken(*args, **kwargs):
+            raise error("internal: planted")
+        monkeypatch.setattr(pillarkit.cli, "find_pillar", broken)
+        assert main(["find", "pillar", "--graph", str(q3_file), "--seed", "0"]) == code
+        assert "planted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["workers", "expansion_exact_cap"])
+    def test_removed_keys_exit_2(self, q3_file, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        assert main(["find", "pillar", "--graph", str(q3_file), "--config", str(cfg)]) == 2
+
     def test_bench_csv_shape(self, tmp_path, capsys):
         g = tmp_path / "g.el"
         main(["generate", "random-regular", "--n", "400", "--d", "6",
@@ -193,15 +241,3 @@ class TestCli:
         second = capsys.readouterr().out
         strip = lambda text: [l.rsplit(",", 1)[0] for l in text.strip().splitlines()]
         assert strip(first) == strip(second)  # counts equal, wall time may differ
-
-    def test_workers_flag_matches_sequential(self, tmp_path, capsys):
-        g = tmp_path / "g.el"
-        main(["generate", "random-regular", "--n", "400", "--d", "6",
-              "--seed", "1", "--out", str(g)])
-        capsys.readouterr()
-        main(["bench", "--graph", str(g), "--seed", "5", "--workers", "1"])
-        one = capsys.readouterr().out
-        main(["bench", "--graph", str(g), "--seed", "5", "--workers", "3"])
-        three = capsys.readouterr().out
-        strip = lambda text: [l.rsplit(",", 1)[0] for l in text.strip().splitlines()]
-        assert strip(one) == strip(three)

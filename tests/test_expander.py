@@ -123,14 +123,6 @@ class TestCheckExpansion:
         b = check_expansion(g, p, "sampled", seed=5, trials=50)
         assert (a.witness, a.samples) == (b.witness, b.samples)
 
-    def test_workers_match_sequential(self):
-        # a weak graph so some trials do find witnesses
-        g = Graph(40, [(i, i + 1) for i in range(39)])
-        p = ExpanderParams(0.5, 0.2, 20)
-        seq = check_expansion(g, p, "sampled", seed=3, trials=40)
-        par = check_expansion(g, p, "sampled", seed=3, trials=40, workers=3)
-        assert seq.witness == par.witness and seq.samples == par.samples
-
     def test_report_serialization(self):
         g = Graph(10, [])
         rep = check_expansion(g, ExpanderParams(0.1, 0.2, 10), "exact")

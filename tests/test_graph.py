@@ -7,8 +7,9 @@ from pillarkit.generators import (cycle_graph, hypercube, path_graph, prism,
                                   random_bipartite, random_regular,
                                   subdivided_prism, subdivided_prism_rungs)
 from pillarkit.expander import _max_cut_graph, greedy_max_cut_sides
-from pillarkit.graph import (Graph, ball, induced_degree, induced_subgraph,
-                             largest_component, load_graph, parity, save_graph)
+from pillarkit.graph import (MAX_VERTICES, Graph, ball, induced_degree,
+                             induced_subgraph, largest_component, load_graph,
+                             parity, save_graph)
 
 from util import all_simple_path_lengths, random_connected_graph, to_nx
 
@@ -47,6 +48,13 @@ class TestLoadGraph:
     def test_empty_text(self):
         g = load_graph("")
         assert g.n == 0 and g.m == 0
+
+    @pytest.mark.parametrize("text", [f"{MAX_VERTICES}", f"0 1\n2 {MAX_VERTICES}", "0 -1"])
+    def test_id_out_of_range_rejected(self, text):
+        # the limit itself: rejected before any row is allocated
+        with pytest.raises(GraphParseError) as err:
+            load_graph(text)
+        assert err.value.line_no == text.count("\n") + 1
 
 
 class TestRoundTrip:

@@ -1,7 +1,7 @@
 import pytest
 
 from pillarkit.config import RunConfig
-from pillarkit.errors import PillarkitError, PreconditionError, StageError
+from pillarkit.errors import InternalError, PreconditionError, StageError
 from pillarkit.generators import cycle_graph, hypercube, random_regular
 from pillarkit.graph import Cycle, Graph, Path, set_distance
 from pillarkit.kraken import (Kraken, KrakenEntry, KrakenSearchState, LegLink,
@@ -66,6 +66,17 @@ class TestFindKraken:
         with pytest.raises(StageError) as err:
             find_kraken(cycle_graph(10), k_max=12, t=1, seed=0)
         assert err.value.stage == "paths"
+
+    def test_end_skips_a_neighbour_without_room_for_its_leg(self):
+        # cycle 4-5-6-7; each cycle vertex 4+i has a pendant leaf i, whose
+        # lower id puts it first, and a two-vertex tail 8+2i, 9+2i
+        edges = [(4, 5), (5, 6), (6, 7), (7, 4)]
+        for i in range(4):
+            edges += [(4 + i, i), (4 + i, 8 + 2 * i), (8 + 2 * i, 9 + 2 * i)]
+        g = Graph(16, edges)
+        kr = find_kraken(g, t=2, seed=0)
+        assert verify_kraken(g, kr).valid
+        assert sorted(kr.ends) == [8, 10, 12, 14]
 
     def test_cycle_too_long_for_cap(self):
         with pytest.raises(StageError) as err:
@@ -140,7 +151,7 @@ class TestSearchState:
         g, kr, state = _gadget_state(cfg)
         state.links[0][0] = LegLink("Q", Path((4, 8, 9, 10, 11, 20)), 0)
         state.links[0][1] = LegLink("Q", Path((5, 10, 11, 21)), 0)
-        with pytest.raises(PillarkitError):
+        with pytest.raises(InternalError):
             state.check()
 
     def test_invariant_rejects_anchor_reuse(self):
@@ -148,7 +159,7 @@ class TestSearchState:
         g, kr, state = _gadget_state(cfg)
         state.links[0][0] = LegLink("Q", Path((4, 8, 9, 10, 11, 20)), 0)
         state.links[0][2] = LegLink("Q", Path((6, 2)), 0)  # nonsense target
-        with pytest.raises(PillarkitError):
+        with pytest.raises(InternalError):
             state.check()
 
     def test_invariant_rejects_overlong_p_link(self):
@@ -156,7 +167,7 @@ class TestSearchState:
         g, kr, state = _gadget_state(cfg)
         state.high_degree = frozenset({20})
         state.links[0][0] = LegLink("P", Path((4, 8, 9, 10, 11, 20)), None)
-        with pytest.raises(PillarkitError):
+        with pytest.raises(InternalError):
             state.check()  # length 5 over the p_len cap of 3
 
 

@@ -8,11 +8,9 @@ from pillarkit.errors import NoPathError, PreconditionError, StageError
 from pillarkit.expander import ExpanderParams
 from pillarkit.generators import cycle_graph, hypercube, path_graph, prism, random_regular
 from pillarkit.graph import Graph, ball
-from pillarkit.primitives import (Expansion, collective_hypotheses_report,
-                                  connect_short, expand_collectively,
-                                  find_large_ball, find_q3_bipartite,
-                                  find_q3_bruteforce, find_q3_sampled,
-                                  grow_past_thin, restrict_and_trim,
+from pillarkit.primitives import (Expansion, connect_short, find_large_ball,
+                                  find_q3_bipartite, find_q3_bruteforce,
+                                  find_q3_sampled, restrict_and_trim,
                                   trim_expansion)
 
 from util import nx_has_q3, random_connected_graph
@@ -140,48 +138,6 @@ class TestConnectShort:
             connect_short(g, {0}, {1}, set(range(50, 120)), P, x=1, strict=True)
 
 
-class TestGrowPastThin:
-    def test_expander_meets_benchmark(self):
-        g = random_regular(20000, 10, seed=0)
-        r = math.floor(math.log(g.n))
-        res = grow_past_thin(g, {0}, set(), set(), r, P)
-        assert res.met and len(res.ball) >= math.exp(r ** 0.25)
-
-    def test_path_graph_fails_benchmark_eventually(self):
-        g = path_graph(30000)
-        res = grow_past_thin(g, {15000}, set(), set(), 10000, P)
-        assert not res.met
-        assert len(res.ball) == 20001  # 2r+1
-
-    def test_far_obstacle_trace_all_zero(self):
-        g = path_graph(30)
-        res = grow_past_thin(g, {0}, set(), {29}, 5, P)
-        assert res.witness.trace == (0, 0, 0, 0, 0)
-        assert res.witness.is_satisfied()
-
-    def test_planted_thin_set_trace_bounded(self):
-        # the per-step count is cumulative (an obstacle stays adjacent to
-        # the growing ball), so a (lam,k)-thin plant adds the increment
-        # lam*i^k - lam*(i-1)^k of fresh obstacles on sphere i
-        lam, k = 3.0, 1
-        g = random_regular(5000, 8, seed=5)
-        from pillarkit.graph import ball_layers
-        layers = ball_layers(g, {0}, 6)
-        rng = random.Random(1)
-        thin = set()
-        for i, layer in enumerate(layers[1:], 1):
-            fresh = int(lam * i ** k) - int(lam * (i - 1) ** k)
-            thin |= set(rng.sample(sorted(layer), min(len(layer), fresh)))
-        res = grow_past_thin(g, {0}, set(), thin, 6, P, lam=lam, k=k)
-        assert all(t <= lam * i ** k for i, t in enumerate(res.witness.trace, 1))
-        assert res.witness.is_satisfied()
-
-    def test_y_cap_enforced(self):
-        g = random_regular(100, 6, seed=0)
-        with pytest.raises(PreconditionError):
-            grow_past_thin(g, {0}, set(range(1, 60)), set(), 3, P)
-
-
 class TestFindLargeBall:
     def test_empty_avoid_whole_graph_qualifies(self):
         g = random_regular(2000, 6, seed=2)
@@ -251,44 +207,3 @@ class TestTrim:
         g = path_graph(5)
         e = Expansion(0, frozenset(range(5)), 4)
         assert restrict_and_trim(g, e, 3, {1}) is None
-
-
-class TestExpandCollectively:
-    def test_single_family_whole_graph(self):
-        g = random_connected_graph(30, 5, seed=0)
-        idx, grown = expand_collectively(g, set(), [({0}, set(), set())], 4, 1)
-        assert idx == 0 and len(grown) >= 1
-
-    def test_matches_ball_with_same_avoids(self):
-        g = random_connected_graph(40, 10, seed=1)
-        b, c, u = {1, 2}, {3}, {4}
-        a = {0} if 0 not in b | c | u else {5}
-        idx, grown = expand_collectively(g, u, [(a, b, c)], 3, 1)
-        assert grown == frozenset(ball(g, a, 3, u | b | c))
-
-    def test_edgeless_failure_carries_sizes(self):
-        g = Graph(6, [])
-        fam = [({0}, set(), set()), ({1}, set(), set())]
-        with pytest.raises(StageError) as err:
-            expand_collectively(g, set(), fam, 3, 2)
-        assert err.value.details["final_sizes"] == [1, 1]
-
-    def test_lowest_index_wins(self):
-        g = random_connected_graph(50, 10, seed=3)
-        fam = [({10}, set(), set()), ({11}, set(), set())]
-        idx, _ = expand_collectively(g, set(), fam, 4, 2)
-        assert idx == 0
-
-    def test_ten_singleton_seeds_on_expander(self):
-        g = random_regular(10 ** 5, 10, seed=7)
-        fam = [({v}, set(), set()) for v in range(0, 1000, 100)]
-        idx, grown = expand_collectively(g, set(), fam, 4, 10 ** 3)
-        assert idx == 0 and len(grown) >= 10 ** 3
-
-    def test_hypotheses_report(self):
-        g = random_regular(400, 6, seed=6)
-        fam = [({0}, set(), set()), ({100}, {101}, {102})]
-        reps = collective_hypotheses_report(g, set(), fam, 3, 6, d0=1)
-        assert len(reps) == 2
-        assert all(r["disjoint"] for r in reps)
-        assert {"min_size", "b_small", "c_thin", "u_degree", "pairwise_far"} < set(reps[0])

@@ -7,6 +7,7 @@ oracles are plain enumerations (or networkx), so agreement is meaningful.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import networkx as nx
 
@@ -112,3 +113,110 @@ def prism_kraken(s_param: int = 1) -> tuple[Graph, Kraken]:
         paths=tuple(Path((i, 8 + i, 4 + i)) for i in range(4)),
         s=s_param, t=1)
     return g, kr
+
+
+# -- slow references for the BFS kernel --------------------------------
+# FIFO-queue searches written out by hand, one per job, as the library did
+# them before every search ran on graph.bfs_layers.
+
+
+def ref_distances_from(g: Graph, sources, avoid=frozenset(), cap=None) -> dict[int, int]:
+    dist = {s: 0 for s in sources if s not in avoid}
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        if cap is not None and du >= cap:
+            continue
+        for w in g.neighbors(u):
+            if w not in dist and w not in avoid:
+                dist[w] = du + 1
+                queue.append(w)
+    return dist
+
+
+def ref_set_distance(g: Graph, a, b, avoid=frozenset(), cap=None) -> int | None:
+    if set(a) & set(b):
+        return 0
+    dist = ref_distances_from(g, a, avoid, cap)
+    return min((dist[v] for v in b if v in dist), default=None)
+
+
+def ref_shortest_set_path(g: Graph, sources, targets, avoid=frozenset(), cap=None) -> Path | None:
+    src = [s for s in sources if s not in avoid]
+    tgt = {t for t in targets if t not in avoid}
+    if not src or not tgt:
+        return None
+    direct = sorted(set(src) & tgt)
+    if direct:
+        return Path((direct[0],))
+    parent = {s: -1 for s in src}
+    depth = {s: 0 for s in src}
+    queue = deque(src)
+    while queue:
+        u = queue.popleft()
+        if cap is not None and depth[u] >= cap:
+            continue
+        for w in g.neighbors(u):
+            if w in parent or w in avoid:
+                continue
+            if w in tgt:
+                seq = [w, u]
+                while parent[seq[-1]] != -1:
+                    seq.append(parent[seq[-1]])
+                return Path(tuple(reversed(seq)))
+            parent[w] = u
+            depth[w] = depth[u] + 1
+            queue.append(w)
+    return None
+
+
+def ref_leg_growth(g: Graph, start: int, size: int, radius: int, blocked) -> list[int]:
+    """The kraken leg loop: the first ``size`` vertices in BFS order from
+    start, stepping only onto vertices outside ``blocked``, at most
+    ``radius`` steps out."""
+    members = [start]
+    frontier = [start]
+    seen = {start}
+    depth = 0
+    while len(members) < size and frontier and depth < radius:
+        nxt = []
+        for a in frontier:
+            for w in g.neighbors(a):
+                if w not in seen and w not in blocked:
+                    seen.add(w)
+                    nxt.append(w)
+                    members.append(w)
+                    if len(members) == size:
+                        break
+            if len(members) == size:
+                break
+        frontier = nxt
+        depth += 1
+    return members
+
+
+def ref_alt_route(g: Graph, a: int, b: int, blocked, max_len: int) -> Path | None:
+    """Shortest a,b-path of length >= 2 through unblocked vertices."""
+    dist = {a: 0}
+    parent = {a: -1}
+    queue = [a]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        if dist[u] + 1 > max_len:
+            break
+        for w in g.neighbors(u):
+            if w == b:
+                if u == a:
+                    continue
+                chain = [b, u]
+                while parent[chain[-1]] != -1:
+                    chain.append(parent[chain[-1]])
+                return Path(tuple(chain[::-1]))
+            if w not in dist and w not in blocked:
+                dist[w] = dist[u] + 1
+                parent[w] = u
+                queue.append(w)
+    return None
