@@ -424,16 +424,29 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
     """Join matching cycle vertices of two disjoint krakens by disjoint
     paths of the same exact length.
 
+    Two steps: the pair is checked once (``_check_link_pair``), then the
+    paths are built for this alignment and length (``_link_aligned``).
     Worked one index at a time; each side's leg is turned into an
     expansion of its cycle vertex by one of three routes: the leg end is
     already high-degree (use its neighborhood), the grown leg ball stays
     clear of high-degree vertices (use the ball), or the ball touches one
     (walk to it and use its neighborhood).  The expansion is then trimmed
     clear of everything still needed and handed to the exact-length
-    connector.  Failures carry the index, side, and case.
+    connector.  Failures carry the index, side, and case; a failed
+    connection also names the connector's exception as ``cause``.
     """
     rc = config.resolve(g.n)
     high = frozenset(high_degree)
+    _check_link_pair(g, ka, kb, high, rc)
+    return _link_aligned(g, ka, kb, ell, high, rc, config)
+
+
+def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
+                     rc: ResolvedConfig) -> None:
+    """The preconditions of linking that do not depend on how kb's cycle is
+    aligned with ka's or on the target length.  Rotating or reflecting a
+    kraken permutes its cycle, ends, legs and paths by one index map, so
+    every clause here comes out the same for every alignment."""
     s = ka.k
     if kb.k != s:
         raise PreconditionError(f"cycle lengths differ: {s} vs {kb.k}")
@@ -447,13 +460,10 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
             if kr.ends[j] not in high and leg.members & high:
                 raise PreconditionError(
                     f"{name} kraken leg {j} straddles the high-degree set")
-    v1a, v1b = ka.cycle.vertices[0], kb.cycle.vertices[0]
     if g.side is None:
         raise PreconditionError("linking needs a bipartite host graph")
-    if g.comp[v1a] != g.comp[v1b]:
+    if g.comp[ka.cycle.vertices[0]] != g.comp[kb.cycle.vertices[0]]:
         raise PreconditionError("krakens lie in different components")
-    if ell % 2 != parity(g, v1a, v1b):
-        raise PreconditionError("target length has the wrong parity")
 
     low_legs = [leg.members for kr in (ka, kb) for j, leg in enumerate(kr.legs)
                 if kr.ends[j] not in high]
@@ -467,6 +477,15 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
         raise PreconditionError(
             f"low-degree legs only {min_sep} apart (need {rc.separation})")
 
+
+def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, ell: int, high: frozenset[int],
+                  rc: ResolvedConfig, config: RunConfig) -> list[Path]:
+    """The paths of ``link_krakens`` for a pair that passed
+    ``_check_link_pair``, with kb's cycle aligned as given."""
+    if ell % 2 != parity(g, ka.cycle.vertices[0], kb.cycle.vertices[0]):
+        raise PreconditionError("target length has the wrong parity")
+
+    s = ka.k
     cycles = set(ka.cycle.vertices) | set(kb.cycle.vertices)
     z_base = set(cycles)
     for kr in (ka, kb):
@@ -505,7 +524,8 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
             q = connect_fixed_length(g, expansions[0], expansions[1], ell, conn_avoid, config)
         except (LengthNotRealizedError, NoPathError, PreconditionError) as exc:
             raise StageError("link-connect", f"index {j + 1}: {exc}",
-                             {"index": j, "nearest": getattr(exc, "nearest", None)})
+                             {"index": j, "nearest": getattr(exc, "nearest", None),
+                              "cause": type(exc).__name__})
         built.append(q)
 
     _assert_link_output(g, ka, kb, built)
@@ -606,6 +626,15 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     smallest pillar when one exists; else amass disjoint krakens until
     two share a cycle length and link them with equal-length paths,
     trying cycle alignments and lengths until one goes through.
+
+    The pair's alignment-free preconditions (``_check_link_pair``) are
+    checked once, before the first alignment; each attempt then runs only
+    ``_link_aligned``.  An alignment gets up to ``link_retries`` lengths,
+    except that a connection that fails at index 0 because the two
+    expansions are disconnected ends that alignment's retries: nothing
+    built at index 0 depends on the length, so every length would fail.
+    When every attempt fails, the ``link`` StageError counts the
+    ``alignments`` and ``attempts`` made.
     """
     if g.n == 0:
         raise PreconditionError("empty graph")
@@ -655,20 +684,26 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
 
     ka, kb = pair
     high = frozenset(v for v in range(h.n) if h.degree(v) >= rc.delta_threshold)
+    try:
+        parity(h, ka.cycle.vertices[0], kb.cycle.vertices[0])
+    except PreconditionError as exc:
+        raise StageError("link", f"parity unavailable: {exc}", {})
+    link_rc = config.resolve(h.n)  # linking works on h, so its knobs follow h.n
+    _check_link_pair(h, ka, kb, high, link_rc)
     last_error: Exception | None = None
+    attempts = 0
     for reflect in (False, True):
         for shift in range(kb.k):
             aligned = _rotate_kraken(kb, shift, reflect)
-            try:
-                target = parity(h, ka.cycle.vertices[0], aligned.cycle.vertices[0])
-            except PreconditionError as exc:
-                raise StageError("link", f"parity unavailable: {exc}", {})
+            # kb passed verify_kraken, so its whole cycle shares one component
+            target = parity(h, ka.cycle.vertices[0], aligned.cycle.vertices[0])
             ell = rc.pillar_ell_min
             if ell % 2 != target:
                 ell += 1
             for _ in range(rc.link_retries):
+                attempts += 1
                 try:
-                    paths = link_krakens(h, ka, aligned, ell, high, config)
+                    paths = _link_aligned(h, ka, aligned, ell, high, link_rc, config)
                     pillar = Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths))
                     rep = verify_pillar(h, pillar)
                     if not rep.valid:
@@ -682,6 +717,10 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                     last_error = exc
                     hint = None
                     if isinstance(exc, StageError):
+                        if (exc.details.get("index") == 0
+                                and exc.details.get("cause") == "NoPathError"):
+                            # nothing at index 0 depends on ell: every length fails
+                            break
                         nearest = exc.details.get("nearest")
                         if nearest:
                             cands = [x for x in nearest
@@ -692,4 +731,4 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                     if ell > rc.ell_max:
                         break
     raise StageError("link", f"no alignment and length linked the krakens: {last_error}",
-                     {"cycle_length": ka.k})
+                     {"cycle_length": ka.k, "alignments": 2 * kb.k, "attempts": attempts})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pillarkit.config import RunConfig
@@ -9,7 +11,7 @@ from pillarkit.kraken import (Kraken, KrakenEntry, KrakenSearchState, LegLink,
                               find_kraken, robust_kraken, verify_kraken)
 from pillarkit.primitives import Expansion
 
-from util import prism_kraken
+from util import hub_graph, prism_kraken
 
 class TestVerifyKraken:
     def test_hand_built_valid(self):
@@ -52,6 +54,89 @@ class TestVerifyKraken:
         back = Kraken.from_json_dict(data, g)
         assert verify_kraken(g, back).valid
         assert back.cycle == kr.cycle and back.ends == kr.ends
+
+
+def _swap_positions(kr: Kraken, j: int) -> Kraken:
+    """Swap cycle positions j and j+1 together with their ends, legs and
+    paths, so that only cycle edges change."""
+    idx = list(range(kr.k))
+    i = (j + 1) % kr.k
+    idx[j], idx[i] = idx[i], idx[j]
+    pick = lambda seq: tuple(seq[x] for x in idx)
+    return dataclasses.replace(kr, cycle=Cycle(pick(kr.cycle.vertices)), ends=pick(kr.ends),
+                               legs=pick(kr.legs), paths=pick(kr.paths))
+
+
+def _end_onto_cycle(kr: Kraken, j: int) -> Kraken:
+    ends = list(kr.ends)
+    ends[j] = kr.cycle.vertices[(j + 1) % kr.k]
+    return dataclasses.replace(kr, ends=tuple(ends))
+
+
+def _overlap_legs(kr: Kraken, j: int) -> Kraken:
+    legs = list(kr.legs)
+    i = (j + 1) % kr.k
+    legs[i] = Expansion(legs[i].center, legs[i].members | {legs[j].center}, legs[i].radius)
+    return dataclasses.replace(kr, legs=tuple(legs))
+
+
+def _shrink_leg(kr: Kraken, j: int) -> Kraken:
+    legs = list(kr.legs)
+    leg = legs[j]
+    drop = max(leg.members - {leg.center}) if leg.size > 1 else leg.center
+    legs[j] = Expansion(leg.center, leg.members - {drop}, leg.radius)
+    return dataclasses.replace(kr, legs=tuple(legs))
+
+
+def _cut_path(kr: Kraken, j: int) -> Kraken:
+    paths = list(kr.paths)
+    paths[j] = Path(paths[j].vertices[:-1])
+    return dataclasses.replace(kr, paths=tuple(paths))
+
+
+MUTATIONS = {
+    "cycle-valid": _swap_positions,
+    "ends-outside-cycle": _end_onto_cycle,
+    "legs-disjoint": _overlap_legs,
+    "leg-expansion": _shrink_leg,
+    "path-endpoints": _cut_path,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_krakens():
+    """The hand-built prism kraken (t = 1) and the hub krakens of the
+    golden seeds, which went through anchors and P-links (t = 2)."""
+    out = {"prism": prism_kraken()}
+    for seed in range(3):
+        g = hub_graph(seed)
+        out[f"hub{seed}"] = (g, robust_kraken(g, frozenset(), RunConfig(d=12), seed=seed,
+                                              q3_free=True))
+    return out
+
+
+class TestKrakenMutations:
+    """Each mutation breaks one kraken clause at every index in turn, and
+    verify_kraken must name that clause."""
+
+    @pytest.mark.parametrize("name", ["prism", "hub0", "hub1", "hub2"])
+    @pytest.mark.parametrize("clause", sorted(MUTATIONS))
+    def test_mutation_flags_its_clause(self, valid_krakens, name, clause):
+        g, kr = valid_krakens[name]
+        assert verify_kraken(g, kr).valid
+        checked = 0
+        for j in range(kr.k):
+            bad = MUTATIONS[clause](kr, j)
+            cyc = bad.cycle.vertices
+            if clause == "cycle-valid" and all(
+                    g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])):
+                continue  # a chord made the swapped cycle a cycle too
+            rep = verify_kraken(g, bad)
+            assert clause in rep.clauses(), (j, str(rep))
+            if clause == "cycle-valid":
+                assert rep.clauses() == {"cycle-valid"}, (j, str(rep))
+            checked += 1
+        assert checked
 
 
 class TestFindKraken:

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from pillarkit import pillar as pillar_mod
 from pillarkit.config import RunConfig
 from pillarkit.errors import (LengthNotRealizedError, PreconditionError,
                               StageError)
@@ -9,7 +10,8 @@ from pillarkit.generators import (cycle_graph, hypercube, subdivided_prism,
                                   subdivided_prism_rungs)
 from pillarkit.graph import Cycle, Graph, Path
 from pillarkit.kraken import Kraken
-from pillarkit.pillar import (Adjuster, Detour, Pillar, connect_fixed_length,
+from pillarkit.pillar import (Adjuster, Detour, Pillar, _check_link_pair,
+                              _rotate_kraken, connect_fixed_length,
                               find_pillar, link_krakens, pillar_from_q3,
                               verify_pillar)
 from pillarkit.primitives import Expansion, find_q3_bruteforce
@@ -218,6 +220,38 @@ class TestLinkKrakens:
         with pytest.raises(PreconditionError, match="parity"):
             link_krakens(g, ka, kb, 4, frozenset(), RunConfig(d=4))
 
+    def test_invalid_kraken_rejected(self):
+        g, ka, kb = self.build_prism_krakens()
+        # singleton legs cannot be expansions of t = 2 vertices
+        bad = Kraken(ka.cycle, ka.ends, ka.legs, ka.paths, ka.s, 2)
+        with pytest.raises(PreconditionError, match="first kraken invalid"):
+            link_krakens(g, bad, kb, 5, frozenset(), RunConfig(d=4))
+
+    def test_legs_closer_than_separation_rejected(self):
+        g, ka, kb = self.build_prism_krakens()
+        cfg = RunConfig(d=4)
+        cfg.overrides["separation"] = 4  # legs on one rung are 3 apart
+        with pytest.raises(PreconditionError, match="low-degree legs only 3 apart"):
+            link_krakens(g, ka, kb, 5, frozenset(), cfg)
+
+    def test_krakens_in_different_components_rejected(self):
+        g, ka, kb = self.build_prism_krakens()
+        two = Graph(2 * g.n, g.edges() + [(u + g.n, v + g.n) for u, v in g.edges()])
+        shift = lambda vs: tuple(v + g.n for v in vs)
+        far = Kraken(Cycle(shift(kb.cycle.vertices)), shift(kb.ends),
+                     tuple(Expansion(leg.center + g.n, frozenset(shift(leg.members)),
+                                     leg.radius) for leg in kb.legs),
+                     tuple(Path(shift(p.vertices)) for p in kb.paths), kb.s, kb.t)
+        with pytest.raises(PreconditionError, match="different components"):
+            link_krakens(two, ka, far, 5, frozenset(), RunConfig(d=4))
+
+    def test_non_bipartite_host_rejected(self):
+        g, ka, kb = self.build_prism_krakens()
+        n = g.n
+        odd = Graph(n + 3, g.edges() + [(n, n + 1), (n + 1, n + 2), (n + 2, n)])
+        with pytest.raises(PreconditionError, match="bipartite"):
+            link_krakens(odd, ka, kb, 5, frozenset(), RunConfig(d=4))
+
     def test_output_paths_disjoint_and_internal(self):
         g, ka, kb = self.build_prism_krakens()
         paths = link_krakens(g, ka, kb, 5, frozenset(), RunConfig(d=4))
@@ -262,3 +296,144 @@ class TestFindPillar:
         cert = find_q3_bruteforce(g)
         p = pillar_from_q3(cert)
         assert verify_pillar(g, p).valid
+
+
+# -- what find_pillar may skip -------------------------------------------
+
+
+def _planted_config(separation: int = 1) -> RunConfig:
+    cfg = RunConfig(d=4)
+    # the planted rungs put the two krakens' legs one corridor apart
+    cfg.overrides["separation"] = separation
+    return cfg
+
+
+def _linked_pair(monkeypatch, seed: int):
+    """find_pillar on criterion-9 prism ``seed``, returning the arguments of
+    its one pair check: (host, ka, kb, high-degree set, resolved config)."""
+    calls = []
+    real = pillar_mod._check_link_pair
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pillar_mod, "_check_link_pair", spy)
+    g = planted_prism_with_noise(8, 5, 40, seed=seed)
+    find_pillar(g, _planted_config(), seed=seed)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return calls[0]
+
+
+def _alignments(kb: Kraken):
+    return [_rotate_kraken(kb, shift, reflect)
+            for reflect in (False, True) for shift in range(kb.k)]
+
+
+def _is_index0_disconnection(exc: Exception) -> bool:
+    return (isinstance(exc, StageError) and exc.stage == "link-connect"
+            and exc.details["index"] == 0 and exc.details["cause"] == "NoPathError")
+
+
+class TestLinkSkips:
+    """The two skips of find_pillar's linking loop rest on premises that
+    these tests check on the criterion-9 prisms: the pair check gives one
+    outcome for every alignment, and an index-0 disconnection repeats at
+    every length find_pillar would try next."""
+
+    @staticmethod
+    def _outcome(h, ka, kb, high, rc):
+        try:
+            _check_link_pair(h, ka, kb, high, rc)
+        except PreconditionError as exc:
+            return str(exc)
+        return "ok"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pair_check_same_for_every_alignment(self, monkeypatch, seed):
+        h, ka, kb, high, _ = _linked_pair(monkeypatch, seed)
+        # separation 2 fails on these pairs and 1 passes: both outcomes are compared
+        for sep in (1, 2):
+            rc = _planted_config(sep).resolve(h.n)
+            outcomes = {self._outcome(h, ka, al, high, rc) for al in _alignments(kb)}
+            assert len(outcomes) == 1, outcomes
+        assert self._outcome(h, ka, kb, high, _planted_config(1).resolve(h.n)) == "ok"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_index0_disconnection_fails_every_length(self, monkeypatch, seed):
+        h, ka, kb, high, rc = _linked_pair(monkeypatch, seed)
+        cfg = _planted_config()
+        disconnected = 0
+        for al in _alignments(kb):
+            ell = rc.pillar_ell_min
+            if ell % 2 != pillar_mod.parity(h, ka.cycle.vertices[0], al.cycle.vertices[0]):
+                ell += 1
+            with pytest.raises(StageError) as first:
+                link_krakens(h, ka, al, ell, high, cfg)
+            if not _is_index0_disconnection(first.value):
+                continue
+            disconnected += 1
+            # no nearest lengths come with a disconnection, so find_pillar
+            # would step by 2 for the rest of its retries
+            for retry in range(1, rc.link_retries):
+                with pytest.raises(StageError) as later:
+                    link_krakens(h, ka, al, ell + 2 * retry, high, cfg)
+                assert _is_index0_disconnection(later.value)
+                assert str(later.value) == str(first.value)
+        assert disconnected
+
+
+class TestLinkWork:
+    # prism 0 links on its first alignment's second length; on prism 2 the
+    # first seven alignments are disconnected at index 0
+    @pytest.mark.parametrize("seed, n_attempts, n_stops", [(0, 2, 0), (2, 9, 7)])
+    def test_pair_checked_once_and_no_retry_after_disconnection(
+            self, monkeypatch, seed, n_attempts, n_stops):
+        verified = []
+        real_verify = pillar_mod.verify_kraken
+        monkeypatch.setattr(pillar_mod, "verify_kraken",
+                            lambda g, kr: verified.append(kr) or real_verify(g, kr))
+        attempts = []
+        real_link = pillar_mod._link_aligned
+
+        def link(g, ka, kb, ell, *rest):
+            try:
+                out = real_link(g, ka, kb, ell, *rest)
+            except StageError as exc:
+                attempts.append((kb.cycle.vertices, ell, exc))
+                raise
+            attempts.append((kb.cycle.vertices, ell, None))
+            return out
+
+        monkeypatch.setattr(pillar_mod, "_link_aligned", link)
+        g = planted_prism_with_noise(8, 5, 40, seed=seed)
+        p = find_pillar(g, _planted_config(), seed=seed)
+        assert verify_pillar(g, p).valid
+        assert len(verified) == 2
+        assert len(attempts) == n_attempts and attempts[-1][2] is None
+        stops = 0
+        for (cycle, _, exc), (next_cycle, _, _) in zip(attempts, attempts[1:]):
+            if exc is not None and _is_index0_disconnection(exc):
+                stops += 1
+                assert next_cycle != cycle
+        assert stops == n_stops
+
+    @pytest.mark.parametrize("index, cause, per_alignment", [
+        (1, "LengthNotRealizedError", 8),  # every retry is made
+        (0, "NoPathError", 1),             # the first attempt ends the alignment
+    ])
+    def test_link_failure_reports_alignments_and_attempts(self, monkeypatch, index,
+                                                          cause, per_alignment):
+        def fail(g, ka, kb, ell, *rest):
+            raise StageError("link-connect", f"index {index + 1}: stub",
+                             {"index": index, "nearest": None, "cause": cause})
+
+        monkeypatch.setattr(pillar_mod, "_link_aligned", fail)
+        g = planted_prism_with_noise(8, 5, 40, seed=0)
+        with pytest.raises(StageError) as err:
+            find_pillar(g, _planted_config(), seed=0)
+        assert err.value.stage == "link"
+        k = err.value.details["cycle_length"]
+        assert err.value.details["alignments"] == 2 * k
+        assert err.value.details["attempts"] == 2 * k * per_alignment
