@@ -23,15 +23,21 @@ def dumps_certificate(obj) -> str:
 
 
 def loads_certificate(text: str) -> dict:
+    # ValueError covers bad JSON and ints past Python's digit limit,
+    # RecursionError JSON nested too deep to parse
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PreconditionError(f"malformed certificate JSON: {exc}")
     if not isinstance(data, dict) or "kind" not in data:
         raise PreconditionError("certificate must be a JSON object with a 'kind' field")
     if data["kind"] not in KINDS:
         raise PreconditionError(f"unknown certificate kind {data['kind']!r}")
-    if int(data.get("version", 0)) != 1:
+    try:
+        version = int(data.get("version", 0))
+    except (TypeError, ValueError, OverflowError):
+        version = None
+    if version != 1:
         raise PreconditionError(f"unsupported certificate version {data.get('version')!r}")
     return data
 
@@ -47,7 +53,7 @@ def verify_certificate(g: Graph, data: dict) -> ValidityReport:
     if kind == "q3":
         try:
             cert = Q3Certificate(tuple(int(v) for v in data["vertices"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"malformed cube certificate: {exc}")
         for msg in cert.failures(g):
             rep.add("cube-edges", msg)
@@ -56,7 +62,7 @@ def verify_certificate(g: Graph, data: dict) -> ValidityReport:
         exp = Expansion(int(data["center"]),
                         frozenset(int(v) for v in data["members"]),
                         int(data["radius"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed expansion certificate: {exc}")
     for msg in exp.failures(g):
         rep.add("expansion", msg)

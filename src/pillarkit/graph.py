@@ -3,11 +3,12 @@ BFS/set primitives (balls, parity, set-degrees) everything else consumes.
 
 Vertices are dense integers ``0..n-1``.  Deletions are never expressed by
 mutation: operations take an ``avoid`` set and work in the graph minus
-that set.  A graph carries an optional ``labels`` side table mapping its
-ids back to the ids of a parent graph (used by induced subgraphs).
-``Graph(n, edges)`` validates outside input; derived graphs filter a valid
-parent's rows and trust them, and one that would equal its parent is the
-parent itself.
+that set.  A graph's ``labels`` side table maps its ids to the ids of its
+root graph: ``Graph(n, edges)`` is its own root (``labels == range(n)``),
+and a derived graph composes its parent's labels, so a subgraph of a
+subgraph still maps straight to the root.  ``Graph(n, edges)`` validates
+outside input; derived graphs filter a valid parent's rows and trust
+them, and one that would equal its parent is the parent itself.
 
 Every breadth-first search in the package runs on one kernel,
 :func:`bfs_layers`: it yields the layers of a search in g minus an
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator, Sequence
+from copy import copy
 from dataclasses import dataclass
 from itertools import islice
 
@@ -56,26 +58,27 @@ class Graph:
 
     __slots__ = ("n", "m", "_adj", "side", "comp", "labels")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: tuple[int, ...] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[int] | None = None):
         nbrs: list[set[int]] = [set() for _ in range(n)]
+        ids = list(range(n))  # rows share one int object per vertex, not one per edge end
         for u, v in edges:
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            nbrs[u].add(ids[v])
+            nbrs[v].add(ids[u])
         if labels is not None and len(labels) != n:
             raise PreconditionError("labels length must equal n")
-        self._adopt(tuple(tuple(sorted(s)) for s in nbrs), labels)
+        self._adopt(tuple(tuple(sorted(s)) for s in nbrs), range(n) if labels is None else labels)
 
     @classmethod
-    def _from_rows(cls, rows: tuple[tuple[int, ...], ...], labels: tuple[int, ...] | None) -> "Graph":
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...], labels: Sequence[int]) -> "Graph":
         g = cls.__new__(cls)
         g._adopt(rows, labels)
         return g
 
-    def _adopt(self, rows: tuple[tuple[int, ...], ...], labels: tuple[int, ...] | None) -> None:
+    def _adopt(self, rows: tuple[tuple[int, ...], ...], labels: Sequence[int]) -> None:
         self.n = n = len(rows)
         self.m = sum(map(len, rows)) // 2
         self._adj = rows
@@ -145,9 +148,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, bipartite={self.side is not None})"
 
     def original_ids(self, vertices: Iterable[int]) -> list[int]:
-        """Map this graph's ids back through the labels side table."""
-        if self.labels is None:
-            return list(vertices)
+        """Map this graph's ids to its root graph's ids."""
         return [self.labels[v] for v in vertices]
 
 
@@ -427,15 +428,25 @@ def induced_degree(g: Graph, v: int, target: Iterable[int]) -> int:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Induced subgraph relabeled to 0..k-1; labels map back to g's ids.
-    g itself when ``vertices`` covers a labelled g: the copy would equal it."""
+    """Induced subgraph relabeled to 0..k-1; labels map to g's root ids.
+    g itself when ``vertices`` covers g: the copy would equal it."""
     keep = sorted(set(vertices))
-    if len(keep) == g.n and g.labels is not None:
+    if len(keep) == g.n:
         return g
     index = {v: i for i, v in enumerate(keep)}
     rows = tuple([tuple([index[w] for w in g._adj[v] if w in index]) for v in keep])
-    labels = tuple(keep) if g.labels is None else tuple([g.labels[v] for v in keep])
-    return Graph._from_rows(rows, labels)
+    return Graph._from_rows(rows, tuple([g.labels[v] for v in keep]))
+
+
+def _rooted(g: Graph) -> Graph:
+    """g as its own root, sharing g's rows.  A search roots its input before
+    it derives subgraphs, so their labels lead to the input's ids even when
+    the input is itself a subgraph."""
+    if g.labels == range(g.n):
+        return g
+    root = copy(g)
+    root.labels = range(g.n)
+    return root
 
 
 def largest_component(g: Graph) -> Graph:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, NoPathError, PreconditionError, StageError
 from .expander import extract_expander
-from .graph import (Cycle, Graph, Path, ball, bfs_layers, induced_degree,
+from .graph import (Cycle, Graph, Path, _rooted, ball, bfs_layers, induced_degree,
                     induced_subgraph, largest_component, path_within, set_distance,
                     shortest_set_path)
 from .primitives import (Expansion, _distances_within, connect_short, find_large_ball,
@@ -50,10 +50,6 @@ class Kraken:
             out |= p.vertex_set()
         return frozenset(out)
 
-    def low_degree_legs(self, high_degree: frozenset[int]) -> list[int]:
-        """Indices of legs lying entirely outside the high-degree set."""
-        return [j for j, leg in enumerate(self.legs) if not (leg.members & high_degree)]
-
     def to_json_dict(self) -> dict:
         return {
             "kind": "kraken",
@@ -82,7 +78,7 @@ class Kraken:
                 radius = max(dist.values()) if dist and len(dist) == len(mset) else int(data["s"])
                 legs.append(Expansion(end, mset, radius))
             return cls(cycle, ends, tuple(legs), paths, int(data["s"]), int(data["t"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"malformed kraken certificate: {exc}")
 
 
@@ -270,11 +266,6 @@ class LegLink:
 
 
 @dataclass
-class KrakenEntry:
-    kraken: Kraken
-
-
-@dataclass
 class KrakenSearchState:
     """Bookkeeping for the robust search: the kraken collection, the anchor
     sets, and the per-kraken links (at most one per leg, pairwise disjoint
@@ -286,7 +277,7 @@ class KrakenSearchState:
     high_degree: frozenset[int]         # L
     u0: frozenset[int]
     u1: frozenset[int]
-    collection: list[KrakenEntry] = field(default_factory=list)
+    collection: list[Kraken] = field(default_factory=list)
     anchors: list[Expansion] = field(default_factory=list)
     links: list[dict[int, LegLink]] = field(default_factory=list)
 
@@ -294,13 +285,13 @@ class KrakenSearchState:
         return {l.anchor for l in self.links[i].values() if l.anchor is not None}
 
     def free_legs(self, i: int) -> list[int]:
-        kr = self.collection[i].kraken
+        kr = self.collection[i]
         return [j for j in range(kr.k) if j not in self.links[i]]
 
     def check(self) -> None:
         """Invariants re-checked after every link mutation."""
         for i, links in enumerate(self.links):
-            kr = self.collection[i].kraken
+            kr = self.collection[i]
             seen: set[int] = set()
             anchors_used: set[int] = set()
             for j, link in links.items():
@@ -341,6 +332,7 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     U, is checked directly either way.  Stages starve with a StageError
     naming the stage.
     """
+    g = _rooted(g)  # derived subgraphs label into g's ids
     rc = config.resolve(g.n)
     if seed is None:
         seed = rc.seed
@@ -367,6 +359,9 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     _build_collection(state, config, seed)
     early = _first_qualifying(state)
     if early is not None:
+        rep = verify_kraken(g, early)
+        if not rep.valid:
+            raise InternalError(f"internal: collected kraken invalid ({rep})")
         return (early, state) if return_state else early
     _build_anchors(state, config)
     for round_no in range(rc.max_link_rounds):
@@ -422,8 +417,8 @@ def _build_collection(state: KrakenSearchState, config: RunConfig, seed: int) ->
     g, rc = state.graph, state.cfg
     for round_no in range(rc.kraken_count):
         used = set()
-        for entry in state.collection:
-            used |= entry.kraken.vertex_set()
+        for kr in state.collection:
+            used |= kr.vertex_set()
         w = (state.u1 | used) - state.high_degree
         wprime = set(ball(g, w, rc.kraken_separation, state.high_degree - w)) if w else set()
         avoid = set(state.forbidden) | wprime
@@ -453,15 +448,13 @@ def _build_collection(state: KrakenSearchState, config: RunConfig, seed: int) ->
                 raise StageError("kraken-collection", f"no kraken found: {exc}",
                                  {"survivors": sub.n})
             break
-        state.collection.append(KrakenEntry(_translate_kraken(local, h.labels)))
+        state.collection.append(_translate_kraken(local, h.labels))
         state.links.append({})
     if not state.collection:
         raise StageError("kraken-collection", "no kraken found in the survivor graph", {})
 
 
-def _translate_kraken(kr: Kraken, labels: tuple[int, ...] | None) -> Kraken:
-    if labels is None:
-        return kr
+def _translate_kraken(kr: Kraken, labels: tuple[int, ...] | range) -> Kraken:
     remap = lambda v: labels[v]
     return Kraken(
         Cycle(tuple(remap(v) for v in kr.cycle.vertices)),
@@ -473,18 +466,17 @@ def _translate_kraken(kr: Kraken, labels: tuple[int, ...] | None) -> Kraken:
 
 
 def _first_qualifying(state: KrakenSearchState) -> Kraken | None:
-    for entry in state.collection:
-        if _qualifies(state.graph, entry.kraken, state.high_degree,
-                      state.forbidden, state.cfg):
-            return entry.kraken
+    for kr in state.collection:
+        if _qualifies(state.graph, kr, state.high_degree, state.forbidden, state.cfg):
+            return kr
     return None
 
 
 def _build_anchors(state: KrakenSearchState, config: RunConfig) -> None:
     g, rc = state.graph, state.cfg
     used = set()
-    for entry in state.collection:
-        used |= entry.kraken.vertex_set()
+    for kr in state.collection:
+        used |= kr.vertex_set()
     for _ in range(rc.anchor_count):
         core = set(state.forbidden)
         for a in state.anchors:
@@ -523,7 +515,7 @@ def _link_obstacles(state: KrakenSearchState, i: int, j: int) -> set[int]:
     """What a new link path for kraken i's leg j must stay clear of: U, the
     kraken's cycle and private paths, and the vertices of its existing
     links.  Sibling legs stay traversable."""
-    kr = state.collection[i].kraken
+    kr = state.collection[i]
     avoid = set(state.forbidden) | set(kr.cycle.vertices)
     for p in kr.paths:
         avoid |= p.vertex_set()
@@ -540,7 +532,7 @@ def _augment_links(state: KrakenSearchState) -> None:
     g, rc = state.graph, state.cfg
     hi_targets = state.high_degree - state.forbidden
     for i in range(len(state.collection)):
-        kr = state.collection[i].kraken
+        kr = state.collection[i]
         for j in state.free_legs(i):
             avoid = _link_obstacles(state, i, j)
             leg = kr.legs[j].members
@@ -580,7 +572,7 @@ def _collective_round(state: KrakenSearchState):
     sizes: list[int] = []
     grown: list[tuple[int, dict[int, int | None]] | None] = []
     for i in range(len(state.collection)):
-        kr = state.collection[i].kraken
+        kr = state.collection[i]
         free = state.free_legs(i)
         if not free:
             sizes.append(0)
@@ -658,7 +650,7 @@ def _connect_winner(state: KrakenSearchState, i: int, j0: int,
     """Connect the expanded free leg to an anchor its kraken has not used,
     then record the combined path as a new anchor link."""
     g, rc = state.graph, state.cfg
-    kr = state.collection[i].kraken
+    kr = state.collection[i]
     used = state.used_anchors(i)
     fresh = [a_idx for a_idx in range(len(state.anchors)) if a_idx not in used]
     if not fresh:
@@ -709,7 +701,7 @@ def _assemble(state: KrakenSearchState, i: int) -> Kraken:
     trimmed connected piece of its anchor; private paths are extended
     through the old legs onto the link paths."""
     g, rc = state.graph, state.cfg
-    kr = state.collection[i].kraken
+    kr = state.collection[i]
     links = state.links[i]
     new_paths: list[Path] = []
     linkverts = set()

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .config import ResolvedConfig, RunConfig
 from .errors import (InternalError, LengthNotRealizedError, NoPathError,
                      PreconditionError, StageError)
-from .graph import (Cycle, Graph, Path, _trace, ball, bfs_layers, distances_from,
+from .graph import (Cycle, Graph, Path, _rooted, _trace, ball, bfs_layers, distances_from,
                     largest_component, parity, path_within, set_distance)
 from .kraken import Kraken, _child_seed, robust_kraken, verify_kraken
 from .primitives import (Expansion, Q3Certificate, connect_short,
@@ -55,7 +55,7 @@ class Pillar:
                 Cycle(tuple(int(v) for v in data["cycle2"])),
                 tuple(Path(tuple(int(v) for v in p)) for p in data["paths"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"malformed pillar certificate: {exc}")
 
 
@@ -94,6 +94,8 @@ def verify_pillar(g: Graph, p: Pillar) -> ValidityReport:
     if len(p.paths) != p.s:
         rep.add("path-count", f"{len(p.paths)} paths for s = {p.s}")
         return rep
+    if len(p.cycle1.vertices) != p.s:
+        return rep  # cycles-equal-length failed; path i pairs with cycle1 vertex i below
     for i, q in enumerate(p.paths):
         for msg in q.failures(g):
             rep.add("path-valid", f"path {i}: {msg}")
@@ -607,9 +609,7 @@ def _rotate_kraken(kr: Kraken, shift: int, reflect: bool) -> Kraken:
         kr.s, kr.t)
 
 
-def _translate_pillar(p: Pillar, labels: tuple[int, ...] | None) -> Pillar:
-    if labels is None:
-        return p
+def _translate_pillar(p: Pillar, labels: tuple[int, ...] | range) -> Pillar:
     remap = lambda v: labels[v]
     return Pillar(
         p.s, p.ell,
@@ -638,6 +638,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     """
     if g.n == 0:
         raise PreconditionError("empty graph")
+    g = _rooted(g)  # derived subgraphs label into g's ids
     rc = config.resolve(g.n)
     # pass to a bipartite expanding subgraph at the configured degree
     # target, or at the largest target the average degree supports

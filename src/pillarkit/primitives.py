@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .errors import InternalError, NoPathError, PillarkitError, PreconditionError, StageError
 from .expander import ExpanderParams
-from .graph import Graph, Path, ball, bfs_layers, shortest_set_path
+from .graph import Graph, Path, ball, bfs_layers, induced_subgraph, shortest_set_path
 
 # Cube positions are 3-bit coordinates; adjacency = one differing bit.
 CUBE_EDGES = [(i, j) for i in range(8) for j in range(8)
@@ -32,10 +32,12 @@ class Expansion:
         return len(self.members)
 
     def failures(self, g: Graph) -> list[str]:
-        out = []
+        # certificates are outside input: check ids before touching rows
+        if not all(0 <= v < g.n for v in self.members | {self.center}):
+            return ["vertex id out of range"]
         if self.center not in self.members:
-            out.append("center not a member")
-            return out
+            return ["center not a member"]
+        out = []
         dist = _distances_within(g, self.center, self.members)
         missing = self.members.difference(dist)
         if missing:
@@ -283,8 +285,6 @@ def find_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = 40) -
     if g.n == 0:
         return None
     rng = random.Random(seed)
-    from .graph import induced_subgraph
-
     for _ in range(trials):
         v = rng.randrange(g.n)
         reached = ball(g, [v], 3)
@@ -292,10 +292,10 @@ def find_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = 40) -
             reached = ball(g, [v], 2)
             if len(reached) > ball_cap:
                 continue
-        sub = induced_subgraph(g, reached)
-        hit = find_q3_bruteforce(sub, cap=ball_cap)
+        keep = sorted(reached)
+        hit = find_q3_bruteforce(induced_subgraph(g, keep), cap=ball_cap)
         if hit is not None:
-            return Q3Certificate(tuple(sub.labels[u] for u in hit.vertices))
+            return Q3Certificate(tuple(keep[u] for u in hit.vertices))
     return None
 
 

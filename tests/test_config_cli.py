@@ -174,6 +174,22 @@ class TestCli:
         assert main(["verify", "expansion", "--graph", str(q3_file),
                      "--cert", str(cert)]) == 1
 
+    @pytest.mark.parametrize("center", [-1, 999])
+    def test_verify_expansion_id_out_of_range_exit_1(self, q3_file, tmp_path, capsys, center):
+        cert = tmp_path / "exp.json"
+        cert.write_text(json.dumps({"kind": "expansion", "version": 1, "center": center,
+                                    "members": [center], "radius": 0}))
+        assert main(["verify", "expansion", "--graph", str(q3_file),
+                     "--cert", str(cert)]) == 1
+        assert "out of range" in capsys.readouterr().out
+
+    def test_verify_bad_version_exit_2(self, q3_file, tmp_path):
+        cert = tmp_path / "exp.json"
+        cert.write_text(json.dumps({"kind": "expansion", "version": "x", "center": 0,
+                                    "members": [0], "radius": 0}))
+        assert main(["verify", "expansion", "--graph", str(q3_file),
+                     "--cert", str(cert)]) == 2
+
     def test_verify_truncated_json_exit_2(self, q3_file, tmp_path):
         cert = tmp_path / "broken.json"
         cert.write_text('{"kind": "pillar", "version"')

@@ -165,6 +165,38 @@ class TestExtractExpander:
             for b in h.neighbors(a):
                 assert g.has_edge(h.labels[a], h.labels[b])
 
+    def test_unlabelled_input_is_not_copied(self):
+        g = random_bipartite(50, 50, 1.0, seed=0)
+        assert extract_expander(g, 6, ExpanderParams(0.1, 0.2, 6), seed=0) is g
+
+    @staticmethod
+    def assert_extracted(g: Graph, h: Graph, d: int, params: ExpanderParams):
+        assert h.min_degree() >= d and h.is_bipartite()
+        for a, b in h.edges():
+            assert g.has_edge(h.labels[a], h.labels[b])
+        assert check_expansion(h, params, "sampled", seed=7, trials=200).clean
+
+    def test_peel_drops_pendant_paths(self):
+        core = random_bipartite(50, 50, 0.5, seed=3)
+        edges = core.edges()
+        for i in range(10):  # a 3-vertex path hung on core vertex i
+            a = core.n + 3 * i
+            edges += [(i, a), (a, a + 1), (a + 1, a + 2)]
+        g = Graph(core.n + 30, edges)
+        p = ExpanderParams(0.1, 0.2, 2)
+        h = extract_expander(g, 2, p, seed=0)
+        assert tuple(h.labels) == tuple(range(core.n))
+        self.assert_extracted(g, h, 2, p)
+
+    def test_witness_split_keeps_one_side_of_a_bridge(self):
+        a = random_bipartite(50, 50, 0.2, seed=2)
+        b = random_bipartite(50, 50, 0.2, seed=12)
+        g = Graph(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()] + [(0, a.n)])
+        p = ExpanderParams(0.1, 0.2, 1)
+        h = extract_expander(g, 1, p, seed=0)
+        assert set(h.labels) in (set(range(a.n)), set(range(a.n, g.n)))
+        self.assert_extracted(g, h, 1, p)
+
     def test_greedy_cut_recovers_bipartition(self):
         g = random_bipartite(20, 20, 0.4, seed=4)
         sides = greedy_max_cut_sides(g)

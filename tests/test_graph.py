@@ -236,12 +236,11 @@ def _reference_induced(g: Graph, keep) -> Graph:
     keep = sorted(keep)
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
-    labels = tuple(keep) if g.labels is None else tuple(g.labels[v] for v in keep)
-    return Graph(len(keep), edges, labels)
+    return Graph(len(keep), edges, tuple(g.labels[v] for v in keep))
 
 
 def _fields(g: Graph):
-    return g.n, g._adj, g.m, g.side, g.comp, g.labels
+    return g.n, g._adj, g.m, g.side, g.comp, tuple(g.labels)
 
 
 class TestRowConstructor:

@@ -6,7 +6,7 @@ from pillarkit.config import RunConfig
 from pillarkit.errors import InternalError, PreconditionError, StageError
 from pillarkit.generators import cycle_graph, hypercube, random_regular
 from pillarkit.graph import Cycle, Graph, Path, set_distance
-from pillarkit.kraken import (Kraken, KrakenEntry, KrakenSearchState, LegLink,
+from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink,
                               _collective_round, _connect_winner, _qualifies,
                               find_kraken, robust_kraken, verify_kraken)
 from pillarkit.primitives import Expansion
@@ -201,7 +201,7 @@ def _gadget_state(cfg: RunConfig):
     assert verify_kraken(g, kr).valid
     rc = cfg.resolve(g.n)
     state = KrakenSearchState(g, rc, frozenset(), frozenset(), frozenset(), frozenset())
-    state.collection.append(KrakenEntry(kr))
+    state.collection.append(kr)
     state.links.append({})
     state.anchors.append(Expansion(20, frozenset({20, 21, 22}), 2))
     return g, kr, state

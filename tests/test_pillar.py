@@ -208,6 +208,41 @@ class TestLinkKrakens:
         pillar = Pillar(4, 5, ka.cycle, kb.cycle, tuple(paths))
         assert verify_pillar(g, pillar).valid
 
+    @staticmethod
+    def record_cases(monkeypatch) -> list[tuple[int, str, int]]:
+        """(index, side, case) of every leg-to-expansion case the linker runs."""
+        cases = []
+        real = pillar_mod._side_expansion
+
+        def spy(g, kr, j, z, high, rc, side_name, unused_low):
+            exp, case = real(g, kr, j, z, high, rc, side_name, unused_low)
+            cases.append((j, side_name, case))
+            return exp, case
+
+        monkeypatch.setattr(pillar_mod, "_side_expansion", spy)
+        return cases
+
+    def test_high_degree_end_uses_its_neighbourhood(self, monkeypatch):
+        g, ka, kb = self.build_prism_krakens()
+        cases = self.record_cases(monkeypatch)
+        paths = link_krakens(g, ka, kb, 5, frozenset({8}), RunConfig(d=4))
+        assert (0, "first", 1) in cases
+        assert verify_pillar(g, Pillar(4, 5, ka.cycle, kb.cycle, tuple(paths))).valid
+
+    def test_leg_ball_walks_to_a_high_degree_vertex(self, monkeypatch):
+        g, ka, kb = self.build_prism_krakens()
+        # ka's leg i gains a pendant p_i = 24 + i off its end, and vertex 28,
+        # hung on p_0, plays the high-degree vertex that leg 0's ball meets
+        edges = g.edges() + [(8 + 4 * i, 24 + i) for i in range(4)] + [(24, 28)]
+        big = Graph(29, edges)
+        ka = Kraken(ka.cycle, ka.ends,
+                    tuple(Expansion(8 + 4 * i, frozenset({8 + 4 * i, 24 + i}), 1) for i in range(4)),
+                    ka.paths, s=1, t=2)
+        cases = self.record_cases(monkeypatch)
+        paths = link_krakens(big, ka, kb, 5, frozenset({28}), RunConfig(d=4))
+        assert (0, "first", 3) in cases
+        assert verify_pillar(big, Pillar(4, 5, ka.cycle, kb.cycle, tuple(paths))).valid
+
     def test_cycle_length_mismatch(self):
         g, ka, kb = self.build_prism_krakens()
         short = Kraken(Cycle(kb.cycle.vertices[:3]), kb.ends[:3], kb.legs[:3],
