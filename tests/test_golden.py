@@ -12,6 +12,7 @@ import pytest
 
 from pillarkit.certificates import dumps_certificate
 from pillarkit.config import RunConfig
+from pillarkit.expander import _max_cut_graph
 from pillarkit.generators import hypercube, random_regular
 from pillarkit.kraken import robust_kraken
 from pillarkit.pillar import find_pillar
@@ -84,3 +85,19 @@ def test_hub_kraken(seed):
     kinds = [link.kind for links in state.links for link in links.values()]
     assert (len(state.anchors), kinds.count("P")) == (2, 12)
     assert _digest(kr) == HUB_KRAKEN[seed]
+
+
+HUB_HOST_KRAKEN = {
+    0: "8c798e12aeefc4f040f7fa65958db6db3dd3aef94d0eaa4454c66a29be38b39a",
+    1: "cfd28c83d699880cc73ab0fa37748c59bbc8fab739b500a938b8011373618101",
+    2: "4e03c959c4c46227e00c6bed7b45beb86632622b05460e9982e72e652988c40b",
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hub_kraken_bipartite_host(seed):
+    """The max-cut host of the hub graph: the bipartite kind of input that
+    find_pillar hands to robust_kraken."""
+    g = _max_cut_graph(hub_graph(seed))
+    kr = robust_kraken(g, frozenset(), RunConfig(d=12), seed=seed, q3_free=True)
+    assert _digest(kr) == HUB_HOST_KRAKEN[seed]
