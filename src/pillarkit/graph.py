@@ -230,9 +230,10 @@ class Cycle:
 def load_graph(text: str) -> Graph:
     """Parse edge-list text: one "u v" pair per line, '#' comments allowed.
 
-    A line with a single id declares an isolated vertex (this is what
-    keeps save/load a faithful round trip).  Duplicate edges collapse;
-    self-loops and ids of MAX_VERTICES or more are rejected.  n is max id + 1.
+    Ids are ASCII decimal digits.  A line with a single id declares an
+    isolated vertex (this is what keeps save/load a faithful round trip).
+    Duplicate edges collapse; self-loops and ids of MAX_VERTICES or more
+    are rejected.  n is max id + 1.
     """
     edges: list[tuple[int, int]] = []
     max_id = -1
@@ -241,11 +242,14 @@ def load_graph(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
+        digits = "".join(parts)  # ids are ASCII decimal: no sign, '_' or other scripts
+        if not (digits.isascii() and digits.isdigit()):
+            raise GraphParseError(line_no, f"non-decimal token in {line!r}")
         try:
             ids = [int(p) for p in parts]
-        except ValueError:
-            raise GraphParseError(line_no, f"non-integer token in {line!r}")
-        if any(not 0 <= v < MAX_VERTICES for v in ids):
+        except ValueError:  # more digits than int() reads
+            raise GraphParseError(line_no, f"vertex id outside 0..{MAX_VERTICES - 1} in {line!r}")
+        if any(v >= MAX_VERTICES for v in ids):
             raise GraphParseError(line_no, f"vertex id outside 0..{MAX_VERTICES - 1} in {line!r}")
         if len(ids) == 1:
             max_id = max(max_id, ids[0])

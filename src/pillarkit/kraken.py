@@ -6,6 +6,10 @@ checker, a heuristic search that carves a kraken out of free territory,
 and the robust pipeline that keeps finding krakens inside a forbidden-set
 survivor graph until one has its legs either ending at high-degree
 vertices or re-seated on well-separated anchor sets.
+
+The robust pipeline searches the survivor graph G - U directly: a
+sublinear expander's definition already pays for deleting a small set
+(the eps(x)*x deletion budget), so the caller's one extraction suffices.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, NoPathError, PreconditionError, StageError
-from .expander import extract_expander
 from .graph import (Cycle, Graph, Path, _rooted, ball, bfs_layers, induced_degree,
                     induced_subgraph, largest_component, path_within, set_distance,
                     shortest_set_path)
@@ -326,11 +329,13 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     pairwise well separated (and separated from U) away from the
     high-degree set.
 
-    The Q3-free hypothesis is certified by brute force on small graphs
-    and otherwise taken from the caller (pass ``q3_free=True``); what the
-    hypothesis buys algorithmically, the bound on vertices dominated by
-    U, is checked directly either way.  Stages starve with a StageError
-    naming the stage.
+    Krakens are collected in the survivor graph G - U as it is, with no
+    second extraction: the caller's expander pays for deleting U through
+    its deletion budget.  The Q3-free hypothesis is certified by brute
+    force on small graphs and otherwise taken from the caller (pass
+    ``q3_free=True``); what the hypothesis buys algorithmically, the bound
+    on vertices dominated by U, is checked directly either way.  Stages
+    starve with a StageError naming the stage.
     """
     g = _rooted(g)  # derived subgraphs label into g's ids
     rc = config.resolve(g.n)
@@ -428,19 +433,8 @@ def _build_collection(state: KrakenSearchState, config: RunConfig, seed: int) ->
         sub = largest_component(induced_subgraph(g, survivors))
         if sub.n < 3:
             break
-        target_d = max(1, config.d // 64)
         try:
-            h = extract_expander(sub, target_d, config.params,
-                                 seed=_child_seed(seed, round_no),
-                                 trials=rc.expansion_trials,
-                                 sample_cap=rc.expansion_sample_cap)
-            h = largest_component(h)
-        except (PreconditionError, StageError):
-            h = sub  # survivor graph too thin to re-extract; search it directly
-        if h.n < 3:
-            break
-        try:
-            local = find_kraken(h, k_max=rc.k_max, s=rc.m, t=rc.leg_size,
+            local = find_kraken(sub, k_max=rc.k_max, s=rc.m, t=rc.leg_size,
                                 seed=_child_seed(seed, 1000 + round_no),
                                 eps1=config.eps1)
         except (PreconditionError, StageError) as exc:
@@ -448,7 +442,7 @@ def _build_collection(state: KrakenSearchState, config: RunConfig, seed: int) ->
                 raise StageError("kraken-collection", f"no kraken found: {exc}",
                                  {"survivors": sub.n})
             break
-        state.collection.append(_translate_kraken(local, h.labels))
+        state.collection.append(_translate_kraken(local, sub.labels))
         state.links.append({})
     if not state.collection:
         raise StageError("kraken-collection", "no kraken found in the survivor graph", {})
@@ -514,15 +508,16 @@ def _assert_anchor_separation(state: KrakenSearchState, anchor: Expansion) -> No
 def _link_obstacles(state: KrakenSearchState, i: int, j: int) -> set[int]:
     """What a new link path for kraken i's leg j must stay clear of: U, the
     kraken's cycle and private paths, and the vertices of its existing
-    links.  Sibling legs stay traversable."""
+    links, also where they run into leg j itself.  Sibling legs stay
+    traversable."""
     kr = state.collection[i]
     avoid = set(state.forbidden) | set(kr.cycle.vertices)
     for p in kr.paths:
         avoid |= p.vertex_set()
-    for link in state.links[i].values():
-        avoid |= set(link.path.vertices)
     avoid -= kr.legs[j].members
     avoid.discard(kr.ends[j])
+    for link in state.links[i].values():
+        avoid |= set(link.path.vertices)
     return avoid
 
 

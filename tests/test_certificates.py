@@ -105,6 +105,8 @@ def test_load_graph_fuzz(text):
     except (GraphParseError, PreconditionError):
         return
     assert load_graph(save_graph(g)) == g
+    tokens = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
+    assert all(t.isascii() and t.isdigit() for t in tokens)
 
 
 @settings(max_examples=300, deadline=None)

@@ -212,6 +212,15 @@ class TestCli:
         g.write_text(f"0 {MAX_VERTICES}\n")
         assert main(["find", "pillar", "--graph", str(g), "--seed", "0"]) == 2
 
+    @pytest.mark.parametrize("text", ["0 1_0\n", "+2 3\n", "\u0661 \u0663\n"],
+                             ids=["underscore", "plus", "arabic-indic"])
+    def test_non_decimal_id_exit_2(self, tmp_path, capsys, text):
+        # int() reads all three ("1_0" as 10, "+2" as 2, Arabic-Indic 1 and 3)
+        g = tmp_path / "spelled.el"
+        g.write_text(text, encoding="utf-8")
+        assert main(["find", "pillar", "--graph", str(g), "--seed", "0"]) == 2
+        assert "non-decimal" in capsys.readouterr().err
+
     @pytest.mark.parametrize("error, code", [(InternalError, 3), (PreconditionError, 2)])
     def test_internal_error_exit_3(self, q3_file, monkeypatch, capsys, error, code):
         def broken(*args, **kwargs):

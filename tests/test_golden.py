@@ -69,21 +69,23 @@ def test_random_regular_pillar(seed):
 
 
 HUB_KRAKEN = {
-    0: "71da7f500ccaf1339fae283d2d5620ab2e666e680af67df585fb90113b66607a",
-    1: "a68789f4f8cfe14f48131fa4cba0048fe6487069261728cd461cf9988b8e7709",
-    2: "f4df3c112ea4024bcfbc4e2d25706ab145b788c87b65ab880d7e1c7ceb5854cb",
+    0: "7049ddaee6ec6ddbd466672b5083e82901ae2e9659008e3eb4c74cef0e692d22",
+    1: "d80c67fb99c2ecb7ae5c92afa7c0dc3518e4e2e4e05273e99dd028bb23031077",
+    2: "a7f85c71caeb9e31e92af99d91568699393a9e146af0f38a60560565d7c44188",
 }
+HUB_LINKS = {0: (2, 9), 1: (2, 9), 2: (0, 0)}  # (anchors, P-links)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_hub_kraken(seed):
-    """Hubs block early qualification, so this runs the second half of the
-    robust pipeline: anchors, P-links and assembly."""
+    """Hubs block early qualification at seeds 0 and 1, so those run the
+    second half of the robust pipeline: anchors, P-links and assembly.
+    At seed 2 a collected triangle qualifies early, so no anchor is built."""
     g = hub_graph(seed)
     kr, state = robust_kraken(g, frozenset(), RunConfig(d=12), seed=seed,
                               q3_free=True, return_state=True)
     kinds = [link.kind for links in state.links for link in links.values()]
-    assert (len(state.anchors), kinds.count("P")) == (2, 12)
+    assert (len(state.anchors), kinds.count("P")) == HUB_LINKS[seed]
     assert _digest(kr) == HUB_KRAKEN[seed]
 
 

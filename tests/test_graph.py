@@ -37,6 +37,9 @@ class TestLoadGraph:
             load_graph("0 1\n1 x")
         assert err.value.line_no == 2
 
+    def test_leading_zeros_and_tabs_load_as_decimal(self):
+        assert load_graph("007\t2\n 0 1 \n") == load_graph("7 2\n0 1\n")
+
     def test_comments_and_blank_lines(self):
         g = load_graph("# header\n0 1\n\n1 2  # trailing\n")
         assert g.m == 2

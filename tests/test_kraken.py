@@ -2,16 +2,19 @@ import dataclasses
 
 import pytest
 
+from pillarkit import expander, kraken, pillar
 from pillarkit.config import RunConfig
 from pillarkit.errors import InternalError, PreconditionError, StageError
+from pillarkit.expander import _max_cut_graph
 from pillarkit.generators import cycle_graph, hypercube, random_regular
 from pillarkit.graph import Cycle, Graph, Path, set_distance
-from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink,
+from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink, _augment_links,
                               _collective_round, _connect_winner, _qualifies,
                               find_kraken, robust_kraken, verify_kraken)
+from pillarkit.pillar import find_pillar
 from pillarkit.primitives import Expansion
 
-from util import hub_graph, prism_kraken
+from util import covered_hub_graph, hub_graph, prism_kraken
 
 class TestVerifyKraken:
     def test_hand_built_valid(self):
@@ -105,23 +108,35 @@ MUTATIONS = {
 
 @pytest.fixture(scope="module")
 def valid_krakens():
-    """The hand-built prism kraken (t = 1) and the hub krakens of the
-    golden seeds, which went through anchors and P-links (t = 2)."""
+    """The hand-built prism kraken (t = 1), the hub krakens of the golden
+    seeds (t = 2, triangles), and the kraken of hub seed 0's bipartite
+    max-cut host (t = 2, k = 4), which went through anchors and P-links."""
     out = {"prism": prism_kraken()}
     for seed in range(3):
         g = hub_graph(seed)
         out[f"hub{seed}"] = (g, robust_kraken(g, frozenset(), RunConfig(d=12), seed=seed,
                                               q3_free=True))
+    g = _max_cut_graph(hub_graph(0))
+    out["host0"] = (g, robust_kraken(g, frozenset(), RunConfig(d=12), seed=0, q3_free=True))
     return out
+
+
+def _mutation_cases():
+    """Every kraken with every clause, except cycle-valid on triangles:
+    every vertex order of a triangle is a triangle again, so the swap
+    mutation cannot break one."""
+    for clause in sorted(MUTATIONS):
+        for name in ["hub0", "hub1", "hub2", "host0", "prism"]:
+            if not (clause == "cycle-valid" and name.startswith("hub")):
+                yield clause, name
 
 
 class TestKrakenMutations:
     """Each mutation breaks one kraken clause at every index in turn, and
     verify_kraken must name that clause."""
 
-    @pytest.mark.parametrize("name", ["prism", "hub0", "hub1", "hub2"])
-    @pytest.mark.parametrize("clause", sorted(MUTATIONS))
-    def test_mutation_flags_its_clause(self, valid_krakens, name, clause):
+    @pytest.mark.parametrize("clause,name", list(_mutation_cases()))
+    def test_mutation_flags_its_clause(self, valid_krakens, clause, name):
         g, kr = valid_krakens[name]
         assert verify_kraken(g, kr).valid
         checked = 0
@@ -255,8 +270,37 @@ class TestSearchState:
         with pytest.raises(InternalError):
             state.check()  # length 5 over the p_len cap of 3
 
+    def test_link_never_reuses_a_sibling_link_end_inside_its_leg(self):
+        # leg 0's P-link ends at hub 8, which lies in leg 1; leg 1 must not
+        # take hub 8 as a zero-length link, and links the other hub 10
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3),
+                 (0, 4), (1, 5), (2, 6), (3, 7),       # cycle to ends
+                 (4, 12), (5, 8), (6, 13), (7, 14),    # two-vertex legs
+                 (4, 8), (5, 11), (11, 10)]            # routes to hubs 8, 10
+        g = Graph(15, edges)
+        kr = Kraken(Cycle((0, 1, 2, 3)), (4, 5, 6, 7),
+                    tuple(Expansion(v, frozenset({v, w}), 1)
+                          for v, w in ((4, 12), (5, 8), (6, 13), (7, 14))),
+                    tuple(Path((i, i + 4)) for i in range(4)), s=1, t=2)
+        assert verify_kraken(g, kr).valid
+        state = KrakenSearchState(g, RunConfig(d=4).resolve(g.n), frozenset(),
+                                  frozenset({8, 10}), frozenset(), frozenset())
+        state.collection.append(kr)
+        state.links.append({0: LegLink("P", Path((4, 8)))})
+        _augment_links(state)
+        assert state.links[0][1].path.vertices == (5, 11, 10)
+        assert sorted(state.links[0]) == [0, 1]
+
 
 class TestRobustKraken:
+    @pytest.mark.parametrize("hubs", [10, 20])
+    def test_legs_next_to_hubs_link_apart(self, hubs):
+        # every vertex sees a hub, so sibling P-links meet hubs inside legs
+        for seed in range(12):
+            g = covered_hub_graph(seed, hubs)
+            kr = robust_kraken(g, frozenset(), RunConfig(d=12), seed=seed, q3_free=True)
+            assert verify_kraken(g, kr).valid
+
     def test_early_exit_on_random_regular(self):
         g = random_regular(10000, 12, seed=0)
         cfg = RunConfig(eps1=0.1, eps2=0.2, d=12)
@@ -326,3 +370,35 @@ class TestRobustKraken:
         second = robust_kraken(g, u, cfg, seed=2, q3_free=True)
         assert verify_kraken(g, second).valid
         assert not (second.vertex_set() & u)
+
+
+@pytest.fixture
+def extractions(monkeypatch) -> list[int]:
+    """The target degree of every extract_expander call, wherever a
+    module imported it from."""
+    real = expander.extract_expander
+    calls: list[int] = []
+
+    def counted(g, d, *args, **kwargs):
+        calls.append(d)
+        return real(g, d, *args, **kwargs)
+
+    for mod in (expander, kraken, pillar):
+        if getattr(mod, "extract_expander", None) is real:
+            monkeypatch.setattr(mod, "extract_expander", counted)
+    return calls
+
+
+class TestOneExtraction:
+    """find_pillar extracts the expander, once per target degree; the
+    kraken search inside it never extracts again."""
+
+    @pytest.mark.parametrize("host", [False, True])
+    def test_robust_kraken_extracts_nothing(self, extractions, host):
+        g = _max_cut_graph(hub_graph(0)) if host else hub_graph(0)
+        robust_kraken(g, frozenset(), RunConfig(d=12), seed=0, q3_free=True)
+        assert extractions == []
+
+    def test_find_pillar_extracts_once_per_target(self, extractions):
+        find_pillar(random_regular(2000, 12, 0), RunConfig(d=12), 0)
+        assert extractions and len(extractions) == len(set(extractions))

@@ -102,6 +102,15 @@ def hub_graph(seed: int, n: int = 2000, hubs: int = 40, hub_degree: int = 100) -
     return Graph(n + hubs, edges)
 
 
+def covered_hub_graph(seed: int, hubs: int = 10, n: int = 2000) -> Graph:
+    """rr(n, 12) in which every vertex v is also joined to vertex
+    v % hubs, so each of the hubs 0..hubs-1 gains about n/hubs edges and
+    nearly every leg lies next to one."""
+    edges = set(random_regular(n, 12, seed).edges())
+    edges.update((v % hubs, v) for v in range(hubs, n))
+    return Graph(n, sorted(edges))
+
+
 def prism_kraken(s_param: int = 1) -> tuple[Graph, Kraken]:
     """Hand-built kraken on subdivided_prism(4,2): the first cycle, the
     rung midpoints as paths, the far endpoints as singleton legs."""
