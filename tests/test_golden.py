@@ -7,21 +7,26 @@ why the search order changed, and re-pin it.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from pillarkit.certificates import dumps_certificate
 from pillarkit.config import RunConfig
-from pillarkit.expander import _max_cut_graph
+from pillarkit.expander import ExpanderParams, _max_cut_graph, check_expansion, extract_expander
 from pillarkit.generators import hypercube, random_regular
 from pillarkit.kraken import robust_kraken
 from pillarkit.pillar import find_pillar
 
-from util import hub_graph, planted_prism_with_noise
+from util import clique_chain, hub_graph, planted_prism_with_noise
 
 
 def _digest(cert) -> str:
     return hashlib.sha256(dumps_certificate(cert).encode()).hexdigest()
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 CUBE = "0331c8de2d55f9be34f20672976146ee7179238bba9b36b093a103457c1dcdbe"
@@ -103,3 +108,41 @@ def test_hub_kraken_bipartite_host(seed):
     g = _max_cut_graph(hub_graph(seed))
     kr = robust_kraken(g, frozenset(), RunConfig(d=12), seed=seed, q3_free=True)
     assert _digest(kr) == HUB_HOST_KRAKEN[seed]
+
+
+# The sampled expansion check and the extraction built on it: their seeded
+# random draws and greedy choices decide every certificate above.
+EXPANSION_REPORT = {
+    # (graph, d, seed): a witness after deleting edges (F nonempty), found
+    # on the 25th sample at d = 20; one with nothing deleted at d = 50; and
+    # a clean report
+    ("chain", 20, 2): "4ed7aa7d23599c45e2eebb116f127cc5b5cd9cad93680cb0b92e2daa0617c983",
+    ("chain", 50, 1): "a9ac917e863b60095b4e5d2fc3bb70f737cc09ca7e382a8afb8ff4a6cfca9835",
+    ("rr", 12, 0): "432d40f23a8c4f7ad2ca2eabb8d2b20a60ce4d5fd34daf605b5bec9769443ec7",
+}
+
+
+@pytest.mark.parametrize("name, d, seed", sorted(EXPANSION_REPORT))
+def test_sampled_expansion_report(name, d, seed):
+    if name == "chain":
+        g, params = clique_chain(5, 6), ExpanderParams(0.9, 0.2, d)
+    else:
+        g, params = random_regular(2000, d, seed), ExpanderParams(0.1, 0.2, d)
+    report = check_expansion(g, params, "sampled", seed=seed, trials=40)
+    assert _sha(report.to_json_dict()) == EXPANSION_REPORT[name, d, seed]
+
+
+EXTRACTED = {
+    0: "eec73e28677f618892f9f582d9222046241e849cedb18b41776337e315c817c3",
+    1: "788238d263f7d656673e68a9165801ed9abbaadc9c95668914c2cc7b6220f7af",
+    2: "c45459068d4ce2e5b9ec0b6d20007790a95501695427a63287082320dc2ca022",
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extracted_expander_rows(seed):
+    """rr(2000, 12) is not bipartite, so this runs the greedy max-cut, the
+    peel and the sampled check."""
+    g = random_regular(2000, 12, seed)
+    h = extract_expander(g, 1, ExpanderParams(0.1, 0.2, 12), seed=seed, trials=40)
+    assert _sha([h.edges(), list(h.labels)]) == EXTRACTED[seed]

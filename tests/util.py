@@ -111,6 +111,16 @@ def covered_hub_graph(seed: int, hubs: int = 10, n: int = 2000) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def clique_chain(m: int, count: int) -> Graph:
+    """``count`` copies of K_m joined in a path, the last vertex of each
+    clique to the first of the next: each clique has at most two external
+    neighbours, so small sets violate expansion."""
+    edges = [(c * m + i, c * m + j) for c in range(count)
+             for i in range(m) for j in range(i + 1, m)]
+    edges += [(c * m + m - 1, (c + 1) * m) for c in range(count - 1)]
+    return Graph(m * count, edges)
+
+
 def prism_kraken(s_param: int = 1) -> tuple[Graph, Kraken]:
     """Hand-built kraken on subdivided_prism(4,2): the first cycle, the
     rung midpoints as paths, the far endpoints as singleton legs."""
