@@ -6,7 +6,9 @@ keeps |N(X)| >= eps(|X|)*|X| even after an adversary deletes an edge set F
 with e(F) <= d(G)*eps(|X|)*|X|.  Robust verification is co-NP-hard, so the
 exact mode pairs the F-empty check with a greedy adversary that deletes
 the cheapest external neighbors first; this limitation is recorded in the
-report type.
+report type.  Every external neighbor has an edge into X, so the greedy
+deletes at most floor(budget) of them: a set whose neighborhood exceeds
+the need by that many passes, and only the rest are counted and sorted.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import PreconditionError, StageError
 from .graph import Graph, bfs_layers, induced_subgraph
@@ -102,18 +105,25 @@ def _violation(g: Graph, members: list[int],
     """Check one candidate X; return (X, F) on violation, else None.
 
     Tries F empty first, then greedily spends the deletion budget on the
-    external neighbors with the fewest edges into X.
+    external neighbors with the fewest edges into X.  Each of them costs
+    at least one edge, so the greedy deletes at most floor(budget); when
+    that many deletions still leave ``need`` neighbors, X passes without
+    counting edges.
     """
+    adj = g._adj
     xset = set(members)
-    counts: dict[int, int] = {}  # external neighbor -> number of edges into X
-    for v in members:
-        for w in g.neighbors(v):
-            if w not in xset:
-                counts[w] = counts.get(w, 0) + 1
+    outside = set(chain.from_iterable(adj[v] for v in members)) - xset
     need = epsilon(len(members), params) * len(members)
-    if len(counts) < need:
+    if len(outside) < need:
         return frozenset(members), []
     budget = g.average_degree() * need
+    if len(outside) - math.floor(budget) >= need:
+        return None
+    counts: dict[int, int] = {}  # external neighbor -> number of edges into X
+    for v in members:
+        for w in adj[v]:
+            if w not in xset:
+                counts[w] = counts.get(w, 0) + 1
     order = sorted((c, y) for y, c in counts.items())
     removed: list[tuple[int, int]] = []
     spent = 0
@@ -123,7 +133,7 @@ def _violation(g: Graph, members: list[int],
             break
         spent += cost
         remaining -= 1
-        removed.extend((min(u, y), max(u, y)) for u in g.neighbors(y) if u in xset)
+        removed.extend((min(u, y), max(u, y)) for u in adj[y] if u in xset)
         if remaining < need:
             return frozenset(members), removed
     return None
@@ -165,20 +175,19 @@ def _check_exact(g: Graph, params: ExpanderParams, exact_cap: int) -> ExpansionR
 
 def _sample_connected(g: Graph, rng: random.Random, size: int) -> list[int]:
     # Not on bfs_layers: it takes frontier vertices in random order.
+    adj = g._adj
     start = rng.randrange(g.n)
     out = [start]
     seen = {start}
     frontier = [start]
     while frontier and len(out) < size:
         u = frontier.pop(rng.randrange(len(frontier)))
-        nbrs = [w for w in g.neighbors(u) if w not in seen]
+        nbrs = [w for w in adj[u] if w not in seen]
         rng.shuffle(nbrs)
-        for w in nbrs:
-            if len(out) >= size:
-                break
-            seen.add(w)
-            out.append(w)
-            frontier.append(w)
+        del nbrs[size - len(out):]
+        seen.update(nbrs)
+        out += nbrs
+        frontier += nbrs
     return out
 
 
@@ -222,9 +231,8 @@ def greedy_max_cut_sides(g: Graph, order: list[int] | None = None) -> list[int]:
                 for layer in bfs_layers(g, [root]):
                     order += layer
     for v in order:
-        same0 = sum(1 for w in g.neighbors(v) if side[w] == 0)
-        same1 = sum(1 for w in g.neighbors(v) if side[w] == 1)
-        side[v] = 0 if same0 <= same1 else 1
+        placed = [side[w] for w in g._adj[v]]
+        side[v] = 0 if placed.count(0) <= placed.count(1) else 1
     return side
 
 
@@ -241,7 +249,7 @@ def _max_cut_graph(g: Graph) -> Graph:
 def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
     """Iteratively drop vertices with fewer than d neighbors inside keep."""
     # Not on bfs_layers: it peels by degree and does not traverse.
-    deg = {v: sum(1 for w in g.neighbors(v) if w in keep) for v in keep}
+    deg = {v: sum(map(keep.__contains__, g._adj[v])) for v in keep}
     queue = [v for v, dv in deg.items() if dv < d]
     alive = set(keep)
     while queue:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, NoPathError, PreconditionError, StageError
-from .graph import (Cycle, Graph, Path, _rooted, ball, bfs_layers, induced_degree,
-                    induced_subgraph, largest_component, path_within, set_distance,
-                    shortest_set_path)
+from .graph import (Cycle, Graph, Path, _rooted, ball, bfs_layers, induced_subgraph,
+                    largest_component, path_within, set_distance, shortest_set_path)
 from .primitives import (Expansion, _distances_within, connect_short, find_large_ball,
                          find_q3_bruteforce, trim_expansion)
 from .validity import ValidityReport
@@ -342,6 +343,8 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     if seed is None:
         seed = rc.seed
     uset = frozenset(u)
+    if uset and (min(uset) < 0 or max(uset) >= g.n):
+        raise PreconditionError(f"U has ids out of range for n={g.n}")
     if len(uset) > rc.u_cap:
         raise PreconditionError(f"|U| = {len(uset)} over the cap {rc.u_cap}")
     if q3_free is False:
@@ -351,8 +354,8 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
             raise PreconditionError("graph contains a cube; robust search assumes cube-freeness")
 
     high = frozenset(v for v in range(g.n) if g.degree(v) >= rc.delta_threshold)
-    u0 = frozenset(v for v in range(g.n)
-                   if v not in uset and induced_degree(g, v, uset) >= config.d / 2)
+    into_u = Counter(chain.from_iterable(map(g.neighbors, uset)))  # edges into U
+    u0 = frozenset(v for v, c in into_u.items() if c >= config.d / 2 and v not in uset)
     if len(u0) > rc.u0_cap:
         raise StageError("u0-bound",
                          f"{len(u0)} vertices dominated by U (cap {rc.u0_cap}); "

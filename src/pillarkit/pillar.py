@@ -426,8 +426,9 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
     """Join matching cycle vertices of two disjoint krakens by disjoint
     paths of the same exact length.
 
-    Two steps: the pair is checked once (``_check_link_pair``), then the
-    paths are built for this alignment and length (``_link_aligned``).
+    Three steps: each kraken is verified, the pair is checked once
+    (``_check_link_pair``), then the paths are built for this alignment
+    and length (``_link_aligned``).
     Worked one index at a time; each side's leg is turned into an
     expansion of its cycle vertex by one of three routes: the leg end is
     already high-degree (use its neighborhood), the grown leg ball stays
@@ -439,6 +440,10 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
     """
     rc = config.resolve(g.n)
     high = frozenset(high_degree)
+    for name, kr in (("first", ka), ("second", kb)):
+        rep = verify_kraken(g, kr)
+        if not rep.valid:
+            raise PreconditionError(f"{name} kraken invalid: {rep}")
     _check_link_pair(g, ka, kb, high, rc)
     return _link_aligned(g, ka, kb, ell, high, rc, config)
 
@@ -448,16 +453,14 @@ def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
     """The preconditions of linking that do not depend on how kb's cycle is
     aligned with ka's or on the target length.  Rotating or reflecting a
     kraken permutes its cycle, ends, legs and paths by one index map, so
-    every clause here comes out the same for every alignment."""
+    every clause here comes out the same for every alignment.  Both krakens
+    must already pass ``verify_kraken``, as ``robust_kraken``'s do."""
     s = ka.k
     if kb.k != s:
         raise PreconditionError(f"cycle lengths differ: {s} vs {kb.k}")
     if ka.vertex_set() & kb.vertex_set():
         raise PreconditionError("krakens are not disjoint")
     for name, kr in (("first", ka), ("second", kb)):
-        rep = verify_kraken(g, kr)
-        if not rep.valid:
-            raise PreconditionError(f"{name} kraken invalid: {rep}")
         for j, leg in enumerate(kr.legs):
             if kr.ends[j] not in high and leg.members & high:
                 raise PreconditionError(

@@ -280,13 +280,18 @@ def find_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = 40) -
 
     Any cube containing v lies inside the radius-3 ball of v, so each
     trial brute-forces one such ball (skipped when over ``ball_cap``).
+    A vertex drawn again is skipped: its search held no cube before.
     A None is only as strong as the sampling.
     """
     if g.n == 0:
         return None
     rng = random.Random(seed)
+    tried = set()
     for _ in range(trials):
         v = rng.randrange(g.n)
+        if v in tried:
+            continue
+        tried.add(v)
         reached = ball(g, [v], 3)
         if len(reached) > ball_cap:
             reached = ball(g, [v], 2)

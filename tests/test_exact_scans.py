@@ -1,0 +1,128 @@
+"""The expander's scans and robust_kraken's set of U-dominated vertices
+against the loops they replaced, kept in ``util`` as references: same
+results, and for the sampler the same random draws.  The graphs are small,
+often disconnected and often not bipartite, and eps1 runs up to 0.9 so that
+violations occur."""
+
+import math
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pillarkit import kraken as kraken_mod
+from pillarkit import primitives as primitives_mod
+from pillarkit.config import RunConfig
+from pillarkit.errors import PreconditionError
+from pillarkit.expander import (ExpanderParams, _peel, _sample_connected, _violation,
+                                epsilon, greedy_max_cut_sides)
+from pillarkit.generators import cycle_graph, random_regular
+from pillarkit.graph import Graph
+from pillarkit.kraken import robust_kraken
+from pillarkit.primitives import find_q3_sampled
+
+from util import (ref_greedy_max_cut_sides, ref_peel, ref_sample_connected, ref_u0,
+                  ref_violation)
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    ids = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=4 * n))
+    return Graph(n, edges)
+
+
+params = st.builds(ExpanderParams, st.sampled_from([0.05, 0.3, 0.6, 0.9]),
+                   st.sampled_from([0.05, 0.1, 0.2]), st.integers(1, 60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs(), params, st.data())
+def test_violation_same_witness_and_deletions(g, p, data):
+    members = data.draw(st.permutations(range(g.n)))[:data.draw(st.integers(1, g.n))]
+    assert _violation(g, members, p) == ref_violation(g, members, p)
+
+
+def k5_with(attach: list[tuple[int, int]]) -> Graph:
+    """K5 on 0..4 plus vertices 5 and 6, joined to it by ``attach``."""
+    return Graph(7, [(a, b) for a in range(5) for b in range(a + 1, 5)] + attach)
+
+
+@pytest.mark.parametrize("attach, removed", [
+    # two neighbors of cost 1 under a budget of 2.37: both go
+    ([(0, 5), (1, 6)], [(0, 5), (1, 6)]),
+    # two of cost 2 under a budget of 2.77: the second does not fit
+    ([(0, 5), (1, 5), (0, 6), (1, 6)], None),
+])
+def test_violation_counting_branch(attach, removed):
+    """X = {5, 6} reaches the counting greedy: its two external neighbors
+    exceed the need, and floor(budget) deletions could remove both."""
+    g, p, members = k5_with(attach), ExpanderParams(0.9, 0.2, 30), [5, 6]
+    need = epsilon(2, p) * 2
+    assert 2 - math.floor(g.average_degree() * need) < need <= 2
+    expected = None if removed is None else (frozenset(members), removed)
+    assert _violation(g, members, p) == ref_violation(g, members, p) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2 ** 32), st.integers(0, 16))
+def test_sample_connected_same_members_same_draws(g, seed, size):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert _sample_connected(g, rng, size) == ref_sample_connected(g, ref_rng, size)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data())
+def test_greedy_max_cut_same_sides(g, data):
+    order = data.draw(st.permutations(range(g.n)))
+    assert greedy_max_cut_sides(g, list(order)) == ref_greedy_max_cut_sides(g, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data(), st.integers(0, 6))
+def test_peel_same_survivors(g, data, d):
+    keep = data.draw(st.sets(st.integers(0, g.n - 1)))
+    assert _peel(g, set(keep), d) == ref_peel(g, keep, d)
+
+
+class _Built(Exception):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=20), st.data(), st.integers(1, 8))
+def test_robust_kraken_same_dominated_set(g, data, d):
+    """robust_kraken stops here once it has built its search state."""
+    uset = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+    built = []
+
+    def capture(graph, rc, forbidden, high, u0, u1):
+        built.append(u0)
+        raise _Built
+
+    with mock.patch.object(kraken_mod, "KrakenSearchState", capture):
+        with pytest.raises(_Built):
+            robust_kraken(g, uset, RunConfig(d=d), q3_free=True)
+    assert built == [ref_u0(g, uset, d)]
+
+
+@pytest.mark.parametrize("bad", [2000, -1])
+def test_robust_kraken_rejects_out_of_range_u(bad):
+    g = random_regular(2000, 12, 0)
+    with pytest.raises(PreconditionError, match="out of range"):
+        robust_kraken(g, {5, bad}, RunConfig(d=12), q3_free=True)
+
+
+def test_find_q3_sampled_searches_each_drawn_vertex_once(monkeypatch):
+    g = cycle_graph(50)  # cube-free, so every trial runs
+    searched = []
+    real = primitives_mod.find_q3_bruteforce
+    monkeypatch.setattr(primitives_mod, "find_q3_bruteforce",
+                        lambda h, cap: searched.append(h) or real(h, cap=cap))
+    assert find_q3_sampled(g, seed=4, trials=64) is None
+    rng = random.Random(4)
+    drawn = {rng.randrange(g.n) for _ in range(64)}
+    assert len(searched) == len(drawn) < 64

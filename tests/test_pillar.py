@@ -445,7 +445,7 @@ class TestLinkWork:
         g = planted_prism_with_noise(8, 5, 40, seed=seed)
         p = find_pillar(g, _planted_config(), seed=seed)
         assert verify_pillar(g, p).valid
-        assert len(verified) == 2
+        assert not verified  # robust_kraken verified both krakens on return
         assert len(attempts) == n_attempts and attempts[-1][2] is None
         stops = 0
         for (cycle, _, exc), (next_cycle, _, _) in zip(attempts, attempts[1:]):

@@ -11,6 +11,7 @@ from collections import deque
 
 import networkx as nx
 
+from pillarkit.expander import ExpanderParams, epsilon
 from pillarkit.generators import random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path
 from pillarkit.kraken import Kraken
@@ -239,3 +240,88 @@ def ref_alt_route(g: Graph, a: int, b: int, blocked, max_len: int) -> Path | Non
                 parent[w] = u
                 queue.append(w)
     return None
+
+
+# -- slow references for the expander scans ----------------------------
+# The loops the expander and robust_kraken ran before those scans learnt to
+# decide from a bound or to count with built-ins.  Results and random draws
+# must agree exactly.
+
+
+def ref_violation(g: Graph, members: list[int], params: ExpanderParams):
+    """(X, F) or None: F empty first, then the greedy on sorted counts."""
+    xset = set(members)
+    counts: dict[int, int] = {}
+    for v in members:
+        for w in g.neighbors(v):
+            if w not in xset:
+                counts[w] = counts.get(w, 0) + 1
+    need = epsilon(len(members), params) * len(members)
+    if len(counts) < need:
+        return frozenset(members), []
+    budget = g.average_degree() * need
+    removed: list[tuple[int, int]] = []
+    spent = 0
+    remaining = len(counts)
+    for cost, y in sorted((c, y) for y, c in counts.items()):
+        if spent + cost > budget:
+            break
+        spent += cost
+        remaining -= 1
+        removed.extend((min(u, y), max(u, y)) for u in g.neighbors(y) if u in xset)
+        if remaining < need:
+            return frozenset(members), removed
+    return None
+
+
+def ref_sample_connected(g: Graph, rng: random.Random, size: int) -> list[int]:
+    """A connected set grown from a random frontier vertex, one vertex at
+    a time."""
+    start = rng.randrange(g.n)
+    out = [start]
+    seen = {start}
+    frontier = [start]
+    while frontier and len(out) < size:
+        u = frontier.pop(rng.randrange(len(frontier)))
+        nbrs = [w for w in g.neighbors(u) if w not in seen]
+        rng.shuffle(nbrs)
+        for w in nbrs:
+            if len(out) >= size:
+                break
+            seen.add(w)
+            out.append(w)
+            frontier.append(w)
+    return out
+
+
+def ref_greedy_max_cut_sides(g: Graph, order: list[int]) -> list[int]:
+    """Each vertex in order opposite the majority of its placed neighbors."""
+    side = [-1] * g.n
+    for v in order:
+        same0 = sum(1 for w in g.neighbors(v) if side[w] == 0)
+        same1 = sum(1 for w in g.neighbors(v) if side[w] == 1)
+        side[v] = 0 if same0 <= same1 else 1
+    return side
+
+
+def ref_peel(g: Graph, keep: set[int], d: int) -> set[int]:
+    deg = {v: sum(1 for w in g.neighbors(v) if w in keep) for v in keep}
+    queue = [v for v, dv in deg.items() if dv < d]
+    alive = set(keep)
+    while queue:
+        v = queue.pop()
+        if v not in alive:
+            continue
+        alive.discard(v)
+        for w in g.neighbors(v):
+            if w in alive:
+                deg[w] -= 1
+                if deg[w] < d:
+                    queue.append(w)
+    return alive
+
+
+def ref_u0(g: Graph, uset: frozenset[int], d: int) -> frozenset[int]:
+    """The vertices outside U with at least d/2 neighbors in U."""
+    return frozenset(v for v in range(g.n)
+                     if v not in uset and sum(1 for w in g.neighbors(v) if w in uset) >= d / 2)
