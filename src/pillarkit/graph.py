@@ -3,12 +3,14 @@ BFS/set primitives (balls, parity, set-degrees) everything else consumes.
 
 Vertices are dense integers ``0..n-1``.  Deletions are never expressed by
 mutation: operations take an ``avoid`` set and work in the graph minus
-that set.  A graph's ``labels`` side table maps its ids to the ids of its
-root graph: ``Graph(n, edges)`` is its own root (``labels == range(n)``),
-and a derived graph composes its parent's labels, so a subgraph of a
-subgraph still maps straight to the root.  ``Graph(n, edges)`` validates
-outside input; derived graphs filter a valid parent's rows and trust
-them, and one that would equal its parent is the parent itself.
+that set; :func:`_largest_piece`, the one way to name the largest piece
+of G - U, gives its ids in G, so no search copies it.  A graph's
+``labels`` side table maps its ids to the ids of its root graph:
+``Graph(n, edges)`` is its own root (``labels == range(n)``), and a
+derived graph composes its parent's labels, so a subgraph of a subgraph
+still maps straight to the root.  ``Graph(n, edges)`` validates outside
+input; derived graphs filter a valid parent's rows and trust them, and
+one that would equal its parent is the parent itself.
 
 Every breadth-first search in the package runs on one kernel,
 :func:`bfs_layers`: it yields the layers of a search in g minus an
@@ -25,7 +27,6 @@ peels by degree and does not traverse.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Container, Iterable, Iterator, Sequence
 from copy import copy
 from dataclasses import dataclass
@@ -283,9 +284,9 @@ def bfs_layers(g: Graph, sources: Iterable[int], avoid: Container[int] = _EMPTY,
     Layer 0 is ``sources`` without repeats, used as given: a source may lie
     in ``avoid`` or outside ``within``.  The next layer is built only when
     the caller asks for it, so a caller stops at a radius or a size by
-    leaving the loop.  ``parents``, an empty dict when given, gets every
-    reached vertex, mapped to the vertex that reached it (None for a
-    source).
+    leaving the loop.  ``parents``, a dict when given, gets every reached
+    vertex, mapped to the vertex that reached it (None for a source); a
+    vertex already in it counts as reached.
     """
     adj = g._adj
     seen = dict.fromkeys(sources)
@@ -453,11 +454,25 @@ def _rooted(g: Graph) -> Graph:
     return root
 
 
+def _largest_piece(g: Graph, dead: set[int] | frozenset[int] = _EMPTY) -> range | list[int]:
+    """Sorted ids of the largest piece of g minus ``dead`` (ties: lowest vertex; dead in
+    range(g.n)), walked piece by piece until no survivor left could beat the best."""
+    if not dead and (g.n == 0 or max(g.comp) == 0):
+        return range(g.n)
+    best: list[int] = []
+    left = g.n - len(dead)
+    reached: dict[int, int | None] = {}  # no walk reaches an earlier walk's vertices
+    for r in range(g.n):
+        if len(best) >= left:
+            break
+        if r not in reached and r not in dead:
+            piece = [v for layer in bfs_layers(g, [r], dead, parents=reached) for v in layer]
+            left -= len(piece)
+            best = max(best, piece, key=len)  # the earlier piece wins a tie
+    return sorted(best)
+
+
 def largest_component(g: Graph) -> Graph:
     """Induced subgraph on the largest connected component (ties: lowest id);
     g itself when g is connected."""
-    if g.n == 0 or max(g.comp) == 0:
-        return g
-    sizes = Counter(g.comp)
-    best = max(sizes, key=lambda c: (sizes[c], -c))
-    return induced_subgraph(g, [v for v in range(g.n) if g.comp[v] == best])
+    return induced_subgraph(g, _largest_piece(g))

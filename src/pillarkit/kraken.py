@@ -10,6 +10,7 @@ vertices or re-seated on well-separated anchor sets.
 The robust pipeline searches the survivor graph G - U directly: a
 sublinear expander's definition already pays for deleting a small set
 (the eps(x)*x deletion budget), so the caller's one extraction suffices.
+Nor is G - U copied: krakens are carved on the host's ids with U as a dead set.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from itertools import chain
 
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, NoPathError, PreconditionError, StageError
-from .graph import (Cycle, Graph, Path, _rooted, ball, bfs_layers, induced_subgraph,
-                    largest_component, path_within, set_distance, shortest_set_path)
+from .graph import (Cycle, Graph, Path, _largest_piece, ball, bfs_layers, path_within,
+                    set_distance, shortest_set_path)
 from .primitives import (Expansion, _distances_within, connect_short, find_large_ball,
                          find_q3_bruteforce, trim_expansion)
 from .validity import ValidityReport
@@ -160,8 +161,8 @@ def verify_kraken(g: Graph, kr: Kraken) -> ValidityReport:
 # -- heuristic search ---------------------------------------------------
 
 
-def _shortest_cycle_from(g: Graph, start: int) -> list[int] | None:
-    """Cycle recovered from the first non-tree edge in a BFS from start."""
+def _shortest_cycle_from(g: Graph, start: int, dead: set[int] | frozenset[int]) -> list[int] | None:
+    """Cycle from the first non-tree edge in a BFS from start in g minus dead."""
     # Not on bfs_layers: it needs each non-tree edge as the BFS meets it.
     parent = {start: -1}
     depth = {start: 0}
@@ -171,6 +172,8 @@ def _shortest_cycle_from(g: Graph, start: int) -> list[int] | None:
         u = queue[head]
         head += 1
         for w in g.neighbors(u):
+            if w in dead:
+                continue
             if w not in parent:
                 parent[w] = u
                 depth[w] = depth[u] + 1
@@ -202,24 +205,31 @@ def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
     vertices by BFS through what is still free.  Starving at any stage
     raises a StageError naming it.
     """
-    if g.n == 0 or len(set(g.comp)) != 1:
+    if g.n == 0 or max(g.comp) != 0:
         raise PreconditionError("kraken search needs a connected, nonempty graph")
-    if t < 1:
-        raise PreconditionError("leg size t must be >= 1")
     if k_max is None:
         # ln(n) undershoots the girth on desk-size graphs; 4 admits a
         # shortest even cycle
         k_max = max(4, math.floor(math.log(g.n))) if g.n > 2 else 4
     if s is None:
         s = max(1, math.ceil(200 * math.log(g.n) ** 3 / eps1)) if g.n > 2 else 1
-    s = max(1, s)
+    return _carve(g, range(g.n), frozenset(), k_max, max(1, s), t, seed, sample_starts)
 
+
+def _carve(g: Graph, verts: range | list[int], dead: set[int] | frozenset[int], k_max: int,
+           s: int, t: int, seed: int, sample_starts: int = 24) -> Kraken:
+    """find_kraken's search in the sorted piece ``verts`` of g minus dead, on g's
+    ids: a copy of the piece keeps their order, so its rows, draws and kraken are these."""
+    if t < 1:
+        raise PreconditionError("leg size t must be >= 1")
     rng = random.Random(seed)
-    starts = rng.sample(range(g.n), min(g.n, sample_starts))
+    starts = rng.sample(verts, min(len(verts), sample_starts))
+    # The host's floor: on a bipartite piece of a non-bipartite host, 3 never stops
+    # the loop early, and only a strictly shorter cycle replaces best: same cycle.
     floor = 4 if g.is_bipartite() else 3
     best: list[int] | None = None
     for v in starts:
-        cand = _shortest_cycle_from(g, v)
+        cand = _shortest_cycle_from(g, v, dead)
         if cand and (best is None or len(cand) < len(best)):
             best = cand
             if len(best) == floor:
@@ -229,7 +239,7 @@ def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
                          {"best": len(best) if best else None, "k_max": k_max})
 
     cycle = Cycle(tuple(best))
-    claimed = set(best)
+    claimed = {*dead, *best}  # the dead never become ends, paths or leg members
     ends: list[int] = []
     paths: list[Path] = []
     for j, v in enumerate(cycle.vertices):
@@ -239,7 +249,7 @@ def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
                     and len(_bfs_prefix(g, w, t, s, avoid=claimed)[0]) == t), None)
         if end is None:
             raise StageError("paths", f"no unclaimed neighbour of cycle vertex {v} has room for a leg",
-                             {"cycle_index": j, "claimed": len(claimed)})
+                             {"cycle_index": j, "claimed": len(claimed) - len(dead)})
         ends.append(end)
         paths.append(Path((v, end)))
         claimed.add(end)
@@ -331,14 +341,14 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     high-degree set.
 
     Krakens are collected in the survivor graph G - U as it is, with no
-    second extraction: the caller's expander pays for deleting U through
-    its deletion budget.  The Q3-free hypothesis is certified by brute
-    force on small graphs and otherwise taken from the caller (pass
-    ``q3_free=True``); what the hypothesis buys algorithmically, the bound
-    on vertices dominated by U, is checked directly either way.  Stages
-    starve with a StageError naming the stage.
+    second extraction (the caller's expander pays for deleting U through
+    its deletion budget) and no copy: each is carved on g's ids, with U and
+    the earlier krakens' surroundings as a dead set.  The Q3-free
+    hypothesis is certified by brute force on small graphs and otherwise
+    taken from the caller (pass ``q3_free=True``); what the hypothesis
+    buys algorithmically, the bound on vertices dominated by U, is checked
+    directly either way.  Stages starve with a StageError naming the stage.
     """
-    g = _rooted(g)  # derived subgraphs label into g's ids
     rc = config.resolve(g.n)
     if seed is None:
         seed = rc.seed
@@ -364,7 +374,7 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     u1 = uset | u0
 
     state = KrakenSearchState(g, rc, uset, high, u0, u1)
-    _build_collection(state, config, seed)
+    _build_collection(state, seed)
     early = _first_qualifying(state)
     if early is not None:
         rep = verify_kraken(g, early)
@@ -421,7 +431,7 @@ def _child_seed(seed: int, tag: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + tag) & 0xFFFFFFFFFFFF
 
 
-def _build_collection(state: KrakenSearchState, config: RunConfig, seed: int) -> None:
+def _build_collection(state: KrakenSearchState, seed: int) -> None:
     g, rc = state.graph, state.cfg
     for round_no in range(rc.kraken_count):
         used = set()
@@ -430,36 +440,21 @@ def _build_collection(state: KrakenSearchState, config: RunConfig, seed: int) ->
         w = (state.u1 | used) - state.high_degree
         wprime = set(ball(g, w, rc.kraken_separation, state.high_degree - w)) if w else set()
         avoid = set(state.forbidden) | wprime
-        survivors = [v for v in range(g.n) if v not in avoid]
-        if len(survivors) < 3:
-            break
-        sub = largest_component(induced_subgraph(g, survivors))
-        if sub.n < 3:
+        verts = _largest_piece(g, avoid)
+        if len(verts) < 3:
             break
         try:
-            local = find_kraken(sub, k_max=rc.k_max, s=rc.m, t=rc.leg_size,
-                                seed=_child_seed(seed, 1000 + round_no),
-                                eps1=config.eps1)
+            kr = _carve(g, verts, avoid, rc.k_max, max(1, rc.m), rc.leg_size,
+                        _child_seed(seed, 1000 + round_no))
         except (PreconditionError, StageError) as exc:
             if not state.collection:
                 raise StageError("kraken-collection", f"no kraken found: {exc}",
-                                 {"survivors": sub.n})
+                                 {"survivors": len(verts)})
             break
-        state.collection.append(_translate_kraken(local, sub.labels))
+        state.collection.append(kr)
         state.links.append({})
     if not state.collection:
         raise StageError("kraken-collection", "no kraken found in the survivor graph", {})
-
-
-def _translate_kraken(kr: Kraken, labels: tuple[int, ...] | range) -> Kraken:
-    remap = lambda v: labels[v]
-    return Kraken(
-        Cycle(tuple(remap(v) for v in kr.cycle.vertices)),
-        tuple(remap(v) for v in kr.ends),
-        tuple(Expansion(remap(l.center), frozenset(remap(v) for v in l.members), l.radius)
-              for l in kr.legs),
-        tuple(Path(tuple(remap(v) for v in p.vertices)) for p in kr.paths),
-        kr.s, kr.t)
 
 
 def _first_qualifying(state: KrakenSearchState) -> Kraken | None:

@@ -636,8 +636,8 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     except that a connection that fails at index 0 because the two
     expansions are disconnected ends that alignment's retries: nothing
     built at index 0 depends on the length, so every length would fail.
-    When every attempt fails, the ``link`` StageError counts the
-    ``alignments`` and ``attempts`` made.
+    Failed pairs give way to the next equal-length pair, within ``max_krakens``;
+    the ``link`` StageError counts ``pairs``, ``alignments`` and ``attempts``.
     """
     if g.n == 0:
         raise PreconditionError("empty graph")
@@ -671,22 +671,35 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
 
     forbidden: set[int] = set()
     found: list[Kraken] = []
-    pair: tuple[Kraken, Kraken] | None = None
+    tried: list[tuple[int, int]] = []  # (cycle length, attempts) of each pair that failed
     for i in range(rc.max_krakens):
-        kr = robust_kraken(h, frozenset(forbidden), config,
-                           seed=_child_seed(seed, 2 + i), q3_free=True)
-        mate = next((old for old in found if old.k == kr.k), None)
-        if mate is not None:
-            pair = (mate, kr)
-            break
+        try:
+            kr = robust_kraken(h, frozenset(forbidden), config,
+                               seed=_child_seed(seed, 2 + i), q3_free=True)
+        except (PreconditionError, StageError):
+            if not tried:
+                raise
+            break  # the pairs that failed to link are the better report
+        for mate in [old for old in found if old.k == kr.k]:
+            pillar, attempts, last_error = _link_pair(g, h, mate, kr, rc, config)
+            if pillar is not None:
+                return pillar
+            tried.append((kr.k, attempts))
         found.append(kr)
         forbidden |= kr.vertex_set()
-    if pair is None:
+    if not tried:
         raise StageError("pigeonhole",
                          f"no two of {len(found)} krakens share a cycle length",
                          {"lengths": sorted(k.k for k in found)})
+    raise StageError("link", f"no alignment and length linked the krakens: {last_error}",
+                     {"cycle_length": tried[-1][0], "pairs": len(tried),
+                      "alignments": sum(2 * k for k, _ in tried),
+                      "attempts": sum(a for _, a in tried)})
 
-    ka, kb = pair
+
+def _link_pair(g: Graph, h: Graph, ka: Kraken, kb: Kraken, rc: ResolvedConfig,
+               config: RunConfig) -> tuple[Pillar | None, int, Exception | None]:
+    """find_pillar's attempts on one pair: (pillar in g's ids or None, attempts, last error)."""
     high = frozenset(v for v in range(h.n) if h.degree(v) >= rc.delta_threshold)
     try:
         parity(h, ka.cycle.vertices[0], kb.cycle.vertices[0])
@@ -716,7 +729,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                     rep = verify_pillar(g, out)
                     if not rep.valid:
                         raise InternalError(f"internal: translated pillar invalid ({rep})")
-                    return out
+                    return out, attempts, None
                 except (StageError, LengthNotRealizedError, NoPathError) as exc:
                     last_error = exc
                     hint = None
@@ -734,5 +747,4 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                     ell = hint if hint is not None else ell + 2
                     if ell > rc.ell_max:
                         break
-    raise StageError("link", f"no alignment and length linked the krakens: {last_error}",
-                     {"cycle_length": ka.k, "alignments": 2 * kb.k, "attempts": attempts})
+    return None, attempts, last_error

@@ -1,8 +1,8 @@
-"""The expander's scans and robust_kraken's set of U-dominated vertices
-against the loops they replaced, kept in ``util`` as references: same
-results, and for the sampler the same random draws.  The graphs are small,
-often disconnected and often not bipartite, and eps1 runs up to 0.9 so that
-violations occur."""
+"""The expander's scans, robust_kraken's set of U-dominated vertices and
+kraken carving in G - U against the code they replaced, kept in ``util``
+as references: same results, and for the sampler the same random draws.
+The graphs are small, often disconnected and often not bipartite, and eps1
+runs up to 0.9 so that violations occur."""
 
 import math
 import random
@@ -14,16 +14,16 @@ from hypothesis import given, settings, strategies as st
 from pillarkit import kraken as kraken_mod
 from pillarkit import primitives as primitives_mod
 from pillarkit.config import RunConfig
-from pillarkit.errors import PreconditionError
+from pillarkit.errors import PreconditionError, StageError
 from pillarkit.expander import (ExpanderParams, _peel, _sample_connected, _violation,
                                 epsilon, greedy_max_cut_sides)
-from pillarkit.generators import cycle_graph, random_regular
-from pillarkit.graph import Graph
-from pillarkit.kraken import robust_kraken
+from pillarkit.generators import cycle_graph, hypercube, random_regular
+from pillarkit.graph import Graph, _largest_piece
+from pillarkit.kraken import _carve, robust_kraken
 from pillarkit.primitives import find_q3_sampled
 
-from util import (ref_greedy_max_cut_sides, ref_peel, ref_sample_connected, ref_u0,
-                  ref_violation)
+from util import (ref_carve, ref_greedy_max_cut_sides, ref_peel, ref_piece,
+                  ref_sample_connected, ref_u0, ref_violation)
 
 
 @st.composite
@@ -126,3 +126,58 @@ def test_find_q3_sampled_searches_each_drawn_vertex_once(monkeypatch):
     rng = random.Random(4)
     drawn = {rng.randrange(g.n) for _ in range(64)}
     assert len(searched) == len(drawn) < 64
+
+
+def _ref_piece_ids(g: Graph, dead) -> list[int]:
+    return list(ref_piece(g, dead).labels)
+
+
+def _outcome(search):
+    """The kraken a search returns, or the stage and details it starved with."""
+    try:
+        return search()
+    except StageError as exc:
+        return exc.stage, exc.details
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=20), st.data())
+def test_largest_piece_same_vertices(g, data):
+    dead = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+    assert list(_largest_piece(g, dead)) == _ref_piece_ids(g, dead)
+
+
+@pytest.mark.parametrize("g, dead, piece", [
+    (Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]), {3}, [0, 1, 2]),
+    # two tied pieces ahead of a smaller one: the walk reaches both
+    (Graph(5, [(0, 1), (2, 3)]), set(), [0, 1]),
+    (Graph(6, [(0, 1), (1, 2), (3, 4)]), {1}, [3, 4]),
+    (Graph(3, [(0, 1), (1, 2)]), {0, 1, 2}, []),
+])
+def test_largest_piece_ties_and_everything_dead(g, dead, piece):
+    assert list(_largest_piece(g, dead)) == _ref_piece_ids(g, dead) == piece
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs(max_n=20), st.data(), st.integers(3, 8), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 2 ** 32), st.integers(1, 24))
+def test_carve_same_kraken_as_on_a_copy(g, data, k_max, s, t, seed, starts):
+    dead = data.draw(st.frozensets(st.integers(0, g.n - 1), max_size=g.n // 2))
+    piece = _largest_piece(g, dead)
+    if piece:
+        assert (_outcome(lambda: _carve(g, piece, dead, k_max, s, t, seed, starts))
+                == _outcome(lambda: ref_carve(g, dead, k_max, s, t, seed, starts)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_carve_in_a_bipartite_piece_of_a_non_bipartite_host(seed):
+    """The cube plus a triangle through vertex 0: deleting 8 leaves the
+    bipartite cube with a pendant vertex, where the host's floor of 3 only
+    keeps the cycle search from stopping early."""
+    g = Graph(10, hypercube(3).edges() + [(0, 8), (8, 9), (9, 0)])
+    dead = frozenset({8})
+    piece = _largest_piece(g, dead)
+    assert not g.is_bipartite() and ref_piece(g, dead).is_bipartite()
+    kr = _carve(g, piece, dead, 6, 2, 1, seed, 3)
+    assert kr == ref_carve(g, dead, 6, 2, 1, seed, 3)
+    assert kr.k == 4

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from pillarkit import expander, kraken, pillar
+from pillarkit import expander, graph, kraken, pillar, primitives
 from pillarkit.config import RunConfig
 from pillarkit.errors import InternalError, PreconditionError, StageError
 from pillarkit.expander import _max_cut_graph
@@ -402,3 +402,41 @@ class TestOneExtraction:
     def test_find_pillar_extracts_once_per_target(self, extractions):
         find_pillar(random_regular(2000, 12, 0), RunConfig(d=12), 0)
         assert extractions and len(extractions) == len(set(extractions))
+
+
+@pytest.fixture
+def copies(monkeypatch) -> list[str]:
+    """The name of every induced_subgraph and largest_component call,
+    wherever a module imported it from."""
+    calls: list[str] = []
+    for name in ("induced_subgraph", "largest_component"):
+        real = getattr(graph, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for mod in (graph, expander, kraken, pillar, primitives):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestNoSurvivorCopies:
+    """robust_kraken carves every kraken in G - U on the host's own ids:
+    no collection round copies the survivor graph."""
+
+    def test_random_regular_minus_a_kraken(self, copies):
+        g = random_regular(2000, 12, 0)
+        u = robust_kraken(g, frozenset(), RunConfig(d=12), seed=0, q3_free=True).vertex_set()
+        kr = robust_kraken(g, u, RunConfig(d=12), seed=1, q3_free=True)
+        assert verify_kraken(g, kr).valid and not kr.vertex_set() & u
+        assert copies == []
+
+    @pytest.mark.parametrize("g", [hub_graph(0), covered_hub_graph(0, 10)],
+                             ids=["hub", "covered-hub"])
+    def test_hub_graphs(self, copies, g):
+        state = robust_kraken(g, frozenset(), RunConfig(d=12), seed=0, q3_free=True,
+                              return_state=True)[1]
+        assert len(state.collection) > 1  # rounds after the first ran too
+        assert copies == []

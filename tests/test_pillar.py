@@ -6,8 +6,8 @@ from pillarkit import pillar as pillar_mod
 from pillarkit.config import RunConfig
 from pillarkit.errors import (LengthNotRealizedError, PreconditionError,
                               StageError)
-from pillarkit.generators import (cycle_graph, hypercube, subdivided_prism,
-                                  subdivided_prism_rungs)
+from pillarkit.generators import (cycle_graph, hypercube, random_regular,
+                                  subdivided_prism, subdivided_prism_rungs)
 from pillarkit.graph import Cycle, Graph, Path
 from pillarkit.kraken import Kraken
 from pillarkit.pillar import (Adjuster, Detour, Pillar, _check_link_pair,
@@ -454,6 +454,22 @@ class TestLinkWork:
                 assert next_cycle != cycle
         assert stops == n_stops
 
+    def test_next_pair_links_when_the_first_pair_fails(self, monkeypatch):
+        # every attempt on krakens 0 and 1 fails here; kraken 2 links with 0
+        tried = []
+        real = pillar_mod._link_pair
+
+        def spy(*args):
+            out = real(*args)
+            tried.append(out[0] is not None)
+            return out
+
+        monkeypatch.setattr(pillar_mod, "_link_pair", spy)
+        g = random_regular(10000, 12, 1311)
+        p = find_pillar(g, RunConfig(d=12), 1311)
+        assert verify_pillar(g, p).valid
+        assert tried[0] is False and tried[-1] is True
+
     @pytest.mark.parametrize("index, cause, per_alignment", [
         (1, "LengthNotRealizedError", 8),  # every retry is made
         (0, "NoPathError", 1),             # the first attempt ends the alignment
@@ -469,6 +485,7 @@ class TestLinkWork:
         with pytest.raises(StageError) as err:
             find_pillar(g, _planted_config(), seed=0)
         assert err.value.stage == "link"
+        assert err.value.details["pairs"] == 1  # no third kraken to pair
         k = err.value.details["cycle_length"]
         assert err.value.details["alignments"] == 2 * k
         assert err.value.details["attempts"] == 2 * k * per_alignment

@@ -7,14 +7,14 @@ oracles are plain enumerations (or networkx), so agreement is meaningful.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 
 import networkx as nx
 
 from pillarkit.expander import ExpanderParams, epsilon
 from pillarkit.generators import random_regular, subdivided_prism
-from pillarkit.graph import Cycle, Graph, Path
-from pillarkit.kraken import Kraken
+from pillarkit.graph import Cycle, Graph, Path, induced_subgraph
+from pillarkit.kraken import Kraken, find_kraken
 from pillarkit.primitives import Expansion
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -325,3 +325,34 @@ def ref_u0(g: Graph, uset: frozenset[int], d: int) -> frozenset[int]:
     """The vertices outside U with at least d/2 neighbors in U."""
     return frozenset(v for v in range(g.n)
                      if v not in uset and sum(1 for w in g.neighbors(v) if w in uset) >= d / 2)
+
+
+# -- slow reference for carving in G - U ---------------------------------
+# The route the kraken collection took before it carved on the host's ids:
+# copy the survivors, keep the copy's largest component, carve a kraken in
+# that, and map it back through the copy's labels.
+
+
+def ref_piece(g: Graph, dead) -> Graph:
+    """The largest component of g minus ``dead`` as a copy (ties: the
+    component with the lowest vertex)."""
+    sub = induced_subgraph(g, [v for v in range(g.n) if v not in dead])
+    if sub.n == 0 or max(sub.comp) == 0:
+        return sub
+    sizes = Counter(sub.comp)
+    best = max(sizes, key=lambda c: (sizes[c], -c))
+    return induced_subgraph(sub, [v for v in range(sub.n) if sub.comp[v] == best])
+
+
+def ref_carve(g: Graph, dead, k_max: int, s: int, t: int, seed: int,
+              sample_starts: int) -> Kraken:
+    sub = ref_piece(g, dead)
+    kr = find_kraken(sub, k_max, s, t, seed, sample_starts=sample_starts)
+    remap = lambda v: sub.labels[v]
+    return Kraken(
+        Cycle(tuple(remap(v) for v in kr.cycle.vertices)),
+        tuple(remap(v) for v in kr.ends),
+        tuple(Expansion(remap(l.center), frozenset(remap(v) for v in l.members), l.radius)
+              for l in kr.legs),
+        tuple(Path(tuple(remap(v) for v in p.vertices)) for p in kr.paths),
+        kr.s, kr.t)
