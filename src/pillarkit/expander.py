@@ -243,7 +243,7 @@ def _max_cut_graph(g: Graph) -> Graph:
         return g
     side = greedy_max_cut_sides(g)
     return Graph._from_rows(tuple([tuple([w for w in row if side[w] != side[u]])
-                                   for u, row in enumerate(g._adj)]), g.labels)
+                                   for u, row in enumerate(g._adj)]))
 
 
 def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
@@ -267,9 +267,13 @@ def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
 
 def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
                      trials: int = 200, sample_cap: int | None = None,
-                     max_rounds: int = 30) -> Graph:
+                     max_rounds: int = 30) -> tuple[Graph, list[int]]:
     """Extract a bipartite subgraph H with min degree >= d that passes the
-    sampled expansion check.
+    sampled expansion check; return (H, ids).
+
+    ``ids`` is the sorted list of g's ids that H keeps: vertex i of H is
+    ``ids[i]`` in g.  This is the only id map the package has.  When H
+    keeps every vertex of a bipartite g, H is g itself.
 
     Needs average degree at least 8d.  Bipartiteness comes from the
     stored two-coloring when the input is bipartite, else from a greedy
@@ -294,7 +298,7 @@ def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
         report = check_expansion(h, params, "sampled", seed=seed + round_no,
                                  trials=trials, sample_cap=sample_cap)
         if report.clean:
-            return h
+            return h, keep_sorted
         witness = {keep_sorted[v] for v in report.witness}  # back to cut ids
         rest = keep - witness
         if not rest or not witness:

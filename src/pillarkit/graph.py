@@ -4,13 +4,12 @@ BFS/set primitives (balls, parity, set-degrees) everything else consumes.
 Vertices are dense integers ``0..n-1``.  Deletions are never expressed by
 mutation: operations take an ``avoid`` set and work in the graph minus
 that set; :func:`_largest_piece`, the one way to name the largest piece
-of G - U, gives its ids in G, so no search copies it.  A graph's
-``labels`` side table maps its ids to the ids of its root graph:
-``Graph(n, edges)`` is its own root (``labels == range(n)``), and a
-derived graph composes its parent's labels, so a subgraph of a subgraph
-still maps straight to the root.  ``Graph(n, edges)`` validates outside
-input; derived graphs filter a valid parent's rows and trust them, and
-one that would equal its parent is the parent itself.
+of G - U, gives its ids in G, so no search copies it.  A graph carries no
+id map: :func:`induced_subgraph` numbers the kept vertices in increasing
+order, so a caller that needs to map back keeps the sorted keep list.
+``Graph(n, edges)`` validates outside input; derived graphs filter a valid
+parent's rows and trust them, and one that would equal its parent is the
+parent itself.
 
 Every breadth-first search in the package runs on one kernel,
 :func:`bfs_layers`: it yields the layers of a search in g minus an
@@ -27,8 +26,7 @@ peels by degree and does not traverse.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Container, Iterable, Iterator, Sequence
-from copy import copy
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -57,9 +55,9 @@ class Graph:
     keeps all four properties, so derived graphs skip the checks.
     """
 
-    __slots__ = ("n", "m", "_adj", "side", "comp", "labels")
+    __slots__ = ("n", "m", "_adj", "side", "comp")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[int] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         nbrs: list[set[int]] = [set() for _ in range(n)]
         ids = list(range(n))  # rows share one int object per vertex, not one per edge end
         for u, v in edges:
@@ -69,21 +67,18 @@ class Graph:
                 raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
             nbrs[u].add(ids[v])
             nbrs[v].add(ids[u])
-        if labels is not None and len(labels) != n:
-            raise PreconditionError("labels length must equal n")
-        self._adopt(tuple(tuple(sorted(s)) for s in nbrs), range(n) if labels is None else labels)
+        self._adopt(tuple(tuple(sorted(s)) for s in nbrs))
 
     @classmethod
-    def _from_rows(cls, rows: tuple[tuple[int, ...], ...], labels: Sequence[int]) -> "Graph":
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "Graph":
         g = cls.__new__(cls)
-        g._adopt(rows, labels)
+        g._adopt(rows)
         return g
 
-    def _adopt(self, rows: tuple[tuple[int, ...], ...], labels: Sequence[int]) -> None:
+    def _adopt(self, rows: tuple[tuple[int, ...], ...]) -> None:
         self.n = n = len(rows)
         self.m = sum(map(len, rows)) // 2
         self._adj = rows
-        self.labels = labels
         # Component ids follow each component's lowest vertex, and a connected
         # bipartite graph has one coloring with that vertex on side 0.
         # Not on bfs_layers: this walk checks every edge for a same-side end.
@@ -147,10 +142,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, bipartite={self.side is not None})"
-
-    def original_ids(self, vertices: Iterable[int]) -> list[int]:
-        """Map this graph's ids to its root graph's ids."""
-        return [self.labels[v] for v in vertices]
 
 
 @dataclass(frozen=True)
@@ -433,25 +424,15 @@ def induced_degree(g: Graph, v: int, target: Iterable[int]) -> int:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Induced subgraph relabeled to 0..k-1; labels map to g's root ids.
-    g itself when ``vertices`` covers g: the copy would equal it."""
+    """Induced subgraph on ``vertices``: vertex i of the result is the i-th
+    smallest kept id of g.  g itself when ``vertices`` covers g: the copy
+    would equal it."""
     keep = sorted(set(vertices))
     if len(keep) == g.n:
         return g
     index = {v: i for i, v in enumerate(keep)}
     rows = tuple([tuple([index[w] for w in g._adj[v] if w in index]) for v in keep])
-    return Graph._from_rows(rows, tuple([g.labels[v] for v in keep]))
-
-
-def _rooted(g: Graph) -> Graph:
-    """g as its own root, sharing g's rows.  A search roots its input before
-    it derives subgraphs, so their labels lead to the input's ids even when
-    the input is itself a subgraph."""
-    if g.labels == range(g.n):
-        return g
-    root = copy(g)
-    root.labels = range(g.n)
-    return root
+    return Graph._from_rows(rows)
 
 
 def _largest_piece(g: Graph, dead: set[int] | frozenset[int] = _EMPTY) -> range | list[int]:

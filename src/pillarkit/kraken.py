@@ -23,8 +23,8 @@ from itertools import chain
 
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, NoPathError, PreconditionError, StageError
-from .graph import (Cycle, Graph, Path, _largest_piece, ball, bfs_layers, path_within,
-                    set_distance, shortest_set_path)
+from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
+                    path_within, set_distance, shortest_set_path)
 from .primitives import (Expansion, _distances_within, connect_short, find_large_ball,
                          find_q3_bruteforce, trim_expansion)
 from .validity import ValidityReport
@@ -612,14 +612,6 @@ def _collective_round(state: KrakenSearchState):
     return ("starve", sizes)
 
 
-def _chain_from(parents: dict[int, int | None], v: int) -> list[int]:
-    chain = [v]
-    while parents[chain[-1]] is not None:
-        chain.append(parents[chain[-1]])
-    chain.reverse()
-    return chain
-
-
 def _apply_shortcut(state: KrakenSearchState, i: int, j: int, j0: int,
                     link: LegLink, hits: set[int], parents: dict[int, int | None]) -> None:
     """Replace the initial segment of an overlapped link path by a route
@@ -630,7 +622,7 @@ def _apply_shortcut(state: KrakenSearchState, i: int, j: int, j0: int,
     idx = max(verts.index(h) for h in hits)
     z = verts[idx]
     y = min(v for v in g.neighbors(z) if v in parents)
-    new_path = Path(tuple(_chain_from(parents, y)) + verts[idx:])
+    new_path = Path(_trace(parents, y).vertices + verts[idx:])
     if new_path.length >= link.path.length:
         raise InternalError("internal: shortcut rewrite failed to shorten the path")
     del state.links[i][j]
@@ -677,7 +669,7 @@ def _connect_winner(state: KrakenSearchState, i: int, j0: int,
                              {"ball": len(ball_set), "targets": len(targets)})
         inside = [p.vertices[0]]
         tail = list(p.vertices[1:])
-    combined = _chain_from(parents, inside[0]) + tail
+    combined = list(_trace(parents, inside[0]).vertices) + tail
     if len(combined) - 1 > rc.q_len_cap:
         raise StageError("link-starved",
                          f"anchor route of length {len(combined) - 1} over the cap {rc.q_len_cap}",

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from .config import ResolvedConfig, RunConfig
 from .errors import (InternalError, LengthNotRealizedError, NoPathError,
                      PreconditionError, StageError)
-from .graph import (Cycle, Graph, Path, _rooted, _trace, ball, bfs_layers, distances_from,
-                    largest_component, parity, path_within, set_distance)
+from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
+                    distances_from, induced_subgraph, parity, path_within, set_distance)
 from .kraken import Kraken, _child_seed, robust_kraken, verify_kraken
 from .primitives import (Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
@@ -612,8 +612,8 @@ def _rotate_kraken(kr: Kraken, shift: int, reflect: bool) -> Kraken:
         kr.s, kr.t)
 
 
-def _translate_pillar(p: Pillar, labels: tuple[int, ...] | range) -> Pillar:
-    remap = lambda v: labels[v]
+def _translate_pillar(p: Pillar, ids: list[int]) -> Pillar:
+    remap = lambda v: ids[v]
     return Pillar(
         p.s, p.ell,
         Cycle(tuple(remap(v) for v in p.cycle1.vertices)),
@@ -641,29 +641,30 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     """
     if g.n == 0:
         raise PreconditionError("empty graph")
-    g = _rooted(g)  # derived subgraphs label into g's ids
     rc = config.resolve(g.n)
     # pass to a bipartite expanding subgraph at the configured degree
-    # target, or at the largest target the average degree supports
-    h = None
+    # target, or at the largest target the average degree supports; too
+    # sparse for either, search g as it is.  Vertex i of h is ids[i] in g.
+    h, ids = g, range(g.n)
     for target in sorted({rc.d_target, max(1, int(g.average_degree() // 8))},
                          reverse=True):
         try:
-            h = largest_component(extract_expander(
+            h, ids = extract_expander(
                 g, target, config.params, seed=_child_seed(seed, 0),
-                trials=rc.expansion_trials, sample_cap=rc.expansion_sample_cap))
+                trials=rc.expansion_trials, sample_cap=rc.expansion_sample_cap)
             break
         except (PreconditionError, StageError):
             continue
-    if h is None:
-        h = largest_component(g)  # too sparse to pass to a denser subgraph
+    piece = _largest_piece(h)
+    h = induced_subgraph(h, piece)
+    ids = [ids[v] for v in piece]
 
     if h.n <= rc.q3_cap:
         cube = find_q3_bruteforce(h, cap=rc.q3_cap)
     else:
         cube = find_q3_sampled(h, _child_seed(seed, 1), ball_cap=rc.q3_cap)
     if cube is not None:
-        pillar = _translate_pillar(pillar_from_q3(cube), h.labels)
+        pillar = _translate_pillar(pillar_from_q3(cube), ids)
         rep = verify_pillar(g, pillar)
         if not rep.valid:
             raise InternalError(f"internal: cube pillar invalid ({rep})")
@@ -681,7 +682,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                 raise
             break  # the pairs that failed to link are the better report
         for mate in [old for old in found if old.k == kr.k]:
-            pillar, attempts, last_error = _link_pair(g, h, mate, kr, rc, config)
+            pillar, attempts, last_error = _link_pair(g, h, ids, mate, kr, rc, config)
             if pillar is not None:
                 return pillar
             tried.append((kr.k, attempts))
@@ -697,7 +698,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                       "attempts": sum(a for _, a in tried)})
 
 
-def _link_pair(g: Graph, h: Graph, ka: Kraken, kb: Kraken, rc: ResolvedConfig,
+def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken, rc: ResolvedConfig,
                config: RunConfig) -> tuple[Pillar | None, int, Exception | None]:
     """find_pillar's attempts on one pair: (pillar in g's ids or None, attempts, last error)."""
     high = frozenset(v for v in range(h.n) if h.degree(v) >= rc.delta_threshold)
@@ -725,7 +726,7 @@ def _link_pair(g: Graph, h: Graph, ka: Kraken, kb: Kraken, rc: ResolvedConfig,
                     rep = verify_pillar(h, pillar)
                     if not rep.valid:
                         raise InternalError(f"internal: linked pillar invalid ({rep})")
-                    out = _translate_pillar(pillar, h.labels)
+                    out = _translate_pillar(pillar, ids)
                     rep = verify_pillar(g, out)
                     if not rep.valid:
                         raise InternalError(f"internal: translated pillar invalid ({rep})")

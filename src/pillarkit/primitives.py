@@ -55,6 +55,7 @@ class Expansion:
 
 
 def _distances_within(g: Graph, start: int, members: frozenset[int]) -> dict[int, int]:
+    """BFS distances from start inside members, keyed in discovery order."""
     dist: dict[int, int] = {}
     for d, layer in enumerate(bfs_layers(g, [start], within=members)):
         dist.update(dict.fromkeys(layer, d))
@@ -388,16 +389,12 @@ def trim_expansion(g: Graph, e: Expansion, d_target: int) -> Expansion:
     """
     if not 1 <= d_target <= e.size:
         raise PreconditionError(f"need 1 <= D' <= {e.size} (got {d_target})")
-    order = _bfs_order_within(g, e.center, e.members)
+    if e.center not in e.members:
+        raise PreconditionError("center not a member")
+    order = list(_distances_within(g, e.center, e.members))
     if len(order) < e.size:
         raise PreconditionError("expansion members are not connected to the center")
     return Expansion(e.center, frozenset(order[:d_target]), e.radius)
-
-
-def _bfs_order_within(g: Graph, start: int, members: frozenset[int]) -> list[int]:
-    if start not in members:
-        raise PreconditionError("center not a member")
-    return [v for layer in bfs_layers(g, [start], within=members) for v in layer]
 
 
 def restrict_and_trim(g: Graph, e: Expansion, d_target: int,

@@ -144,5 +144,5 @@ def test_extracted_expander_rows(seed):
     """rr(2000, 12) is not bipartite, so this runs the greedy max-cut, the
     peel and the sampled check."""
     g = random_regular(2000, 12, seed)
-    h = extract_expander(g, 1, ExpanderParams(0.1, 0.2, 12), seed=seed, trials=40)
-    assert _sha([h.edges(), list(h.labels)]) == EXTRACTED[seed]
+    h, ids = extract_expander(g, 1, ExpanderParams(0.1, 0.2, 12), seed=seed, trials=40)
+    assert _sha([h.edges(), list(ids)]) == EXTRACTED[seed]

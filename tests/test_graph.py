@@ -199,17 +199,15 @@ class TestInducedDegree:
 
 
 class TestSubgraphs:
-    def test_induced_labels_map_back(self):
-        g = cycle_graph(6)
-        h = induced_subgraph(g, [1, 2, 3])
-        assert h.n == 3 and h.m == 2
-        assert h.original_ids(range(3)) == [1, 2, 3]
-
-    def test_labels_compose(self):
+    def test_induced_ids_follow_the_sorted_keep_set(self):
+        """Vertex i of an induced subgraph is the i-th smallest kept id,
+        whatever order the keep set comes in."""
         g = cycle_graph(8)
-        h = induced_subgraph(g, [2, 3, 4, 5])
-        hh = induced_subgraph(h, [1, 2])
-        assert hh.original_ids(range(2)) == [3, 4]
+        keep = [6, 1, 0, 7, 2, 1]
+        ids = sorted(set(keep))  # [0, 1, 2, 6, 7]
+        h = induced_subgraph(g, keep)
+        assert h.n == 5 and h.edges() == [(0, 1), (0, 4), (1, 2), (3, 4)]
+        assert all(g.has_edge(ids[a], ids[b]) for a, b in h.edges())
 
     def test_largest_component(self):
         g = load_graph("0 1\n1 2\n3 4")
@@ -222,14 +220,12 @@ class TestSubgraphs:
 @st.composite
 def graph_and_keep(draw):
     """Small graphs (often disconnected, non-bipartite or with isolated
-    vertices), with or without labels, and a keep set that is empty,
-    complete or arbitrary."""
+    vertices) and a keep set that is empty, complete or arbitrary."""
     n = draw(st.integers(0, 12))
     ids = st.integers(0, max(n - 1, 0))
     edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
                           max_size=30)) if n > 1 else []
-    labels = draw(st.none() | st.permutations(range(100, 100 + n)).map(tuple))
-    g = Graph(n, edges, labels)
+    g = Graph(n, edges)
     keep = draw(st.just(set()) | st.just(set(range(n))) | st.sets(ids, max_size=n))
     return g, keep
 
@@ -239,11 +235,11 @@ def _reference_induced(g: Graph, keep) -> Graph:
     keep = sorted(keep)
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
-    return Graph(len(keep), edges, tuple(g.labels[v] for v in keep))
+    return Graph(len(keep), edges)
 
 
 def _fields(g: Graph):
-    return g.n, g._adj, g.m, g.side, g.comp, tuple(g.labels)
+    return g.n, g._adj, g.m, g.side, g.comp
 
 
 class TestRowConstructor:
@@ -274,7 +270,7 @@ class TestRowConstructor:
             assert cut is g
             return
         side = greedy_max_cut_sides(g)
-        ref = Graph(g.n, [(u, v) for u, v in g.edges() if side[u] != side[v]], g.labels)
+        ref = Graph(g.n, [(u, v) for u, v in g.edges() if side[u] != side[v]])
         assert _fields(cut) == _fields(ref)
 
     def test_outside_edges_still_validated(self):
@@ -282,7 +278,5 @@ class TestRowConstructor:
             Graph(3, [(1, 1)])
         with pytest.raises(PreconditionError):
             Graph(3, [(0, 3)])
-        with pytest.raises(PreconditionError):
-            Graph(3, [(0, 1)], labels=(7, 8))
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1 and g.neighbors(0) == (1,)

@@ -1,6 +1,7 @@
-"""Searches on inputs whose ids are not the root's: padded graphs, whose
-expander extraction drops vertices, and induced subgraphs.  Every result
-must be valid in the graph the search was given."""
+"""Searches on inputs whose ids differ from those of a graph they came
+from: padded graphs, whose expander extraction drops vertices, and
+induced subgraphs.  A graph carries no id map, so every result must be
+valid in, and use the ids of, the graph the search was given."""
 
 import dataclasses
 
@@ -41,10 +42,6 @@ def _k3030_and_ladder() -> Graph:
 
 
 class TestRoots:
-    def test_built_graph_is_its_own_root(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert g.labels == range(4)
-
     def test_full_keep_set_returns_the_graph(self):
         g = random_regular(50, 4, seed=0)
         assert induced_subgraph(g, range(g.n)) is g

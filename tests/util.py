@@ -330,25 +330,27 @@ def ref_u0(g: Graph, uset: frozenset[int], d: int) -> frozenset[int]:
 # -- slow reference for carving in G - U ---------------------------------
 # The route the kraken collection took before it carved on the host's ids:
 # copy the survivors, keep the copy's largest component, carve a kraken in
-# that, and map it back through the copy's labels.
+# that, and map it back through the ids the copy kept.
 
 
-def ref_piece(g: Graph, dead) -> Graph:
+def ref_piece(g: Graph, dead) -> tuple[Graph, list[int]]:
     """The largest component of g minus ``dead`` as a copy (ties: the
-    component with the lowest vertex)."""
-    sub = induced_subgraph(g, [v for v in range(g.n) if v not in dead])
+    component with the lowest vertex), with the ids of g it keeps in order."""
+    alive = [v for v in range(g.n) if v not in dead]
+    sub = induced_subgraph(g, alive)
     if sub.n == 0 or max(sub.comp) == 0:
-        return sub
+        return sub, alive
     sizes = Counter(sub.comp)
     best = max(sizes, key=lambda c: (sizes[c], -c))
-    return induced_subgraph(sub, [v for v in range(sub.n) if sub.comp[v] == best])
+    piece = [v for v in range(sub.n) if sub.comp[v] == best]
+    return induced_subgraph(sub, piece), [alive[v] for v in piece]
 
 
 def ref_carve(g: Graph, dead, k_max: int, s: int, t: int, seed: int,
               sample_starts: int) -> Kraken:
-    sub = ref_piece(g, dead)
+    sub, ids = ref_piece(g, dead)
     kr = find_kraken(sub, k_max, s, t, seed, sample_starts=sample_starts)
-    remap = lambda v: sub.labels[v]
+    remap = lambda v: ids[v]
     return Kraken(
         Cycle(tuple(remap(v) for v in kr.cycle.vertices)),
         tuple(remap(v) for v in kr.ends),
