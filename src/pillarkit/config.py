@@ -52,8 +52,6 @@ _CONSTANTS: list[tuple[str, int, object]] = [
     ("q_len_cap", 100_000, lambda n, c, r: 3 * r["m"]),
     ("u_cap", 100_000, lambda n, c, r: _powint(math.log(n), 2 * r["b"])),
     ("u0_cap", 100_000, lambda n, c, r: _powint(math.log(n), 6 * r["b"])),
-    # ball size a free leg must reach during collective expansion
-    ("collective_threshold", 16, lambda n, c, r: _powint(math.log(n), 200 * r["b"])),
     # size of the trimmed expansions handed to the exact-length connector
     ("link_expansion_size", 2, lambda n, c, r: _powint(math.log(n), 4 * r["b"])),
     ("ell_min", 1, lambda n, c, r: _powint(math.log(n), 7)),
@@ -97,6 +95,7 @@ class RunConfig:
         for key in self.overrides:
             if key not in known:
                 raise PreconditionError(f"unknown config key {key!r}")
+        self.params  # raises PreconditionError on a bad (eps1, eps2, d) triple
 
     @property
     def params(self) -> ExpanderParams:
@@ -137,28 +136,29 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        pairs: dict[str, str] = {}
+        values: dict = {}
         for line_no, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise PreconditionError(f"config line {line_no}: expected key = value")
-            key, _, val = line.partition("=")
-            pairs[key.strip()] = val.strip()
-        cfg = cls(
-            eps1=float(pairs.pop("eps1", 0.1)),
-            eps2=float(pairs.pop("eps2", 0.2)),
-            d=int(pairs.pop("d", 4)),
-            mode=pairs.pop("mode", "relaxed"),
-        )
-        cap = pairs.pop("expansion_sample_cap", None)
-        if cap is not None:
-            cfg.expansion_sample_cap = None if cap.lower() == "none" else int(cap)
-        for key, val in pairs.items():
-            cfg.overrides[key] = int(val)
-        cfg.__post_init__()
-        return cfg
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key == "mode":
+                values[key] = val
+            elif key == "expansion_sample_cap" and val.lower() == "none":
+                values[key] = None
+            else:
+                kind = float if key in ("eps1", "eps2") else int
+                try:
+                    values[key] = kind(val)
+                except ValueError:
+                    what = "a number" if kind is float else "an integer"
+                    raise PreconditionError(
+                        f"config line {line_no}: {key} = {val!r} is not {what}") from None
+        fields = {k: values.pop(k) for k in ("eps1", "eps2", "d", "mode", "expansion_sample_cap")
+                  if k in values}
+        return cls(**fields, overrides=values)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,6 @@ class ResolvedConfig:
     q_len_cap: int
     u_cap: int
     u0_cap: int
-    collective_threshold: int
     link_expansion_size: int
     ell_min: int
     ell_max: int

@@ -17,7 +17,7 @@ Every breadth-first search in the package runs on one kernel,
 a radius or a size.  Five walks stay separate, each for a reason given
 where it is written: the two-coloring in ``Graph``, which checks every
 edge as it walks; ``kraken._shortest_cycle_from``, which needs non-tree
-edges as it meets them; ``kraken._collective_round``, which counts the
+edges as it meets them; ``kraken._shortcut_round``, which counts the
 link vertices it refuses to grow through; ``expander._sample_connected``,
 which takes the frontier in random order; and ``expander._peel``, which
 peels by degree and does not traverse.

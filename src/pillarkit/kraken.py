@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .config import ResolvedConfig, RunConfig
-from .errors import InternalError, NoPathError, PreconditionError, StageError
+from .errors import InternalError, PreconditionError, StageError
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
                     path_within, set_distance, shortest_set_path)
-from .primitives import (Expansion, _distances_within, connect_short, find_large_ball,
-                         find_q3_bruteforce, trim_expansion)
+from .primitives import (Expansion, _distances_within, find_large_ball, find_q3_bruteforce,
+                         trim_expansion)
 from .validity import ValidityReport
 
 @dataclass(frozen=True)
@@ -348,6 +348,12 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     taken from the caller (pass ``q3_free=True``); what the hypothesis
     buys algorithmically, the bound on vertices dominated by U, is checked
     directly either way.  Stages starve with a StageError naming the stage.
+
+    If no collected kraken qualifies, anchors are built and each round of
+    the link loop links what free legs it can, assembles the first fully
+    linked kraken, or else makes one shortcut rewrite and goes round again.
+    Without a rewrite, or after ``max_link_rounds`` rounds, it raises stage
+    ``link-rounds`` with each kraken's links and legs and the anchor count.
     """
     rc = config.resolve(g.n)
     if seed is None:
@@ -382,23 +388,18 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
             raise InternalError(f"internal: collected kraken invalid ({rep})")
         return (early, state) if return_state else early
     _build_anchors(state, config)
-    for round_no in range(rc.max_link_rounds):
+    for _ in range(rc.max_link_rounds):
         _augment_links(state)
         full = next((i for i in range(len(state.collection)) if not state.free_legs(i)), None)
         if full is not None:
             kr = _assemble(state, full)
             return (kr, state) if return_state else kr
-        outcome = _collective_round(state)
-        if outcome[0] == "rewrite":
-            continue
-        if outcome[0] == "winner":
-            _connect_winner(state, *outcome[1:])
-            continue
-        raise StageError("collective-expansion",
-                         "no free leg expanded to the threshold",
-                         {"final_sizes": outcome[1], "threshold": rc.collective_threshold})
-    raise StageError("link-rounds", f"no kraken fully linked in {rc.max_link_rounds} rounds",
-                     {"linked": [len(l) for l in state.links]})
+        if not _shortcut_round(state):
+            break
+    raise StageError("link-rounds", "no kraken fully linked",
+                     {"linked": [len(l) for l in state.links],
+                      "legs": [kr.k for kr in state.collection],
+                      "anchors": len(state.anchors)})
 
 
 def _qualifies(g: Graph, kr: Kraken, high: frozenset[int], uset: frozenset[int],
@@ -550,26 +551,20 @@ def _augment_links(state: KrakenSearchState) -> None:
                 state.check()
 
 
-def _collective_round(state: KrakenSearchState):
+def _shortcut_round(state: KrakenSearchState) -> bool:
     """Grow a ball from one free leg of every kraken for ell0 steps.
 
     While growing, enforce the shortcut rule: an existing link path whose
     vertices meet the ball's neighborhood in more than r+1 vertices by
     step r gets its initial segment rewritten through the ball (which
-    strictly shortens it and re-seats it on the free leg).  Returns the
-    first rewrite, else the first kraken whose ball hits the collective
-    threshold, else the final sizes.
+    strictly shortens it and re-seats it on the free leg, freeing the leg
+    it left).  Makes the first such rewrite and returns True, else False.
     """
     # Not on bfs_layers: each step counts the link vertices it refuses to grow through.
     g, rc = state.graph, state.cfg
-    sizes: list[int] = []
-    grown: list[tuple[int, dict[int, int | None]] | None] = []
-    for i in range(len(state.collection)):
-        kr = state.collection[i]
+    for i, kr in enumerate(state.collection):
         free = state.free_legs(i)
         if not free:
-            sizes.append(0)
-            grown.append(None)
             continue
         j0 = free[0]
         a = kr.legs[j0].members
@@ -595,7 +590,7 @@ def _collective_round(state: KrakenSearchState):
                 hits = boundary & set(link.path.vertices)
                 if len(hits) > r + 1:
                     _apply_shortcut(state, i, j, j0, link, hits, parents)
-                    return ("rewrite", i)
+                    return True
             new = boundary - c
             for w in sorted(new):
                 if w not in parents:
@@ -604,12 +599,7 @@ def _collective_round(state: KrakenSearchState):
             reached |= new
             if not new:
                 break
-        sizes.append(len(reached))
-        grown.append((j0, parents))
-    for i, size in enumerate(sizes):
-        if grown[i] is not None and size >= rc.collective_threshold:
-            return ("winner", i, grown[i][0], grown[i][1])
-    return ("starve", sizes)
+    return False
 
 
 def _apply_shortcut(state: KrakenSearchState, i: int, j: int, j0: int,
@@ -627,56 +617,6 @@ def _apply_shortcut(state: KrakenSearchState, i: int, j: int, j0: int,
         raise InternalError("internal: shortcut rewrite failed to shorten the path")
     del state.links[i][j]
     state.links[i][j0] = LegLink(link.kind, new_path, link.anchor)
-    state.check()
-
-
-def _connect_winner(state: KrakenSearchState, i: int, j0: int,
-                    parents: dict[int, int | None]) -> None:
-    """Connect the expanded free leg to an anchor its kraken has not used,
-    then record the combined path as a new anchor link."""
-    g, rc = state.graph, state.cfg
-    kr = state.collection[i]
-    used = state.used_anchors(i)
-    fresh = [a_idx for a_idx in range(len(state.anchors)) if a_idx not in used]
-    if not fresh:
-        raise StageError("anchors-exhausted",
-                         f"kraken {i} has a free leg but every anchor is already linked to it",
-                         {"anchors": len(state.anchors)})
-    targets = set()
-    for a_idx in fresh:
-        targets |= state.anchors[a_idx].members
-    ball_set = set(parents)
-    prior = set()
-    for a_idx in used:
-        prior |= state.anchors[a_idx].members
-    b = set(kr.cycle.vertices)
-    for p in kr.paths:
-        b |= p.vertex_set()
-    b.discard(kr.ends[j0])
-    c = set()
-    for link in state.links[i].values():
-        c |= set(link.path.vertices)
-    inside = sorted(ball_set & targets)
-    if inside:
-        tail: list[int] = []
-    else:
-        avoid = (set(state.forbidden) | b | c | prior) - ball_set
-        try:
-            p = connect_short(g, ball_set - prior, targets, avoid, state.cfg.params)
-        except NoPathError:
-            raise StageError("link-starved",
-                             f"expanded free leg of kraken {i} cannot reach a fresh anchor",
-                             {"ball": len(ball_set), "targets": len(targets)})
-        inside = [p.vertices[0]]
-        tail = list(p.vertices[1:])
-    combined = list(_trace(parents, inside[0]).vertices) + tail
-    if len(combined) - 1 > rc.q_len_cap:
-        raise StageError("link-starved",
-                         f"anchor route of length {len(combined) - 1} over the cap {rc.q_len_cap}",
-                         {"length": len(combined) - 1})
-    terminal = combined[-1]
-    a_idx = next(ai for ai in fresh if terminal in state.anchors[ai].members)
-    state.links[i][j0] = LegLink("Q", Path(tuple(combined)), a_idx)
     state.check()
 
 

@@ -41,8 +41,8 @@ class TestRunConfig:
     def test_every_constant_named_in_text(self):
         text = RunConfig(d=4).to_text()
         for key in ("ell0", "delta_threshold", "m", "anchor_size", "anchor_count",
-                    "separation", "leg_size", "u_cap", "collective_threshold",
-                    "ell_min", "ell_max", "q_len_cap", "p_len_cap"):
+                    "separation", "leg_size", "u_cap", "ell_min", "ell_max",
+                    "q_len_cap", "p_len_cap"):
             assert f"{key} = " in text
 
     def test_unknown_key_rejected(self):
@@ -229,11 +229,39 @@ class TestCli:
         assert main(["find", "pillar", "--graph", str(q3_file), "--seed", "0"]) == code
         assert "planted" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["workers", "expansion_exact_cap"])
+    @pytest.mark.parametrize("key", ["workers", "expansion_exact_cap", "collective_threshold"])
     def test_removed_keys_exit_2(self, q3_file, tmp_path, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")
         assert main(["find", "pillar", "--graph", str(q3_file), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command", [["find", "pillar"], ["bench"]], ids=["find", "bench"])
+    @pytest.mark.parametrize("line, message", [
+        ("separation = abc", "config line 2: separation = 'abc' is not an integer"),
+        ("expansion_sample_cap = x", "config line 2: expansion_sample_cap = 'x' is not an integer"),
+        ("eps1 = 5", "need 0 < eps1 < 1"),
+        ("d = 0", "need d >= 1"),
+    ], ids=["separation", "expansion_sample_cap", "eps1", "d"])
+    def test_malformed_config_value_exit_2(self, q3_file, tmp_path, capsys, command, line,
+                                           message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        assert main(command + ["--graph", str(q3_file), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_find_kraken_starved_link_loop_exit_1(self, tmp_path, capsys):
+        g = tmp_path / "rr.el"
+        assert main(["generate", "random-regular", "--n", "300", "--d", "8",
+                     "--seed", "0", "--out", str(g)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("anchor_count = 2\nseparation = 6\n")
+        capsys.readouterr()
+        assert main(["find", "kraken", "--graph", str(g), "--config", str(cfg),
+                     "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "stage 'link-rounds'" in out
+        for line in ("anchors = 1", "legs = [3, 3, 3]", "linked = [1, 1, 1]"):
+            assert f"  {line}\n" in out
 
     def test_bench_csv_shape(self, tmp_path, capsys):
         g = tmp_path / "g.el"

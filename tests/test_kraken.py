@@ -6,15 +6,15 @@ from pillarkit import expander, graph, kraken, pillar, primitives
 from pillarkit.config import RunConfig
 from pillarkit.errors import InternalError, PreconditionError, StageError
 from pillarkit.expander import _max_cut_graph
-from pillarkit.generators import cycle_graph, hypercube, random_regular
+from pillarkit.generators import cycle_graph, hypercube, random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path, set_distance
 from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink, _augment_links,
-                              _collective_round, _connect_winner, _qualifies,
-                              find_kraken, robust_kraken, verify_kraken)
+                              _link_obstacles, _qualifies, _shortcut_round, find_kraken,
+                              robust_kraken, verify_kraken)
 from pillarkit.pillar import find_pillar
 from pillarkit.primitives import Expansion
 
-from util import covered_hub_graph, hub_graph, prism_kraken
+from util import covered_hub_graph, hub_graph, prism_kraken, ref_shortest_set_path
 
 class TestVerifyKraken:
     def test_hand_built_valid(self):
@@ -228,23 +228,11 @@ class TestSearchState:
         g, kr, state = _gadget_state(cfg)
         state.links[0][0] = LegLink("Q", Path((4, 8, 9, 10, 11, 20)), 0)
         state.check()
-        outcome = _collective_round(state)
-        assert outcome[0] == "rewrite"
+        assert _shortcut_round(state)
         assert sorted(state.links[0]) == [1]      # re-seated on the free leg
         new = state.links[0][1]
         assert new.path.vertices == (5, 10, 11, 20)
         assert new.path.length < 5 and new.anchor == 0
-
-    def test_winner_connects_to_fresh_anchor(self):
-        cfg = RunConfig(d=4)
-        cfg.overrides["collective_threshold"] = 2
-        g, kr, state = _gadget_state(cfg)
-        outcome = _collective_round(state)
-        assert outcome[0] == "winner"
-        _connect_winner(state, *outcome[1:])
-        link = state.links[0][0]
-        assert link.kind == "Q" and link.anchor == 0
-        assert link.path.vertices[0] == 4 and link.path.vertices[-1] in {20, 21, 22}
 
     def test_invariant_rejects_overlapping_links(self):
         cfg = RunConfig(d=4)
@@ -370,6 +358,86 @@ class TestRobustKraken:
         second = robust_kraken(g, u, cfg, seed=2, q3_free=True)
         assert verify_kraken(g, second).valid
         assert not (second.vertex_set() & u)
+
+
+def _rr300(seed: int):
+    """Two anchors asked for, one built: one leg of each kraken links to it."""
+    cfg = RunConfig()
+    cfg.overrides.update(anchor_count=2, separation=6)
+    return robust_kraken(random_regular(300, 8, seed), frozenset(), cfg, seed=seed,
+                         q3_free=True)
+
+
+def _one_hub(seed: int):
+    """One hub and one anchor: the links mix P and Q."""
+    cfg = RunConfig(d=12)
+    cfg.overrides.update(anchor_count=1, separation=4)
+    return robust_kraken(hub_graph(seed, n=1000, hubs=1), frozenset(), cfg, seed=seed,
+                         q3_free=True)
+
+
+def _prism(seed: int):
+    """Default settings: find_pillar's second kraken gets no anchor and no link."""
+    return find_pillar(subdivided_prism(5, 5), RunConfig(d=3), seed=seed)
+
+
+# Seeded runs whose link loop starves: (run, seed, the link-rounds details)
+STARVED = {
+    "rr300-0": (_rr300, 0, {"linked": [1, 1, 1], "legs": [3, 3, 3], "anchors": 1}),
+    "rr300-1": (_rr300, 1, {"linked": [1, 1, 1], "legs": [3, 3, 3], "anchors": 1}),
+    "rr300-2": (_rr300, 2, {"linked": [1, 1, 1], "legs": [3, 3, 3], "anchors": 1}),
+    "one-hub-0": (_one_hub, 0, {"linked": [2, 2, 2], "legs": [3, 3, 3], "anchors": 1}),
+    "one-hub-1": (_one_hub, 1, {"linked": [1, 2, 1], "legs": [3, 3, 3], "anchors": 1}),
+    "one-hub-2": (_one_hub, 2, {"linked": [2, 1, 2], "legs": [3, 3, 3], "anchors": 1}),
+    "prism": (_prism, 0, {"linked": [0], "legs": [5], "anchors": 0}),
+}
+
+
+def _assert_no_anchor_route(state: KrakenSearchState) -> int:
+    """No free leg reaches an anchor its kraken has not used within q_len_cap,
+    clear of the leg's link obstacles; returns the number of free legs."""
+    g, rc = state.graph, state.cfg
+    free = 0
+    for i, kr in enumerate(state.collection):
+        used = state.used_anchors(i)
+        fresh = set().union(*(a.members for ai, a in enumerate(state.anchors) if ai not in used))
+        for j in state.free_legs(i):
+            avoid = _link_obstacles(state, i, j)
+            assert ref_shortest_set_path(g, kr.legs[j].members, fresh - avoid, avoid,
+                                         cap=rc.q_len_cap) is None, (i, j)
+            free += 1
+    return free
+
+
+class TestStarvedLinking:
+    """After a link pass, no free leg can reach an anchor its kraken has not
+    used, so a starved link loop stops at one stage, ``link-rounds``."""
+
+    @pytest.mark.parametrize("name", list(STARVED))
+    def test_link_rounds_reports_how_far_linking_got(self, name):
+        run, seed, details = STARVED[name]
+        with pytest.raises(StageError) as err:
+            run(seed)
+        assert err.value.stage == "link-rounds"
+        assert err.value.details == details
+
+    @pytest.mark.parametrize("name", list(STARVED))
+    def test_free_legs_have_no_fresh_anchor_in_reach(self, monkeypatch, name):
+        # checked on each state robust_kraken hands the shortcut round: its
+        # collection, then its anchors, then an _augment_links pass
+        real = kraken._shortcut_round
+        free: list[int] = []
+
+        def checked(state):
+            free.append(_assert_no_anchor_route(state))
+            return real(state)
+
+        monkeypatch.setattr(kraken, "_shortcut_round", checked)
+        run, seed, _ = STARVED[name]
+        with pytest.raises(StageError) as err:
+            run(seed)
+        assert err.value.stage == "link-rounds"
+        assert free and all(free)
 
 
 @pytest.fixture
