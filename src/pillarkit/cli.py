@@ -27,6 +27,10 @@ from .kraken import robust_kraken
 from .pillar import find_pillar
 from .primitives import connect_short, find_q3_bruteforce, find_q3_sampled
 
+# bad graph, certificate or config files; a UnicodeDecodeError is no OSError
+_BAD_INPUT = (OSError, UnicodeDecodeError, GraphParseError, PreconditionError)
+
+
 def _read_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return load_graph(fh.read())
@@ -76,7 +80,7 @@ def cmd_find(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph)
         cfg = _read_config(args.config, args.seed)
-    except (OSError, GraphParseError, PreconditionError) as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rc = cfg.resolve(g.n)
@@ -131,7 +135,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         report = verify_certificate(g, data)
-    except (OSError, GraphParseError, PreconditionError) as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if report.valid:
@@ -146,7 +150,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph)
         cfg = _read_config(args.config, args.seed)
-    except (OSError, GraphParseError, PreconditionError) as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rc = cfg.resolve(g.n)

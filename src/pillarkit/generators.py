@@ -112,9 +112,16 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
 def _pair_stubs(n: int, d: int, rng: random.Random) -> set[tuple[int, int]] | None:
     edges: set[tuple[int, int]] = set()
     stubs = list(range(n)) * d
+    getrandbits = rng.getrandbits
     while stubs:
         leftovers: dict[int, int] = {}
-        rng.shuffle(stubs)
+        # rng.shuffle(stubs) inlined: getrandbits draws and rejects as _randbelow does
+        for i in reversed(range(1, len(stubs))):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
         it = iter(stubs)
         for s1, s2 in zip(it, it):
             if s1 > s2:

@@ -25,10 +25,12 @@ peels by degree and does not traverse.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
+from operator import eq
 
 from .errors import GraphParseError, PreconditionError
 
@@ -39,6 +41,9 @@ _EMPTY: frozenset[int] = frozenset()
 # load_graph rejects ids from here up: n is max id + 1, so without a bound
 # a one-line file could make it allocate any number of adjacency rows.
 MAX_VERTICES = 10 ** 6
+# load_graph's fast path reads chunks of about _CHUNK characters, and ids of
+# at most _ID_DIGITS digits, so below MAX_VERTICES
+_CHUNK, _ID_DIGITS = 1 << 16, len(str(MAX_VERTICES - 1))
 
 
 class Graph:
@@ -58,16 +63,17 @@ class Graph:
     __slots__ = ("n", "m", "_adj", "side", "comp")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        rows: list[list[int]] = [[] for _ in range(n)]
         ids = list(range(n))  # rows share one int object per vertex, not one per edge end
         for u, v in edges:
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
-            nbrs[u].add(ids[v])
-            nbrs[v].add(ids[u])
-        self._adopt(tuple(tuple(sorted(s)) for s in nbrs))
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
+        # a row longer than its set holds a duplicate edge: sort the set instead
+        self._adopt(tuple(tuple(sorted(r if len(r) == len(set(r)) else set(r))) for r in rows))
 
     @classmethod
     def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "Graph":
@@ -226,7 +232,30 @@ def load_graph(text: str) -> Graph:
     isolated vertex (this is what keeps save/load a faithful round trip).
     Duplicate edges collapse; self-loops and ids of MAX_VERTICES or more
     are rejected.  n is max id + 1.
+
+    Plain text (each line two short ids and one space) loads a chunk at a
+    time into one flat array; any other text goes to the line parser.
     """
+    ends = array("i")
+    pos = 0
+    while pos < len(text):
+        stop = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        chunk, pos = text[pos:stop], stop
+        tokens = chunk.split()
+        it = iter(tokens)
+        if not (chunk.isascii() and max(map(len, tokens), default=0) <= _ID_DIGITS
+                and "\n".join(map(" ".join, zip(it, it))) == chunk.rstrip("\n")
+                and "".join(tokens).isdigit()):
+            return _parse_lines(text)
+        ends.extend(map(int, tokens))
+    it = iter(ends)
+    if any(map(eq, it, it)):  # a self-loop: the line parser names its line
+        return _parse_lines(text)
+    it = iter(ends)
+    return Graph(max(ends, default=-1) + 1, zip(it, it))
+
+
+def _parse_lines(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     max_id = -1
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -258,7 +287,7 @@ def load_graph(text: str) -> Graph:
 
 def save_graph(g: Graph) -> str:
     """Edge-list text, edges sorted lexicographically; bit-exact round trip."""
-    lines = [f"{u} {v}" for u, v in sorted(g.edges())]
+    lines = [f"{u} {v}" for u, v in g.edges()]
     lines.extend(str(v) for v in range(g.n) if g.degree(v) == 0)
     return "\n".join(lines) + ("\n" if lines else "")
 

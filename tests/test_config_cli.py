@@ -221,6 +221,38 @@ class TestCli:
         assert main(["find", "pillar", "--graph", str(g), "--seed", "0"]) == 2
         assert "non-decimal" in capsys.readouterr().err
 
+    # a byte that is not UTF-8 raises UnicodeDecodeError, a ValueError
+    _NOT_UTF8 = b"0 1\n1 \xff2\n"
+
+    @pytest.mark.parametrize("command", [["find", "pillar"], ["verify", "pillar"], ["bench"]],
+                             ids=["find", "verify", "bench"])
+    def test_undecodable_graph_exit_2(self, q3_file, tmp_path, capsys, command):
+        cert = tmp_path / "pillar.json"
+        assert main(["find", "pillar", "--graph", str(q3_file), "--seed", "0",
+                     "--out", str(cert)]) == 0
+        g = tmp_path / "bad.el"
+        g.write_bytes(self._NOT_UTF8)
+        capsys.readouterr()
+        extra = ["--cert", str(cert)] if command[0] == "verify" else ["--seed", "0"]
+        assert main(command + ["--graph", str(g)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+
+    def test_undecodable_certificate_exit_2(self, q3_file, tmp_path, capsys):
+        cert = tmp_path / "bad.json"
+        cert.write_bytes(b'{"kind": "\xff"}')
+        assert main(["verify", "pillar", "--graph", str(q3_file), "--cert", str(cert)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("command", [["find", "pillar"], ["bench"]], ids=["find", "bench"])
+    def test_undecodable_config_exit_2(self, q3_file, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\n# \xff\n")
+        assert main(command + ["--graph", str(q3_file), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+
     @pytest.mark.parametrize("error, code", [(InternalError, 3), (PreconditionError, 2)])
     def test_internal_error_exit_3(self, q3_file, monkeypatch, capsys, error, code):
         def broken(*args, **kwargs):

@@ -7,11 +7,13 @@ from pillarkit.generators import (cycle_graph, hypercube, path_graph, prism,
                                   random_bipartite, random_regular,
                                   subdivided_prism, subdivided_prism_rungs)
 from pillarkit.expander import _max_cut_graph, greedy_max_cut_sides
-from pillarkit.graph import (MAX_VERTICES, Graph, ball, induced_degree,
+import pillarkit.graph as graph_module
+from pillarkit.graph import (MAX_VERTICES, Graph, _parse_lines, ball, induced_degree,
                              induced_subgraph, largest_component, load_graph,
                              parity, save_graph)
 
-from util import all_simple_path_lengths, random_connected_graph, to_nx
+from util import (all_simple_path_lengths, random_connected_graph, ref_graph,
+                  ref_random_regular, to_nx)
 
 class TestLoadGraph:
     def test_path_with_bipartition(self):
@@ -280,3 +282,101 @@ class TestRowConstructor:
             Graph(3, [(0, 3)])
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1 and g.neighbors(0) == (1,)
+
+
+# -- the input path against the code it replaced -------------------------
+
+
+@st.composite
+def edge_lists(draw):
+    """n and an edge list with duplicates in both orientations; ids are
+    either valid or may also be self-loops and out-of-range ids."""
+    n = draw(st.integers(0, 8))
+    valid = n > 1 and draw(st.booleans())
+    ids = st.integers(0, n - 1) if valid else st.integers(-1, n)
+    edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: not valid or e[0] != e[1]),
+                          max_size=30))
+    flips = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    return n, draw(st.permutations(edges + [(v, u) for u, v in flips]))
+
+
+def _built(build, *args):
+    try:
+        return _fields(build(*args))
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_graph_matches_set_row_reference(case):
+    n, edges = case
+    assert _built(Graph, n, edges) == _built(ref_graph, n, edges)
+
+
+@pytest.mark.parametrize("n, d, seed, restarts", [
+    (10, 3, 26, 14), (2000, 3, 1, 2), (200, 12, 5, 1), (2000, 12, 1, 1), (2000, 12, 0, 0),
+])
+def test_random_regular_matches_shuffle_reference(n, d, seed, restarts):
+    ref, attempts = ref_random_regular(n, d, seed)
+    assert attempts == restarts  # the pairing restarts after a dead end
+    assert _fields(random_regular(n, d, seed)) == _fields(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_keep())
+def test_save_graph_lists_sorted_edges_then_isolated_vertices(case):
+    g, _ = case
+    lines = [f"{u} {v}" for u, v in sorted(g.edges())]
+    lines += [str(v) for v in range(g.n) if g.degree(v) == 0]
+    assert save_graph(g) == "".join(line + "\n" for line in lines)
+
+
+def _loaded(parse, text):
+    try:
+        return _fields(parse(text))
+    except GraphParseError as exc:
+        return exc.line_no, str(exc)
+
+
+_plain_line = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(lambda e: f"{e[0]} {e[1]}")
+_odd_line = st.sampled_from([
+    "", "# note", "0 1 # c", "3\t4", " 4 5", "4  5", "4 5 ", "7", "0 1 2",
+    "007 2", "000001 3", "0000001 3", "1234567 1", f"{MAX_VERTICES} 0",
+    "١ 2", "2 ²", "1_0 2", "+2 3", "x", "6 6", "06 6", "0 1\x0b", "0 1",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_plain_line | _odd_line, max_size=12), st.sampled_from(["\n", "\r\n"]),
+       st.booleans())
+def test_load_graph_matches_line_parser(lines, newline, trailing):
+    text = newline.join(lines) + (newline if trailing and lines else "")
+    assert _loaded(load_graph, text) == _loaded(_parse_lines, text)
+
+
+def _big_text() -> str:
+    text = save_graph(random_regular(3000, 6, 0))
+    assert len(text) > 64 * 1024
+    return text
+
+
+@pytest.mark.parametrize("bad", ["12 x", "5 5", "1 2 3", "9", "1\t2", "1 2\r", "0000001 2"])
+def test_load_graph_bad_line_past_the_first_chunk(bad):
+    lines = _big_text().splitlines()
+    lines.insert(8000, bad)
+    text = "\n".join(lines) + "\n"
+    assert len("\n".join(lines[:8000])) > 64 * 1024
+    assert _loaded(load_graph, text) == _loaded(_parse_lines, text)
+
+
+def test_plain_text_skips_the_line_parser(monkeypatch):
+    text = _big_text()
+    expected = _parse_lines(text)
+
+    def refuse(_text):
+        raise AssertionError("plain text went to the line parser")
+
+    monkeypatch.setattr(graph_module, "_parse_lines", refuse)
+    assert _fields(load_graph(text)) == _fields(expected)
+    assert _fields(load_graph(text.rstrip("\n"))) == _fields(expected)

@@ -11,6 +11,7 @@ from collections import Counter, deque
 
 import networkx as nx
 
+from pillarkit.errors import PreconditionError
 from pillarkit.expander import ExpanderParams, epsilon
 from pillarkit.generators import random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path, induced_subgraph
@@ -358,3 +359,54 @@ def ref_carve(g: Graph, dead, k_max: int, s: int, t: int, seed: int,
               for l in kr.legs),
         tuple(Path(tuple(remap(v) for v in p.vertices)) for p in kr.paths),
         kr.s, kr.t)
+
+
+# -- the input path as it was before its fast rewrite ---------------------
+
+
+def ref_graph(n: int, edges) -> Graph:
+    """``Graph(n, edges)`` built as it was first written: one set per row,
+    each sorted once all edges are in.  Same checks, in the same order."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise PreconditionError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph._from_rows(tuple(tuple(sorted(s)) for s in nbrs))
+
+
+def ref_random_regular(n: int, d: int, seed: int) -> tuple[Graph, int]:
+    """``random_regular`` with its stubs shuffled by ``random.shuffle``, and
+    the number of pairings that hit a dead end before one succeeded."""
+    attempt = 0
+    while True:
+        rng = random.Random((seed * 1_000_003 + attempt) & 0xFFFFFFFFFFFF)
+        edges = _ref_pair_stubs(n, d, rng)
+        if edges is not None:
+            return ref_graph(n, edges), attempt
+        attempt += 1
+
+
+def _ref_pair_stubs(n: int, d: int, rng: random.Random) -> set[tuple[int, int]] | None:
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        leftovers: dict[int, int] = {}
+        rng.shuffle(stubs)
+        it = iter(stubs)
+        for s1, s2 in zip(it, it):
+            s1, s2 = min(s1, s2), max(s1, s2)
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                leftovers[s1] = leftovers.get(s1, 0) + 1
+                leftovers[s2] = leftovers.get(s2, 0) + 1
+        left = list(leftovers)
+        if leftovers and all((min(a, b), max(a, b)) in edges
+                             for i, a in enumerate(left) for b in left[:i]):
+            return None
+        stubs = [v for v, k in leftovers.items() for _ in range(k)]
+    return edges
