@@ -18,14 +18,14 @@ from .expander import ExpanderParams
 
 _CLAMP = 10 ** 15
 
-def _powint(base: float, expo: float, lo: int = 1) -> int:
-    """ceil(base**expo) computed in log space, clamped to a usable int."""
+def _powint(base: float, expo: float) -> int:
+    """ceil(base**expo) computed in log space, clamped to 1.._CLAMP."""
     if base <= 1.0:
-        return lo
+        return 1
     log_val = expo * math.log(base)
     if log_val > math.log(_CLAMP):
         return _CLAMP
-    return max(lo, math.ceil(math.exp(log_val)))
+    return max(1, math.ceil(math.exp(log_val)))
 
 
 # (field, relaxed default, formula)  -- the formula sees (n, cfg, partial resolved dict)

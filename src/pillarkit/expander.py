@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
 from .errors import PreconditionError, StageError
 from .graph import Graph, bfs_layers, induced_subgraph
@@ -94,6 +94,10 @@ class ExpansionReport:
         return out
 
 
+_EXACT_CAP = 20  # exact mode enumerates every medium set, so only small graphs
+_MAX_ROUNDS = 30  # extract_expander's rounds of peeling and splitting
+
+
 def _size_bounds(n: int, params: ExpanderParams) -> tuple[int, int]:
     lo = max(1, math.ceil(params.k / 2))
     hi = math.floor(n / 2)
@@ -140,28 +144,26 @@ def _violation(g: Graph, members: list[int],
 
 
 def check_expansion(g: Graph, params: ExpanderParams, mode: str = "exact", *,
-                    seed: int = 0, trials: int = 500, exact_cap: int = 20,
+                    seed: int = 0, trials: int = 500,
                     sample_cap: int | None = None) -> ExpansionReport:
     """Search for a set violating the expansion condition.
 
     Exact mode enumerates every X with k/2 <= |X| <= n/2 (only allowed up
-    to ``exact_cap`` vertices); sampled mode draws ``trials`` random
+    to _EXACT_CAP = 20 vertices); sampled mode draws ``trials`` random
     connected sets as BFS prefixes of seeded random size.  The first
     violating X (by enumeration order / trial index) is reported.
     """
     if mode == "exact":
-        return _check_exact(g, params, exact_cap)
+        return _check_exact(g, params)
     if mode == "sampled":
         return _check_sampled(g, params, seed, trials, sample_cap)
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
-def _check_exact(g: Graph, params: ExpanderParams, exact_cap: int) -> ExpansionReport:
-    from itertools import combinations
-
-    if g.n > exact_cap:
+def _check_exact(g: Graph, params: ExpanderParams) -> ExpansionReport:
+    if g.n > _EXACT_CAP:
         raise PreconditionError(
-            f"exact mode capped at n <= {exact_cap} (got n={g.n}); use sampled mode")
+            f"exact mode capped at n <= {_EXACT_CAP} (got n={g.n}); use sampled mode")
     lo, hi = _size_bounds(g.n, params)
     count = 0
     for size in range(lo, hi + 1):
@@ -266,8 +268,7 @@ def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
 
 
 def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
-                     trials: int = 200, sample_cap: int | None = None,
-                     max_rounds: int = 30) -> tuple[Graph, list[int]]:
+                     trials: int = 200, sample_cap: int | None = None) -> tuple[Graph, list[int]]:
     """Extract a bipartite subgraph H with min degree >= d that passes the
     sampled expansion check; return (H, ids).
 
@@ -279,7 +280,8 @@ def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
     stored two-coloring when the input is bipartite, else from a greedy
     max-cut (in-side edges dropped).  Then: peel low-degree vertices,
     run the sampled violation search, and on a violation recurse into
-    the denser side of the witness cut until the check comes back clean.
+    the denser side of the witness cut until the check comes back clean,
+    for at most _MAX_ROUNDS = 30 rounds.
     """
     if d < 1:
         raise PreconditionError("target degree must be >= 1")
@@ -288,7 +290,7 @@ def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
             f"average degree {g.average_degree():.3f} below 8*d = {8 * d}")
     cut = _max_cut_graph(g)
     keep = set(range(cut.n))
-    for round_no in range(max_rounds):
+    for round_no in range(_MAX_ROUNDS):
         keep = _peel(cut, keep, d)
         if len(keep) < max(2, d + 1):
             raise StageError("extract-peel", f"no expander found at d={d}",
@@ -307,7 +309,7 @@ def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
         dens_w = _avg_degree_within(cut, witness)
         dens_r = _avg_degree_within(cut, rest)
         keep = witness if dens_w >= dens_r else rest
-    raise StageError("extract-rounds", f"no clean subgraph within {max_rounds} rounds",
+    raise StageError("extract-rounds", f"no clean subgraph within {_MAX_ROUNDS} rounds",
                      {"survivors": len(keep)})
 
 

@@ -340,18 +340,6 @@ def _trace(parents: dict[int, int | None], v: int) -> Path:
     return Path(tuple(chain))
 
 
-def _first_hit(layers: Iterator[list[int]], parents: dict[int, int | None],
-               targets: set[int] | frozenset[int], cap: int | None = None) -> Path | None:
-    """Path to the first target, in discovery order, of the first layer past
-    the sources that holds one; None when the layers run out or pass ``cap``."""
-    for depth, layer in enumerate(layers):
-        if depth and not targets.isdisjoint(layer):
-            return _trace(parents, next(w for w in layer if w in targets))
-        if cap is not None and depth >= cap:
-            return None
-    return None
-
-
 def ball_layers(g: Graph, seed: Iterable[int], radius: int, avoid: Iterable[int] = _EMPTY) -> list[set[int]]:
     """The BFS spheres of :func:`ball`, layer 0 = seed."""
     avoid_set = _as_set(avoid)
@@ -370,13 +358,13 @@ def ball(g: Graph, seed: Iterable[int], radius: int, avoid: Iterable[int] = _EMP
 
 
 def distances_from(g: Graph, sources: Iterable[int], avoid: Iterable[int] = _EMPTY,
-                   cap: int | None = None) -> dict[int, int]:
-    """BFS distance map from a source set in g minus avoid (cap optional),
-    in discovery order."""
+                   cap: int | None = None, within: Container[int] | None = None) -> dict[int, int]:
+    """BFS distance map from a source set in g minus avoid (inside ``within``
+    when given; cap optional), in discovery order."""
     avoid_set = _as_set(avoid)
     dist: dict[int, int] = {}
     src = [s for s in sources if s not in avoid_set] if avoid_set else sources
-    for d, layer in enumerate(bfs_layers(g, src, avoid_set)):
+    for d, layer in enumerate(bfs_layers(g, src, avoid_set, within)):
         dist.update(dict.fromkeys(layer, d))
         if cap is not None and d >= cap:
             break
@@ -401,12 +389,14 @@ def set_distance(g: Graph, a: Iterable[int], b: Iterable[int],
 
 
 def shortest_set_path(g: Graph, sources: Iterable[int], targets: Iterable[int],
-                      avoid: Iterable[int] = _EMPTY, cap: int | None = None) -> Path | None:
-    """Shortest path from one set to another in g minus avoid.
+                      avoid: Iterable[int] = _EMPTY, cap: int | None = None,
+                      within: Container[int] | None = None) -> Path | None:
+    """Shortest path from one set to another in g minus avoid, inside
+    ``within`` when given (sources are used as given, as in bfs_layers).
 
     One endpoint in each set, no internal vertices in either set (the
-    usual from-A-to-B path convention).  Returns None if disconnected
-    (or farther than ``cap``).
+    usual from-A-to-B path convention): it starts at a source and ends at
+    the first target BFS reaches.  None if disconnected (or farther than ``cap``).
     """
     avoid_set = _as_set(avoid)
     src = [s for s in sources if s not in avoid_set]
@@ -417,17 +407,12 @@ def shortest_set_path(g: Graph, sources: Iterable[int], targets: Iterable[int],
     if direct:
         return Path((direct[0],))
     parents: dict[int, int | None] = {}
-    return _first_hit(bfs_layers(g, src, avoid_set, parents=parents), parents, tgt, cap)
-
-
-def path_within(g: Graph, source: int, targets: set[int] | frozenset[int],
-                within: Container[int]) -> Path | None:
-    """Shortest path from ``source`` to ``targets`` whose other vertices all
-    lie in ``within``; it ends at the first target BFS reaches."""
-    if source in targets:
-        return Path((source,))
-    parents: dict[int, int | None] = {}
-    return _first_hit(bfs_layers(g, [source], within=within, parents=parents), parents, targets)
+    for depth, layer in enumerate(bfs_layers(g, src, avoid_set, within, parents)):
+        if depth and not tgt.isdisjoint(layer):
+            return _trace(parents, next(w for w in layer if w in tgt))
+        if cap is not None and depth >= cap:
+            return None
+    return None
 
 
 # -- set and parity operations ---------------------------------------

@@ -24,9 +24,8 @@ from itertools import chain
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, PreconditionError, StageError
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
-                    path_within, set_distance, shortest_set_path)
-from .primitives import (Expansion, _distances_within, find_large_ball, find_q3_bruteforce,
-                         trim_expansion)
+                    distances_from, set_distance, shortest_set_path)
+from .primitives import Expansion, find_large_ball, find_q3_bruteforce, trim_expansion
 from .validity import ValidityReport
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def _leg_distances(g: Graph, center: int, members: frozenset[int]) -> dict[int, 
     # certificates are outside input: check ids before touching rows
     if center not in members or not all(0 <= v < g.n for v in members):
         return {}
-    return _distances_within(g, center, members)
+    return distances_from(g, [center], within=members)
 
 
 def verify_kraken(g: Graph, kr: Kraken) -> ValidityReport:
@@ -195,15 +194,15 @@ def _shortest_cycle_from(g: Graph, start: int, dead: set[int] | frozenset[int]) 
 
 
 def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
-                t: int = 1, seed: int = 0, *, eps1: float = 0.1,
-                sample_starts: int = 24) -> Kraken:
+                t: int = 1, seed: int = 0, *, sample_starts: int = 24) -> Kraken:
     """Carve a kraken out of a connected graph.
 
     Three stages, each claiming territory the later ones must respect:
     find a short cycle from seeded start vertices, walk a private path
     off every cycle vertex into unclaimed space, then grow each leg to t
     vertices by BFS through what is still free.  Starving at any stage
-    raises a StageError naming it.
+    raises a StageError naming it.  ``s`` defaults to the radius unit
+    200*ln^3(n)/eps1 at eps1 = 0.1; for another eps1, pass ``s``.
     """
     if g.n == 0 or max(g.comp) != 0:
         raise PreconditionError("kraken search needs a connected, nonempty graph")
@@ -212,7 +211,7 @@ def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
         # shortest even cycle
         k_max = max(4, math.floor(math.log(g.n))) if g.n > 2 else 4
     if s is None:
-        s = max(1, math.ceil(200 * math.log(g.n) ** 3 / eps1)) if g.n > 2 else 1
+        s = max(1, math.ceil(200 * math.log(g.n) ** 3 / 0.1)) if g.n > 2 else 1
     return _carve(g, range(g.n), frozenset(), k_max, max(1, s), t, seed, sample_starts)
 
 
@@ -637,15 +636,13 @@ def _assemble(state: KrakenSearchState, i: int) -> Kraken:
         lp = link.path
         a = lp.vertices[0]
         blocked = (linkverts - set(lp.vertices)) | {v for p in new_paths for v in p.vertices}
-        old = kr.paths[j].vertices
-        if old[0] != kr.cycle.vertices[j]:
-            old = old[::-1]
-        tr = path_within(g, kr.ends[j], {a}, (kr.legs[j].members - blocked) | {a})
+        tr = shortest_set_path(g, [kr.ends[j]], {a}, within=(kr.legs[j].members - blocked) | {a})
         if tr is None:
             raise StageError("assembly",
                              f"cannot route through leg {j} around crossing links",
                              {"kraken": i, "leg": j})
-        new_paths.append(Path(old + tr.vertices[1:] + lp.vertices[1:]))
+        # _carve builds every private path as (cycle vertex, end)
+        new_paths.append(Path(kr.paths[j].vertices + tr.vertices[1:] + lp.vertices[1:]))
     claims = set(kr.cycle.vertices)
     for p in new_paths:
         claims |= p.vertex_set()

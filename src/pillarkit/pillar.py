@@ -10,7 +10,7 @@ from .config import ResolvedConfig, RunConfig
 from .errors import (InternalError, LengthNotRealizedError, NoPathError,
                      PreconditionError, StageError)
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
-                    distances_from, induced_subgraph, parity, path_within, set_distance)
+                    distances_from, induced_subgraph, parity, set_distance, shortest_set_path)
 from .kraken import Kraken, _child_seed, robust_kraken, verify_kraken
 from .primitives import (Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
@@ -252,8 +252,12 @@ def _nearest_sums(base: int, values: list[int], ell: int) -> list[int]:
     return out
 
 
-def _exact_fixed_path(g: Graph, v1: int, v2: int, ell: int, avoid: frozenset[int],
-                      node_budget: int = 2_000_000) -> tuple[Path | None, bool]:
+_EXACT_NODE_BUDGET = 2_000_000  # nodes _exact_fixed_path's DFS visits before it gives up
+_PROBE_STEPS = 6  # parity steps either side of ell that _probe_exact tries
+
+
+def _exact_fixed_path(g: Graph, v1: int, v2: int, ell: int,
+                      avoid: frozenset[int]) -> tuple[Path | None, bool]:
     """Complete DFS for a simple v1,v2-path of length exactly ell in the
     graph minus ``avoid``.  Pruned by a distance table and, on bipartite
     graphs, by walk parity (both are necessary conditions, so the search
@@ -274,7 +278,7 @@ def _exact_fixed_path(g: Graph, v1: int, v2: int, ell: int, avoid: frozenset[int
     def rec(x: int, remaining: int) -> Path | None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > _EXACT_NODE_BUDGET:
             return None
         if remaining == 0:
             return Path(tuple(stack)) if x == v2 else None
@@ -300,18 +304,15 @@ def _exact_fixed_path(g: Graph, v1: int, v2: int, ell: int, avoid: frozenset[int
     if ell == 0:
         return (Path((v1,)), True) if v1 == v2 else (None, True)
     found = rec(v1, ell)
-    return found, nodes <= node_budget
+    return found, nodes <= _EXACT_NODE_BUDGET
 
 
 def _base_path(g: Graph, f1: Expansion, f2: Expansion, avoid: frozenset[int],
                params) -> Path:
-    mid = connect_short(g, f1.members, f2.members, avoid, params)
-    a1, a2 = mid.vertices[0], mid.vertices[-1]
-    if mid.vertices[0] in f2.members:
-        a1, a2 = a2, a1
-        mid = Path(mid.vertices[::-1])
-    c1 = path_within(g, f1.center, {a1}, f1.members)
-    c2 = path_within(g, a2, {f2.center}, f2.members)
+    mid = connect_short(g, f1.members, f2.members, avoid, params)  # from f1 to f2
+    a1, a2 = mid.ends
+    c1 = shortest_set_path(g, [f1.center], {a1}, within=f1.members)
+    c2 = shortest_set_path(g, [a2], {f2.center}, within=f2.members)
     if c1 is None or c2 is None:
         raise InternalError("internal: expansion not connected to its center")
     return Path(c1.vertices + mid.vertices[1:] + c2.vertices[1:])
@@ -402,10 +403,10 @@ def connect_fixed_length(g: Graph, f1: Expansion, f2: Expansion, ell: int,
 
 
 def _probe_exact(g: Graph, v1: int, v2: int, ell: int, uset: frozenset[int],
-                 rc: ResolvedConfig, tries: int = 6) -> list[int]:
+                 rc: ResolvedConfig) -> list[int]:
     step = 2 if g.side is not None else 1
     nearest = []
-    for delta in range(step, step * (tries + 1), step):
+    for delta in range(step, step * (_PROBE_STEPS + 1), step):
         for cand in (ell - delta, ell + delta):
             if cand < 1 or cand > rc.ell_max:
                 continue
@@ -561,7 +562,7 @@ def _side_expansion(g: Graph, kr: Kraken, j: int, z: frozenset[int],
                     "internal: leg ball reached a separated unused leg")
         members = grown | pathv
         return Expansion(center, members, rc.ell0 + kr.legs[j].radius + len(pathv)), 2
-    route = path_within(g, u, touched, grown)
+    route = shortest_set_path(g, [u], touched, within=grown)
     if route is None:
         raise StageError("link-route",
                          f"{side_name} side, index {j + 1}: high-degree vertex "
@@ -682,7 +683,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                 raise
             break  # the pairs that failed to link are the better report
         for mate in [old for old in found if old.k == kr.k]:
-            pillar, attempts, last_error = _link_pair(g, h, ids, mate, kr, rc, config)
+            pillar, attempts, last_error = _link_pair(g, h, ids, mate, kr, config)
             if pillar is not None:
                 return pillar
             tried.append((kr.k, attempts))
@@ -698,16 +699,20 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                       "attempts": sum(a for _, a in tried)})
 
 
-def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken, rc: ResolvedConfig,
+def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken,
                config: RunConfig) -> tuple[Pillar | None, int, Exception | None]:
     """find_pillar's attempts on one pair: (pillar in g's ids or None, attempts, last error)."""
+    rc = config.resolve(h.n)  # linking works on h, so its knobs follow h.n
     high = frozenset(v for v in range(h.n) if h.degree(v) >= rc.delta_threshold)
     try:
         parity(h, ka.cycle.vertices[0], kb.cycle.vertices[0])
     except PreconditionError as exc:
         raise StageError("link", f"parity unavailable: {exc}", {})
-    link_rc = config.resolve(h.n)  # linking works on h, so its knobs follow h.n
-    _check_link_pair(h, ka, kb, high, link_rc)
+    try:
+        _check_link_pair(h, ka, kb, high, rc)
+    except PreconditionError as exc:
+        # robust_kraken's krakens meet every clause here, at the same h and config
+        raise InternalError(f"internal: kraken pair fails the link check ({exc})") from exc
     last_error: Exception | None = None
     attempts = 0
     for reflect in (False, True):
@@ -721,7 +726,7 @@ def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken, rc: R
             for _ in range(rc.link_retries):
                 attempts += 1
                 try:
-                    paths = _link_aligned(h, ka, aligned, ell, high, link_rc, config)
+                    paths = _link_aligned(h, ka, aligned, ell, high, rc, config)
                     pillar = Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths))
                     rep = verify_pillar(h, pillar)
                     if not rep.valid:
@@ -731,21 +736,13 @@ def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken, rc: R
                     if not rep.valid:
                         raise InternalError(f"internal: translated pillar invalid ({rep})")
                     return out, attempts, None
-                except (StageError, LengthNotRealizedError, NoPathError) as exc:
+                except StageError as exc:  # _link_aligned wraps every connector failure
                     last_error = exc
-                    hint = None
-                    if isinstance(exc, StageError):
-                        if (exc.details.get("index") == 0
-                                and exc.details.get("cause") == "NoPathError"):
-                            # nothing at index 0 depends on ell: every length fails
-                            break
-                        nearest = exc.details.get("nearest")
-                        if nearest:
-                            cands = [x for x in nearest
-                                     if x > ell and x % 2 == target and x <= rc.ell_max]
-                            if cands:
-                                hint = min(cands)
-                    ell = hint if hint is not None else ell + 2
+                    if exc.details.get("index") == 0 and exc.details.get("cause") == "NoPathError":
+                        break  # nothing at index 0 depends on ell: every length fails
+                    ell = min((x for x in exc.details.get("nearest") or ()
+                               if x > ell and x % 2 == target and x <= rc.ell_max),
+                              default=ell + 2)
                     if ell > rc.ell_max:
                         break
     return None, attempts, last_error

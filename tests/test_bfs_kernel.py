@@ -5,7 +5,7 @@ order.  The graphs are small, often disconnected and often not bipartite."""
 from hypothesis import given, settings, strategies as st
 
 from pillarkit.expander import greedy_max_cut_sides
-from pillarkit.graph import Graph, distances_from, path_within, set_distance, shortest_set_path
+from pillarkit.graph import Graph, distances_from, set_distance, shortest_set_path
 from pillarkit.kraken import _bfs_prefix
 from pillarkit.pillar import _alt_route
 from pillarkit.primitives import Expansion, restrict_and_trim, trim_expansion
@@ -30,12 +30,21 @@ def _outside(g: Graph, keep) -> frozenset[int]:
     return frozenset(range(g.n)) - keep
 
 
+def _avoid_within(g: Graph, avoid, within, sources) -> frozenset[int]:
+    """What a search in g minus avoid, inside within, never steps onto or
+    starts from: sources outside within are still used as given."""
+    return avoid | (_outside(g, within) - set(sources))
+
+
 @settings(max_examples=250, deadline=None)
 @given(search_case())
 def test_distances_from_same_dict_same_order(case):
-    g, sources, _, avoid, _, cap = case
+    g, sources, _, avoid, within, cap = case
     got = distances_from(g, sources, avoid, cap)
     assert list(got.items()) == list(ref_distances_from(g, sources, avoid, cap).items())
+    got = distances_from(g, sources, avoid, cap, within=within)
+    ref = ref_distances_from(g, sources, _avoid_within(g, avoid, within, sources), cap)
+    assert list(got.items()) == list(ref.items())
 
 
 @settings(max_examples=250, deadline=None)
@@ -48,9 +57,11 @@ def test_set_distance(case):
 @settings(max_examples=250, deadline=None)
 @given(search_case())
 def test_shortest_set_path_same_path(case):
-    g, sources, targets, avoid, _, cap = case
+    g, sources, targets, avoid, within, cap = case
     assert shortest_set_path(g, sources, targets, avoid, cap) == \
         ref_shortest_set_path(g, sources, targets, avoid, cap)
+    assert shortest_set_path(g, sources, targets, avoid, cap, within=within) == \
+        ref_shortest_set_path(g, sources, targets, _avoid_within(g, avoid, within, sources), cap)
 
 
 @settings(max_examples=250, deadline=None)
@@ -58,7 +69,7 @@ def test_shortest_set_path_same_path(case):
 def test_path_within_is_a_path_avoiding_the_outside(case):
     g, sources, targets, _, within, _ = case
     s = sources[0]
-    assert path_within(g, s, targets, within) == \
+    assert shortest_set_path(g, [s], targets, within=within) == \
         ref_shortest_set_path(g, [s], targets, _outside(g, within) - {s})
 
 

@@ -77,6 +77,42 @@ def test_every_resolved_config_field_is_read():
     assert fields - _config_reads() == set()
 
 
+def test_every_private_default_is_passed():
+    """A defaulted parameter of a private function that no call in the
+    package passes is a constant: settable only from outside the package,
+    which a private function does not serve."""
+    defaulted: dict[str, list[str]] = {}
+    positional: dict[str, list[str]] = {}
+    passed: dict[str, set[str]] = {}
+    calls = []
+    for path in Path(pillarkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and not node.name.endswith("__"):
+                args = node.args
+                pos = [a.arg for a in args.posonlyargs + args.args]
+                kw = [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                defaulted[node.name] = pos[len(pos) - len(args.defaults):] + kw
+                positional[node.name] = pos[1:] if node in methods else pos
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+    for call in calls:
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        if name not in defaulted:
+            continue
+        got = passed.setdefault(name, set())
+        if any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg is None for k in call.keywords):
+            got.update(defaulted[name])  # *args or **kwargs may pass any of them
+        got.update(positional[name][:len(call.args)])
+        got.update(k.arg for k in call.keywords)
+    unset = sorted(f"{name}({p})" for name, params in defaulted.items()
+                   for p in params if p not in passed.get(name, ()))
+    assert unset == []
+
+
 @pytest.fixture()
 def q3_file(tmp_path):
     path = tmp_path / "q3.el"

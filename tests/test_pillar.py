@@ -2,9 +2,10 @@ import time
 
 import pytest
 
+from pillarkit import kraken as kraken_mod
 from pillarkit import pillar as pillar_mod
-from pillarkit.config import RunConfig
-from pillarkit.errors import (LengthNotRealizedError, PreconditionError,
+from pillarkit.config import _CONSTANTS, RunConfig
+from pillarkit.errors import (InternalError, LengthNotRealizedError, PreconditionError,
                               StageError)
 from pillarkit.generators import (cycle_graph, hypercube, random_regular,
                                   subdivided_prism, subdivided_prism_rungs)
@@ -489,3 +490,42 @@ class TestLinkWork:
         k = err.value.details["cycle_length"]
         assert err.value.details["alignments"] == 2 * k
         assert err.value.details["attempts"] == 2 * k * per_alignment
+
+
+class TestLinkPairContract:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_broken_kraken_contract_is_an_internal_error(self, monkeypatch, seed):
+        # robust_kraken guarantees every clause of the pair check; a
+        # _qualifies that accepts every kraken breaks that, and the break
+        # is a bug in the library, not bad input
+        monkeypatch.setattr(kraken_mod, "_qualifies", lambda *args: True)
+        g = planted_prism_with_noise(8, 5, 40, seed=seed)
+        with pytest.raises(InternalError, match="link check.*apart"):
+            find_pillar(g, RunConfig(d=4), seed=seed)
+
+    def test_link_knobs_follow_the_linked_graph(self, monkeypatch):
+        # 10 000 isolated vertices: the linked graph h is the 88-vertex
+        # prism piece of a 10 088-vertex g, and only pillar_ell_min follows n
+        prism = planted_prism_with_noise(8, 5, 40, seed=0)
+        g = Graph(prism.n + 10_000, prism.edges())
+        cfg = RunConfig(d=4, mode="formula")
+        cfg.overrides.update({name: relaxed for name, relaxed, _ in _CONSTANTS
+                              if name != "pillar_ell_min"})
+        cfg.overrides["separation"] = 1
+        calls = []
+        real = pillar_mod._link_aligned
+
+        def spy(h, ka, kb, ell, *rest):
+            calls.append((h.n, ell))
+            return real(h, ka, kb, ell, *rest)
+
+        monkeypatch.setattr(pillar_mod, "_link_aligned", spy)
+        try:
+            find_pillar(g, cfg, seed=0)
+        except StageError:
+            pass
+        h_n, ell = calls[0]
+        assert h_n == prism.n == 88
+        start = cfg.resolve(h_n).pillar_ell_min
+        assert start != cfg.resolve(g.n).pillar_ell_min
+        assert ell in (start, start + 1)  # the first length, raised to the pair's parity

@@ -132,11 +132,6 @@ class TestConnectShort:
         p = connect_short(g, {0}, {999}, set(), P, certified=True)
         assert p.length <= (40 / P.eps1) * math.log(1000) ** 3
 
-    def test_strict_hypothesis(self):
-        g = random_regular(200, 4, seed=1)
-        with pytest.raises(PreconditionError):
-            connect_short(g, {0}, {1}, set(range(50, 120)), P, x=1, strict=True)
-
 
 class TestFindLargeBall:
     def test_empty_avoid_whole_graph_qualifies(self):
