@@ -21,11 +21,11 @@ from .certificates import dumps_certificate, loads_certificate, verify_certifica
 from .config import RunConfig, load_config
 from .errors import (GraphParseError, InternalError, LengthNotRealizedError,
                      NoPathError, PillarkitError, PreconditionError, StageError)
-from .expander import check_expansion
+from .expander import EXPANSION_TRIALS, check_expansion
 from .graph import Graph, ball, load_graph, save_graph
 from .kraken import robust_kraken
 from .pillar import find_pillar
-from .primitives import connect_short, find_q3_bruteforce, find_q3_sampled
+from .primitives import Q3_CAP, connect_short, find_q3_bruteforce, find_q3_sampled
 
 # bad graph, certificate or config files; a UnicodeDecodeError is no OSError
 _BAD_INPUT = (OSError, UnicodeDecodeError, GraphParseError, PreconditionError)
@@ -86,18 +86,18 @@ def cmd_find(args: argparse.Namespace) -> int:
     rc = cfg.resolve(g.n)
     try:
         if args.target == "q3":
-            if g.n <= rc.q3_cap:
-                cert = find_q3_bruteforce(g, cap=rc.q3_cap)
+            if g.n <= Q3_CAP:
+                cert = find_q3_bruteforce(g)
                 how = "exhaustive"
             else:
-                cert = find_q3_sampled(g, rc.seed, ball_cap=rc.q3_cap)
+                cert = find_q3_sampled(g, rc.seed)
                 how = "sampled"
             if cert is None:
                 print(f"not found: no cube ({how} search, n={g.n})")
                 return 1
         elif args.target == "kraken":
             cert = robust_kraken(g, frozenset(), cfg, seed=rc.seed,
-                                 q3_free=True if g.n > rc.q3_cap else None)
+                                 q3_free=True if g.n > Q3_CAP else None)
         else:
             cert = find_pillar(g, cfg, seed=rc.seed)
     except StageError as exc:
@@ -185,7 +185,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if g.n > 0:
         report = check_expansion(g, rc.params, "sampled", seed=rc.seed,
-                                 trials=rc.expansion_trials,
+                                 trials=EXPANSION_TRIALS,
                                  sample_cap=rc.expansion_sample_cap)
         runs = 1
         units = report.samples

@@ -1,5 +1,5 @@
-"""Run configuration: every named threshold of the search pipeline in one
-record, with two modes.
+"""Run configuration: every threshold of the search pipeline that follows
+the host graph size n, plus the seed, in one record, with two modes.
 
 ``formula`` mode derives each constant from the host graph size n via its
 asymptotic definition; those values only fire at astronomically large n,
@@ -17,6 +17,8 @@ from .errors import PreconditionError
 from .expander import ExpanderParams
 
 _CLAMP = 10 ** 15
+_B = 10  # the exponent unit b of the paper's polylog sizes (leg, anchor, caps)
+_SAMPLE_CAP = 2000  # relaxed mode's cap on the size of a sampled expansion-check set
 
 def _powint(base: float, expo: float) -> int:
     """ceil(base**expo) computed in log space, clamped to 1.._CLAMP."""
@@ -36,7 +38,7 @@ _CONSTANTS: list[tuple[str, int, object]] = [
     ("delta_threshold", 64, lambda n, c, r: _powint(math.e, math.log(max(math.log(n), 1.001)) ** 2)),
     # base radius unit: 200 * ln^3(n) / eps1
     ("m", 64, lambda n, c, r: max(1, math.ceil(200 * math.log(n) ** 3 / c.eps1))),
-    ("anchor_size", 24, lambda n, c, r: _powint(math.log(n), 100 * r["b"])),
+    ("anchor_size", 24, lambda n, c, r: _powint(math.log(n), 100 * _B)),
     ("anchor_count", 6, lambda n, c, r: r["m"] ** 2),
     # minimum pairwise distance between anchors / low-degree legs
     ("separation", 2, lambda n, c, r: _powint(math.log(n), 0.1)),
@@ -45,31 +47,23 @@ _CONSTANTS: list[tuple[str, int, object]] = [
     ("kraken_separation", 0, lambda n, c, r: 10 * r["ell0"]),
     # how many krakens the collection stage tries to amass
     ("kraken_count", 3, lambda n, c, r: _powint(n, 0.125)),
-    ("leg_size", 2, lambda n, c, r: _powint(math.log(n), r["b"])),
+    ("leg_size", 2, lambda n, c, r: _powint(math.log(n), _B)),
     # cap on the cycle length of a found kraken
     ("k_max", 12, lambda n, c, r: max(3, math.floor(math.log(n)))),
     ("p_len_cap", 3, lambda n, c, r: r["ell0"]),
     ("q_len_cap", 100_000, lambda n, c, r: 3 * r["m"]),
-    ("u_cap", 100_000, lambda n, c, r: _powint(math.log(n), 2 * r["b"])),
-    ("u0_cap", 100_000, lambda n, c, r: _powint(math.log(n), 6 * r["b"])),
+    ("u_cap", 100_000, lambda n, c, r: _powint(math.log(n), 2 * _B)),
+    ("u0_cap", 100_000, lambda n, c, r: _powint(math.log(n), 6 * _B)),
     # size of the trimmed expansions handed to the exact-length connector
-    ("link_expansion_size", 2, lambda n, c, r: _powint(math.log(n), 4 * r["b"])),
+    ("link_expansion_size", 2, lambda n, c, r: _powint(math.log(n), 4 * _B)),
     ("ell_min", 1, lambda n, c, r: _powint(math.log(n), 7)),
     ("ell_max", 10 ** 9, lambda n, c, r: max(1, math.floor(n / _powint(math.log(n), 10)))),
     # where the pillar driver starts its choice of rung length
     ("pillar_ell_min", 3, lambda n, c, r: _powint(math.log(n), 7)),
 ]
 
+# settable values with no formula
 _KNOBS_INT = [
-    ("connector_exact_cap", 64),
-    ("q3_cap", 40),
-    ("expansion_trials", 40),
-    ("max_krakens", 8),
-    ("link_retries", 8),
-    ("max_link_rounds", 64),
-    ("d_target", 2),
-    ("ball_candidates", 20),
-    ("b", 10),
     ("seed", 0),
 ]
 
@@ -85,7 +79,6 @@ class RunConfig:
     eps2: float = 0.2
     d: int = 4
     mode: str = "relaxed"
-    expansion_sample_cap: int | None = 2000
     overrides: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -113,7 +106,7 @@ class RunConfig:
                 values[name] = formula(n, self, values)
             else:
                 values[name] = relaxed
-        cap = self.expansion_sample_cap if self.mode == "relaxed" else None
+        cap = _SAMPLE_CAP if self.mode == "relaxed" else None
         return ResolvedConfig(params=self.params, mode=self.mode,
                               expansion_sample_cap=cap, **values)
 
@@ -125,8 +118,6 @@ class RunConfig:
             f"eps1 = {self.eps1!r}",
             f"eps2 = {self.eps2!r}",
             f"d = {self.d}",
-            "expansion_sample_cap = "
-            + ("none" if self.expansion_sample_cap is None else str(self.expansion_sample_cap)),
         ]
         for name, relaxed, _ in _CONSTANTS:
             lines.append(f"{name} = {self.overrides.get(name, relaxed)}")
@@ -146,8 +137,6 @@ class RunConfig:
             key, _, val = (part.strip() for part in line.partition("="))
             if key == "mode":
                 values[key] = val
-            elif key == "expansion_sample_cap" and val.lower() == "none":
-                values[key] = None
             else:
                 kind = float if key in ("eps1", "eps2") else int
                 try:
@@ -156,8 +145,7 @@ class RunConfig:
                     what = "a number" if kind is float else "an integer"
                     raise PreconditionError(
                         f"config line {line_no}: {key} = {val!r} is not {what}") from None
-        fields = {k: values.pop(k) for k in ("eps1", "eps2", "d", "mode", "expansion_sample_cap")
-                  if k in values}
+        fields = {k: values.pop(k) for k in ("eps1", "eps2", "d", "mode") if k in values}
         return cls(**fields, overrides=values)
 
 
@@ -185,17 +173,8 @@ class ResolvedConfig:
     ell_min: int
     ell_max: int
     pillar_ell_min: int
-    connector_exact_cap: int
-    q3_cap: int
-    expansion_trials: int
-    max_krakens: int
-    link_retries: int
-    max_link_rounds: int
-    d_target: int
-    ball_candidates: int
-    b: int
     seed: int
-    expansion_sample_cap: int | None
+    expansion_sample_cap: int | None  # _SAMPLE_CAP in relaxed mode, None in formula mode
 
 
 def load_config(path: str) -> RunConfig:

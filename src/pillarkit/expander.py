@@ -96,6 +96,7 @@ class ExpansionReport:
 
 _EXACT_CAP = 20  # exact mode enumerates every medium set, so only small graphs
 _MAX_ROUNDS = 30  # extract_expander's rounds of peeling and splitting
+EXPANSION_TRIALS = 40  # sampled-check trials of find_pillar's extraction and the CLI bench
 
 
 def _size_bounds(n: int, params: ExpanderParams) -> tuple[int, int]:

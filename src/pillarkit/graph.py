@@ -234,31 +234,37 @@ def load_graph(text: str) -> Graph:
     are rejected.  n is max id + 1.
 
     Plain text (each line two short ids and one space) loads a chunk at a
-    time into one flat array; any other text goes to the line parser.
+    time into one flat array; the line parser gets the rest from the first
+    chunk that is not plain.
     """
     ends = array("i")
     pos = 0
     while pos < len(text):
         stop = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        chunk, pos = text[pos:stop], stop
+        chunk = text[pos:stop]
         tokens = chunk.split()
         it = iter(tokens)
         if not (chunk.isascii() and max(map(len, tokens), default=0) <= _ID_DIGITS
                 and "\n".join(map(" ".join, zip(it, it))) == chunk.rstrip("\n")
                 and "".join(tokens).isdigit()):
-            return _parse_lines(text)
+            break
         ends.extend(map(int, tokens))
+        pos = stop
     it = iter(ends)
     if any(map(eq, it, it)):  # a self-loop: the line parser names its line
         return _parse_lines(text)
+    if pos < len(text):  # plain chunks hold only "\n" line breaks
+        return _parse_lines(text[pos:], ends, text.count("\n", 0, pos) + 1)
     it = iter(ends)
     return Graph(max(ends, default=-1) + 1, zip(it, it))
 
 
-def _parse_lines(text: str) -> Graph:
-    edges: list[tuple[int, int]] = []
-    max_id = -1
-    for line_no, raw in enumerate(text.splitlines(), 1):
+def _parse_lines(text: str, ends: array | None = None, first_line: int = 1) -> Graph:
+    """The graph of the id pairs already in the flat array ``ends`` plus the
+    lines of ``text``, the first of which is line ``first_line`` of the file."""
+    ends = array("i") if ends is None else ends
+    max_id = max(ends, default=-1)
+    for line_no, raw in enumerate(text.splitlines(), first_line):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -278,11 +284,12 @@ def _parse_lines(text: str) -> Graph:
             u, v = ids
             if u == v:
                 raise GraphParseError(line_no, f"self-loop at {u}")
-            edges.append((u, v))
+            ends.extend(ids)
             max_id = max(max_id, u, v)
         else:
             raise GraphParseError(line_no, f"expected 1 or 2 ids, got {len(ids)}")
-    return Graph(max_id + 1, edges)
+    it = iter(ends)
+    return Graph(max_id + 1, zip(it, it))
 
 
 def save_graph(g: Graph) -> str:

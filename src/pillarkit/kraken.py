@@ -25,8 +25,11 @@ from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, PreconditionError, StageError
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
                     distances_from, set_distance, shortest_set_path)
-from .primitives import Expansion, find_large_ball, find_q3_bruteforce, trim_expansion
+from .primitives import Q3_CAP, Expansion, find_large_ball, find_q3_bruteforce, trim_expansion
 from .validity import ValidityReport
+
+_MAX_LINK_ROUNDS = 64  # robust_kraken's rounds of linking legs and shortcut rewrites
+_BALL_CANDIDATES = 20  # ball centers find_large_ball tries for each anchor
 
 @dataclass(frozen=True)
 class Kraken:
@@ -351,7 +354,7 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     If no collected kraken qualifies, anchors are built and each round of
     the link loop links what free legs it can, assembles the first fully
     linked kraken, or else makes one shortcut rewrite and goes round again.
-    Without a rewrite, or after ``max_link_rounds`` rounds, it raises stage
+    Without a rewrite, or after ``_MAX_LINK_ROUNDS`` rounds, it raises stage
     ``link-rounds`` with each kraken's links and legs and the anchor count.
     """
     rc = config.resolve(g.n)
@@ -364,13 +367,13 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
         raise PreconditionError(f"|U| = {len(uset)} over the cap {rc.u_cap}")
     if q3_free is False:
         raise PreconditionError("caller flagged the graph as containing a cube")
-    if q3_free is None and g.n <= rc.q3_cap:
-        if find_q3_bruteforce(g, cap=rc.q3_cap) is not None:
+    if q3_free is None and g.n <= Q3_CAP:
+        if find_q3_bruteforce(g) is not None:
             raise PreconditionError("graph contains a cube; robust search assumes cube-freeness")
 
     high = frozenset(v for v in range(g.n) if g.degree(v) >= rc.delta_threshold)
     into_u = Counter(chain.from_iterable(map(g.neighbors, uset)))  # edges into U
-    u0 = frozenset(v for v, c in into_u.items() if c >= config.d / 2 and v not in uset)
+    u0 = frozenset(v for v, c in into_u.items() if c >= rc.params.d / 2 and v not in uset)
     if len(u0) > rc.u0_cap:
         raise StageError("u0-bound",
                          f"{len(u0)} vertices dominated by U (cap {rc.u0_cap}); "
@@ -386,8 +389,8 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
         if not rep.valid:
             raise InternalError(f"internal: collected kraken invalid ({rep})")
         return (early, state) if return_state else early
-    _build_anchors(state, config)
-    for _ in range(rc.max_link_rounds):
+    _build_anchors(state)
+    for _ in range(_MAX_LINK_ROUNDS):
         _augment_links(state)
         full = next((i for i in range(len(state.collection)) if not state.free_legs(i)), None)
         if full is not None:
@@ -464,7 +467,7 @@ def _first_qualifying(state: KrakenSearchState) -> Kraken | None:
     return None
 
 
-def _build_anchors(state: KrakenSearchState, config: RunConfig) -> None:
+def _build_anchors(state: KrakenSearchState) -> None:
     g, rc = state.graph, state.cfg
     used = set()
     for kr in state.collection:
@@ -477,9 +480,9 @@ def _build_anchors(state: KrakenSearchState, config: RunConfig) -> None:
         sep_ball = set(ball(g, core, rc.separation, state.high_degree - core)) if core else set()
         avoid = state.high_degree | state.forbidden | used | sep_ball
         try:
-            exp = find_large_ball(g, avoid, config.params,
+            exp = find_large_ball(g, avoid, rc.params,
                                   w_cap=None if rc.mode == "formula" else float(g.n),
-                                  max_candidates=rc.ball_candidates)
+                                  max_candidates=_BALL_CANDIDATES)
         except (PreconditionError, StageError):
             break
         if exp.size < rc.anchor_size:

@@ -12,10 +12,10 @@ from .errors import (InternalError, LengthNotRealizedError, NoPathError,
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
                     distances_from, induced_subgraph, parity, set_distance, shortest_set_path)
 from .kraken import Kraken, _child_seed, robust_kraken, verify_kraken
-from .primitives import (Expansion, Q3Certificate, connect_short,
+from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
 from .validity import ValidityReport
-from .expander import extract_expander
+from .expander import EXPANSION_TRIALS, extract_expander
 
 @dataclass(frozen=True)
 class Pillar:
@@ -199,8 +199,10 @@ class Adjuster:
         chosen = _subset_sum(
             [det.increment for det in self.detours], target)
         if chosen is None:
-            raise LengthNotRealizedError(ell, _nearest_sums(
-                self.core.length, [d.increment for d in self.detours], ell))
+            lengths = sorted(self.realizable_lengths())
+            below = [x for x in lengths if x <= ell][-1:]
+            above = [x for x in lengths if x > ell][:1]
+            raise LengthNotRealizedError(ell, below + above)
         by_edge = {}
         for idx in chosen:
             det = self.detours[idx]
@@ -237,23 +239,12 @@ def _subset_sum(values: list[int], target: int) -> list[int] | None:
     return chosen[::-1]
 
 
-def _nearest_sums(base: int, values: list[int], ell: int) -> list[int]:
-    sums = {0}
-    for v in values:
-        sums |= {s + v for s in sums}
-    lengths = sorted(base + s for s in sums)
-    below = [x for x in lengths if x <= ell]
-    above = [x for x in lengths if x > ell]
-    out = []
-    if below:
-        out.append(below[-1])
-    if above:
-        out.append(above[0])
-    return out
-
-
 _EXACT_NODE_BUDGET = 2_000_000  # nodes _exact_fixed_path's DFS visits before it gives up
 _PROBE_STEPS = 6  # parity steps either side of ell that _probe_exact tries
+_CONNECTOR_EXACT_CAP = 64  # largest graph the connector searches by complete DFS
+_D_TARGET = 2  # find_pillar's first degree target for the expander it extracts
+_MAX_KRAKENS = 8  # robust_kraken calls find_pillar makes before it gives up
+_LINK_RETRIES = 8  # lengths find_pillar tries per alignment of a kraken pair
 
 
 def _exact_fixed_path(g: Graph, v1: int, v2: int, ell: int,
@@ -383,7 +374,7 @@ def connect_fixed_length(g: Graph, f1: Expansion, f2: Expansion, ell: int,
             raise PreconditionError(
                 f"parity mismatch: every {v1},{v2}-path has length {parity(g, v1, v2)} mod 2")
 
-    if g.n <= rc.connector_exact_cap:
+    if g.n <= _CONNECTOR_EXACT_CAP:
         found, complete = _exact_fixed_path(g, v1, v2, ell, uset)
         if found is not None:
             return found
@@ -410,8 +401,7 @@ def _probe_exact(g: Graph, v1: int, v2: int, ell: int, uset: frozenset[int],
         for cand in (ell - delta, ell + delta):
             if cand < 1 or cand > rc.ell_max:
                 continue
-            hit, complete = _exact_fixed_path(g, v1, v2, cand, uset)
-            if hit is not None:
+            if _exact_fixed_path(g, v1, v2, cand, uset)[0] is not None:
                 nearest.append(cand)
         if nearest:
             break
@@ -633,11 +623,11 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
 
     The pair's alignment-free preconditions (``_check_link_pair``) are
     checked once, before the first alignment; each attempt then runs only
-    ``_link_aligned``.  An alignment gets up to ``link_retries`` lengths,
+    ``_link_aligned``.  An alignment gets up to ``_LINK_RETRIES`` lengths,
     except that a connection that fails at index 0 because the two
     expansions are disconnected ends that alignment's retries: nothing
     built at index 0 depends on the length, so every length would fail.
-    Failed pairs give way to the next equal-length pair, within ``max_krakens``;
+    Failed pairs give way to the next equal-length pair, within ``_MAX_KRAKENS``;
     the ``link`` StageError counts ``pairs``, ``alignments`` and ``attempts``.
     """
     if g.n == 0:
@@ -647,12 +637,12 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     # target, or at the largest target the average degree supports; too
     # sparse for either, search g as it is.  Vertex i of h is ids[i] in g.
     h, ids = g, range(g.n)
-    for target in sorted({rc.d_target, max(1, int(g.average_degree() // 8))},
+    for target in sorted({_D_TARGET, max(1, int(g.average_degree() // 8))},
                          reverse=True):
         try:
             h, ids = extract_expander(
                 g, target, config.params, seed=_child_seed(seed, 0),
-                trials=rc.expansion_trials, sample_cap=rc.expansion_sample_cap)
+                trials=EXPANSION_TRIALS, sample_cap=rc.expansion_sample_cap)
             break
         except (PreconditionError, StageError):
             continue
@@ -660,10 +650,10 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     h = induced_subgraph(h, piece)
     ids = [ids[v] for v in piece]
 
-    if h.n <= rc.q3_cap:
-        cube = find_q3_bruteforce(h, cap=rc.q3_cap)
+    if h.n <= Q3_CAP:
+        cube = find_q3_bruteforce(h)
     else:
-        cube = find_q3_sampled(h, _child_seed(seed, 1), ball_cap=rc.q3_cap)
+        cube = find_q3_sampled(h, _child_seed(seed, 1))
     if cube is not None:
         pillar = _translate_pillar(pillar_from_q3(cube), ids)
         rep = verify_pillar(g, pillar)
@@ -674,7 +664,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     forbidden: set[int] = set()
     found: list[Kraken] = []
     tried: list[tuple[int, int]] = []  # (cycle length, attempts) of each pair that failed
-    for i in range(rc.max_krakens):
+    for i in range(_MAX_KRAKENS):
         try:
             kr = robust_kraken(h, frozenset(forbidden), config,
                                seed=_child_seed(seed, 2 + i), q3_free=True)
@@ -723,7 +713,7 @@ def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken,
             ell = rc.pillar_ell_min
             if ell % 2 != target:
                 ell += 1
-            for _ in range(rc.link_retries):
+            for _ in range(_LINK_RETRIES):
                 attempts += 1
                 try:
                     paths = _link_aligned(h, ka, aligned, ell, high, rc, config)

@@ -161,7 +161,10 @@ def find_q3_bipartite(g: Graph, u_side: Iterable[int], w_side: Iterable[int], d:
     return cert
 
 
-def find_q3_bruteforce(g: Graph, cap: int = 40) -> Q3Certificate | None:
+Q3_CAP = 40  # most vertices the brute-force cube search takes, as a graph or a ball
+
+
+def find_q3_bruteforce(g: Graph, cap: int = Q3_CAP) -> Q3Certificate | None:
     """Exhaustive cube search; None certifies the graph cube-free.
 
     Uses a 4-set/representatives scan on bipartite inputs and a pruned
@@ -269,7 +272,7 @@ def _q3_backtrack(g: Graph) -> Q3Certificate | None:
     return None
 
 
-def find_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = 40) -> Q3Certificate | None:
+def find_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = Q3_CAP) -> Q3Certificate | None:
     """Seeded local cube search for graphs too large to scan exhaustively.
 
     Any cube containing v lies inside the radius-3 ball of v, so each

@@ -8,7 +8,7 @@ import pytest
 import pillarkit
 import pillarkit.cli
 from pillarkit.cli import main
-from pillarkit.config import ResolvedConfig, RunConfig
+from pillarkit.config import _CONSTANTS, _KNOBS_INT, ResolvedConfig, RunConfig
 from pillarkit.errors import InternalError, PreconditionError
 from pillarkit.graph import MAX_VERTICES
 
@@ -40,10 +40,8 @@ class TestRunConfig:
 
     def test_every_constant_named_in_text(self):
         text = RunConfig(d=4).to_text()
-        for key in ("ell0", "delta_threshold", "m", "anchor_size", "anchor_count",
-                    "separation", "leg_size", "u_cap", "ell_min", "ell_max",
-                    "q_len_cap", "p_len_cap"):
-            assert f"{key} = " in text
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        assert keys == ["mode", "eps1", "eps2", "d", *(name for name, *_ in _CONSTANTS), "seed"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(PreconditionError):
@@ -75,6 +73,24 @@ def test_every_resolved_config_field_is_read():
     """A knob that nothing reads is dead: settable, documented, and inert."""
     fields = {f.name for f in dataclasses.fields(ResolvedConfig)}
     assert fields - _config_reads() == set()
+
+
+def test_every_knob_is_set_by_a_caller():
+    """A config key with no formula that no caller sets is a constant:
+    ``_KNOBS_INT`` keys must each be set as ``<...>.overrides["key"] = ...``
+    by the package or the benchmark."""
+    root = Path(pillarkit.__file__).parent
+    paths = [*root.glob("*.py"), *(root.parents[1] / "perfbench").glob("*.py")]
+    set_keys = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (isinstance(target, ast.Subscript)
+                            and getattr(target.value, "attr", None) == "overrides"
+                            and isinstance(target.slice, ast.Constant)):
+                        set_keys.add(target.slice.value)
+    assert {name for name, _ in _KNOBS_INT} - set_keys == set()
 
 
 def test_every_private_default_is_passed():
@@ -297,7 +313,11 @@ class TestCli:
         assert main(["find", "pillar", "--graph", str(q3_file), "--seed", "0"]) == code
         assert "planted" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["workers", "expansion_exact_cap", "collective_threshold"])
+    @pytest.mark.parametrize("key", [
+        "workers", "expansion_exact_cap", "collective_threshold",
+        "connector_exact_cap", "q3_cap", "expansion_trials", "max_krakens", "link_retries",
+        "max_link_rounds", "d_target", "ball_candidates", "b", "expansion_sample_cap",
+    ])
     def test_removed_keys_exit_2(self, q3_file, tmp_path, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")
@@ -306,10 +326,9 @@ class TestCli:
     @pytest.mark.parametrize("command", [["find", "pillar"], ["bench"]], ids=["find", "bench"])
     @pytest.mark.parametrize("line, message", [
         ("separation = abc", "config line 2: separation = 'abc' is not an integer"),
-        ("expansion_sample_cap = x", "config line 2: expansion_sample_cap = 'x' is not an integer"),
         ("eps1 = 5", "need 0 < eps1 < 1"),
         ("d = 0", "need d >= 1"),
-    ], ids=["separation", "expansion_sample_cap", "eps1", "d"])
+    ], ids=["separation", "eps1", "d"])
     def test_malformed_config_value_exit_2(self, q3_file, tmp_path, capsys, command, line,
                                            message):
         cfg = tmp_path / "run.cfg"

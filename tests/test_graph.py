@@ -380,3 +380,21 @@ def test_plain_text_skips_the_line_parser(monkeypatch):
     monkeypatch.setattr(graph_module, "_parse_lines", refuse)
     assert _fields(load_graph(text)) == _fields(expected)
     assert _fields(load_graph(text.rstrip("\n"))) == _fields(expected)
+
+    # isolated vertices are single-id lines at the end: only the chunk
+    # holding them, not the plain chunks before it, goes to the line parser
+    g = random_regular(3000, 6, 0)
+    text = save_graph(Graph(g.n + 2, g.edges()))
+    expected = _parse_lines(text)
+    seen = []
+
+    def record(tail, ends, first_line):
+        seen.append((tail, first_line))
+        return _parse_lines(tail, ends, first_line)
+
+    monkeypatch.setattr(graph_module, "_parse_lines", record)
+    assert _fields(load_graph(text)) == _fields(expected)
+    [(tail, first_line)] = seen
+    assert tail.endswith("3000\n3001\n") and text.endswith(tail)
+    assert len(tail) < len(text) // 2
+    assert text[:-len(tail)].count("\n") + 1 == first_line

@@ -412,7 +412,7 @@ class TestLinkSkips:
             disconnected += 1
             # no nearest lengths come with a disconnection, so find_pillar
             # would step by 2 for the rest of its retries
-            for retry in range(1, rc.link_retries):
+            for retry in range(1, pillar_mod._LINK_RETRIES):
                 with pytest.raises(StageError) as later:
                     link_krakens(h, ka, al, ell + 2 * retry, high, cfg)
                 assert _is_index0_disconnection(later.value)
