@@ -60,11 +60,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
             g = generators.path_graph(args.n)
         else:
             g = generators.cycle_graph(args.n)
-    except (PreconditionError, TypeError) as exc:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(save_graph(g))
+    except (OSError, PreconditionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(save_graph(g))
     print(f"wrote {g.n} vertices, {g.m} edges to {args.out}")
     return 0
 
@@ -117,8 +117,12 @@ def cmd_find(args: argparse.Namespace) -> int:
         return 2
     text = dumps_certificate(cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"certificate written to {args.out}")
     else:
         sys.stdout.write(text)

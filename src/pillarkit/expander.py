@@ -7,8 +7,9 @@ with e(F) <= d(G)*eps(|X|)*|X|.  Robust verification is co-NP-hard, so the
 exact mode pairs the F-empty check with a greedy adversary that deletes
 the cheapest external neighbors first; this limitation is recorded in the
 report type.  Every external neighbor has an edge into X, so the greedy
-deletes at most floor(budget) of them: a set whose neighborhood exceeds
-the need by that many passes, and only the rest are counted and sorted.
+deletes at most floor(budget) of them: a set whose neighborhood reaches
+need + floor(budget) passes.  The neighborhood is counted only up to that
+bound, and only the sets below it have their edges counted and sorted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
+from collections.abc import Iterable
+from itertools import combinations
 
 from .errors import PreconditionError, StageError
 from .graph import Graph, bfs_layers, induced_subgraph
@@ -111,19 +113,22 @@ def _violation(g: Graph, members: list[int],
 
     Tries F empty first, then greedily spends the deletion budget on the
     external neighbors with the fewest edges into X.  Each of them costs
-    at least one edge, so the greedy deletes at most floor(budget); when
-    that many deletions still leave ``need`` neighbors, X passes without
-    counting edges.
+    at least one edge, so the greedy deletes at most floor(budget).  The
+    neighbors are collected member by member, and X passes, without
+    counting edges, once ``need + floor(budget)`` of them are found.
     """
     adj = g._adj
     xset = set(members)
-    outside = set(chain.from_iterable(adj[v] for v in members)) - xset
     need = epsilon(len(members), params) * len(members)
+    budget = g.average_degree() * need
+    spare = math.floor(budget)
+    outside: set[int] = set()
+    for v in members:
+        outside.update([w for w in adj[v] if w not in xset])
+        if len(outside) - spare >= need:
+            return None
     if len(outside) < need:
         return frozenset(members), []
-    budget = g.average_degree() * need
-    if len(outside) - math.floor(budget) >= need:
-        return None
     counts: dict[int, int] = {}  # external neighbor -> number of edges into X
     for v in members:
         for w in adj[v]:
@@ -179,14 +184,25 @@ def _check_exact(g: Graph, params: ExpanderParams) -> ExpansionReport:
 def _sample_connected(g: Graph, rng: random.Random, size: int) -> list[int]:
     # Not on bfs_layers: it takes frontier vertices in random order.
     adj = g._adj
+    getrandbits = rng.getrandbits
     start = rng.randrange(g.n)
     out = [start]
     seen = {start}
     frontier = [start]
     while frontier and len(out) < size:
-        u = frontier.pop(rng.randrange(len(frontier)))
+        # rng.randrange and rng.shuffle inlined, with _randbelow's draws and rejections
+        k = len(frontier).bit_length()
+        i = getrandbits(k)
+        while i >= len(frontier):
+            i = getrandbits(k)
+        u = frontier.pop(i)
         nbrs = [w for w in adj[u] if w not in seen]
-        rng.shuffle(nbrs)
+        for i in reversed(range(1, len(nbrs))):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            nbrs[i], nbrs[j] = nbrs[j], nbrs[i]
         del nbrs[size - len(out):]
         seen.update(nbrs)
         out += nbrs
@@ -218,25 +234,22 @@ def _check_sampled(g: Graph, params: ExpanderParams, seed: int, trials: int,
 # -- extraction --------------------------------------------------------
 
 
-def greedy_max_cut_sides(g: Graph, order: list[int] | None = None) -> list[int]:
+def greedy_max_cut_sides(g: Graph, order: Iterable[int] | None = None) -> list[int]:
     """Greedy two-coloring in BFS order, each vertex opposite the majority
     of its placed neighbors.  Recovers a proper coloring on bipartite
-    inputs and keeps at least half the edges in general."""
-    side = [-1] * g.n
+    inputs and keeps at least half the edges in general.  Given ``order``,
+    it places those vertices in that order and leaves the rest at -1."""
+    adj = g._adj
+    sign = [0] * g.n  # +1 on side 0, -1 on side 1, 0 unplaced
+    tally = sign.__getitem__  # summed over a row: placed on side 0 minus on side 1
     if order is None:
-        # one BFS per component from its lowest vertex, the vertex where
-        # its id first appears (ids count up in the order of those vertices)
-        order = []
-        roots = 0
-        for root, c in enumerate(g.comp):
-            if c == roots:
-                roots += 1
-                for layer in bfs_layers(g, [root]):
-                    order += layer
+        # one BFS per component from its lowest vertex; the next root is
+        # read only once the walks before it are placed
+        order = (v for root in range(g.n) if not sign[root]
+                 for layer in bfs_layers(g, [root]) for v in layer)
     for v in order:
-        placed = [side[w] for w in g._adj[v]]
-        side[v] = 0 if placed.count(0) <= placed.count(1) else 1
-    return side
+        sign[v] = 1 if sum(map(tally, adj[v])) <= 0 else -1
+    return [(-1, 0, 1)[s] for s in sign]
 
 
 def _max_cut_graph(g: Graph) -> Graph:
@@ -252,7 +265,8 @@ def _max_cut_graph(g: Graph) -> Graph:
 def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
     """Iteratively drop vertices with fewer than d neighbors inside keep."""
     # Not on bfs_layers: it peels by degree and does not traverse.
-    deg = {v: sum(map(keep.__contains__, g._adj[v])) for v in keep}
+    full = len(keep) == g.n  # keep is all of g: a degree is the length of a row
+    deg = {v: len(g._adj[v]) if full else sum(map(keep.__contains__, g._adj[v])) for v in keep}
     queue = [v for v, dv in deg.items() if dv < d]
     alive = set(keep)
     while queue:

@@ -5,24 +5,24 @@ from __future__ import annotations
 import random
 
 from .errors import PreconditionError
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise PreconditionError("path needs n >= 1")
+    if not 1 <= n <= MAX_VERTICES:
+        raise PreconditionError(f"path needs 1 <= n <= {MAX_VERTICES}")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise PreconditionError("cycle needs n >= 3")
+    if not 3 <= n <= MAX_VERTICES:
+        raise PreconditionError(f"cycle needs 3 <= n <= {MAX_VERTICES}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def hypercube(dim: int) -> Graph:
     """dim-dimensional cube on ids 0..2^dim-1 (edge = one flipped bit)."""
-    if dim < 1:
-        raise PreconditionError("hypercube needs dim >= 1")
+    if not 1 <= dim < MAX_VERTICES.bit_length():  # the same as 2^dim <= MAX_VERTICES
+        raise PreconditionError(f"hypercube needs dim >= 1 and 2^dim <= {MAX_VERTICES} vertices")
     n = 1 << dim
     edges = [(v, v | (1 << b)) for v in range(n) for b in range(dim) if not v & (1 << b)]
     return Graph(n, edges)
@@ -30,8 +30,8 @@ def hypercube(dim: int) -> Graph:
 
 def prism(s: int) -> Graph:
     """Cartesian product of an s-cycle and an edge (two cycles + matching)."""
-    if s < 3:
-        raise PreconditionError("prism needs s >= 3")
+    if not 3 <= s <= MAX_VERTICES // 2:
+        raise PreconditionError(f"prism needs s >= 3 and 2*s <= {MAX_VERTICES} vertices")
     edges = []
     for i in range(s):
         j = (i + 1) % s
@@ -52,6 +52,8 @@ def subdivided_prism(s: int, ell: int) -> Graph:
         raise PreconditionError("subdivided prism needs s >= 3")
     if ell < 1:
         raise PreconditionError("subdivided prism needs ell >= 1")
+    if s * (ell + 1) > MAX_VERTICES:
+        raise PreconditionError(f"subdivided prism needs s*(ell+1) <= {MAX_VERTICES} vertices")
     edges = []
     for i in range(s):
         j = (i + 1) % s
@@ -78,8 +80,8 @@ def subdivided_prism_rungs(s: int, ell: int) -> list[tuple[int, ...]]:
 
 def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
     """Each of the a*b cross pairs appears independently with probability p."""
-    if a < 0 or b < 0:
-        raise PreconditionError("side sizes must be nonnegative")
+    if a < 0 or b < 0 or a + b > MAX_VERTICES:
+        raise PreconditionError(f"side sizes must be nonnegative, with a + b <= {MAX_VERTICES}")
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must be in [0, 1]")
     rng = random.Random(seed)
@@ -98,8 +100,8 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     """
     if n * d % 2 != 0:
         raise PreconditionError("n*d must be even")
-    if not 0 <= d < n:
-        raise PreconditionError("need 0 <= d < n")
+    if not 0 <= d < n <= MAX_VERTICES:
+        raise PreconditionError(f"need 0 <= d < n <= {MAX_VERTICES}")
     attempt = 0
     while True:
         rng = random.Random((seed * 1_000_003 + attempt) & 0xFFFFFFFFFFFF)

@@ -166,6 +166,20 @@ class TestCli:
         assert main(["generate", "random-regular", "--n", "10", "--d", "2",
                      "--out", str(tmp_path / "x.el")]) == 2
 
+    def test_generate_past_max_vertices_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.el"
+        assert main(["generate", "path", "--n", str(MAX_VERTICES + 1), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
+
+    @pytest.mark.parametrize("command", [["generate", "cycle", "--n", "5"], ["find", "q3"]],
+                             ids=["generate", "find"])
+    def test_unwritable_out_exit_2(self, q3_file, tmp_path, capsys, command):
+        graph = ["--graph", str(q3_file)] if command[0] == "find" else []
+        out = tmp_path / "missing-dir" / "out"
+        assert main(command + graph + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+
     def test_find_pillar_on_cube(self, q3_file, tmp_path):
         cert = tmp_path / "pillar.json"
         assert main(["find", "pillar", "--graph", str(q3_file), "--seed", "0",

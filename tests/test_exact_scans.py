@@ -15,14 +15,14 @@ from pillarkit import kraken as kraken_mod
 from pillarkit import primitives as primitives_mod
 from pillarkit.config import RunConfig
 from pillarkit.errors import PreconditionError, StageError
-from pillarkit.expander import (ExpanderParams, _peel, _sample_connected, _violation,
-                                epsilon, greedy_max_cut_sides)
+from pillarkit.expander import (ExpanderParams, _max_cut_graph, _peel, _sample_connected,
+                                _size_bounds, _violation, epsilon, greedy_max_cut_sides)
 from pillarkit.generators import cycle_graph, hypercube, random_regular
 from pillarkit.graph import Graph, _largest_piece
 from pillarkit.kraken import _carve, robust_kraken
 from pillarkit.primitives import find_q3_sampled
 
-from util import (ref_carve, ref_greedy_max_cut_sides, ref_peel, ref_piece,
+from util import (ref_bfs_order, ref_carve, ref_greedy_max_cut_sides, ref_peel, ref_piece,
                   ref_sample_connected, ref_u0, ref_violation)
 
 
@@ -66,6 +66,47 @@ def test_violation_counting_branch(attach, removed):
     assert _violation(g, members, p) == ref_violation(g, members, p) == expected
 
 
+@pytest.mark.parametrize("p", [ExpanderParams(0.1, 0.2, 12), ExpanderParams(0.9, 0.2, 5000)],
+                         ids=["d12", "d5000"])
+def test_violation_same_on_sampled_sets_at_scale(p):
+    """Sets of lo..1000 vertices drawn as extraction draws them, from the
+    max-cut host of rr(2000, 12).  At d = 12 every set reaches the pass bound
+    within a few members; at d = 5000 some only pass the counting greedy."""
+    host = _max_cut_graph(random_regular(2000, 12, 0))
+    lo = _size_bounds(host.n, p)[0]
+    rng = random.Random(15)
+    early = 0
+    for _ in range(100):
+        members = _sample_connected(host, rng, rng.randint(lo, 1000))
+        assert _violation(host, members, p) == ref_violation(host, members, p)
+        outside = {w for v in members for w in host.neighbors(v)} - set(members)
+        need = epsilon(len(members), p) * len(members)
+        early += len(outside) - math.floor(host.average_degree() * need) >= need
+    assert (early == 100) if p.d == 12 else (0 < early < 100)
+
+
+def pendants(t: int) -> Graph:
+    """X = K4 on 0..3, with t outside vertices pendant on vertex 0, and a
+    separate K10 that sets the average degree."""
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(0, 4 + i) for i in range(t)]
+    return Graph(4 + t + 10, edges + [(4 + t + a, 4 + t + b) for a in range(10)
+                                      for b in range(a + 1, 10)])
+
+
+@pytest.mark.parametrize("t, expected", [
+    # one short of the bound: the greedy deletes floor(budget) = 4 pendants
+    (4, (frozenset(range(4)), [(0, 4), (0, 5), (0, 6), (0, 7)])),
+    # at the bound: X passes once vertex 0's row is counted
+    (5, None),
+])
+def test_violation_at_the_pass_bound(t, expected):
+    """|N(X)| = t against the pass bound ceil(need) + floor(budget) = 5."""
+    g, p, members = pendants(t), ExpanderParams(0.9, 0.2, 30), [0, 1, 2, 3]
+    need = epsilon(4, p) * 4
+    assert math.ceil(need) + math.floor(g.average_degree() * need) == 5
+    assert _violation(g, members, p) == ref_violation(g, members, p) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs(), st.integers(0, 2 ** 32), st.integers(0, 16))
 def test_sample_connected_same_members_same_draws(g, seed, size):
@@ -77,14 +118,19 @@ def test_sample_connected_same_members_same_draws(g, seed, size):
 @settings(max_examples=300, deadline=None)
 @given(graphs(), st.data())
 def test_greedy_max_cut_same_sides(g, data):
-    order = data.draw(st.permutations(range(g.n)))
-    assert greedy_max_cut_sides(g, list(order)) == ref_greedy_max_cut_sides(g, order)
+    """Given a prefix of a permutation, the vertices after it stay -1; with
+    no order, one BFS per component from its lowest vertex."""
+    order = data.draw(st.permutations(range(g.n)))[:data.draw(st.integers(0, g.n))]
+    sides = greedy_max_cut_sides(g, list(order))
+    assert sides == ref_greedy_max_cut_sides(g, order)
+    assert [v for v in range(g.n) if sides[v] == -1] == sorted(set(range(g.n)) - set(order))
+    assert greedy_max_cut_sides(g) == ref_greedy_max_cut_sides(g, ref_bfs_order(g))
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs(), st.data(), st.integers(0, 6))
-def test_peel_same_survivors(g, data, d):
-    keep = data.draw(st.sets(st.integers(0, g.n - 1)))
+@given(graphs(), st.data(), st.integers(0, 6), st.booleans())
+def test_peel_same_survivors(g, data, d, whole):
+    keep = set(range(g.n)) if whole else data.draw(st.sets(st.integers(0, g.n - 1)))
     assert _peel(g, set(keep), d) == ref_peel(g, keep, d)
 
 

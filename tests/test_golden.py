@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from pillarkit import expander as expander_mod
 from pillarkit.certificates import dumps_certificate
 from pillarkit.config import RunConfig
 from pillarkit.expander import ExpanderParams, _max_cut_graph, check_expansion, extract_expander
@@ -146,3 +147,23 @@ def test_extracted_expander_rows(seed):
     g = random_regular(2000, 12, seed)
     h, ids = extract_expander(g, 1, ExpanderParams(0.1, 0.2, 12), seed=seed, trials=40)
     assert _sha([h.edges(), list(ids)]) == EXTRACTED[seed]
+
+
+# (rows and ids, the report of every round)
+EXTRACTED_AT_SCALE = ("d790a0e351ac660ef281739f3ac106bbe39f2500fc794a8a9895c42a8294a76d",
+                      "c433b79638c1f8d0503783541e20569b652401b031cf8e9d32db53899d8bfbd9")
+
+
+def test_extracted_expander_at_benchmark_scale(monkeypatch):
+    """The extraction find_pillar runs on an rr(10^4, 12) graph at seed 0,
+    with the relaxed sample cap of 2000: unlike the n = 2000 cases above,
+    its sampled sets run past 1000 vertices."""
+    reports = []
+    real = expander_mod.check_expansion
+    monkeypatch.setattr(expander_mod, "check_expansion",
+                        lambda *args, **kw: reports.append(real(*args, **kw)) or reports[-1])
+    g = random_regular(10000, 12, 0)
+    h, ids = extract_expander(g, 1, ExpanderParams(0.1, 0.2, 12), seed=0, trials=40,
+                              sample_cap=2000)
+    assert (_sha([h.edges(), list(ids)]), _sha([r.to_json_dict() for r in reports])) \
+        == EXTRACTED_AT_SCALE

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +186,28 @@ class TestGenerators:
         with pytest.raises(PreconditionError):
             cycle_graph(2)
         assert path_graph(1).n == 1
+
+    @pytest.mark.parametrize("make, args", [
+        (path_graph, (MAX_VERTICES + 1,)),
+        (cycle_graph, (MAX_VERTICES + 1,)),
+        (hypercube, (MAX_VERTICES.bit_length(),)),  # 2^20 > 10^6 >= 2^19
+        (prism, (MAX_VERTICES // 2 + 1,)),
+        (subdivided_prism, (MAX_VERTICES // 4 + 1, 3)),
+        (random_bipartite, (MAX_VERTICES, 1, 0.0, 0)),
+        (random_regular, (MAX_VERTICES + 2, 0, 0)),
+    ], ids=["path", "cycle", "hypercube", "prism", "subdivided-prism", "random-bipartite",
+            "random-regular"])
+    def test_more_than_max_vertices_rejected_before_allocating(self, make, args):
+        """One vertex (or one dimension) past what load_graph accepts: the
+        generator refuses before it builds an edge list."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match=str(MAX_VERTICES)):
+                make(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestInducedDegree:

@@ -305,6 +305,25 @@ def ref_greedy_max_cut_sides(g: Graph, order: list[int]) -> list[int]:
     return side
 
 
+def ref_bfs_order(g: Graph) -> list[int]:
+    """Every vertex in the order of one FIFO search per component, started
+    at its lowest vertex."""
+    seen = [False] * g.n
+    order: list[int] = []
+    for root in range(g.n):
+        if not seen[root]:
+            seen[root] = True
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                order.append(u)
+                for w in g.neighbors(u):
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+    return order
+
+
 def ref_peel(g: Graph, keep: set[int], d: int) -> set[int]:
     deg = {v: sum(1 for w in g.neighbors(v) if w in keep) for v in keep}
     queue = [v for v, dv in deg.items() if dv < d]
