@@ -80,6 +80,8 @@ def cmd_find(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph)
         cfg = _read_config(args.config, args.seed)
+        if args.out:  # fail before the search; "a" truncates nothing
+            open(args.out, "a", encoding="utf-8").close()
     except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,8 @@ import random
 from .errors import PreconditionError
 from .graph import MAX_VERTICES, Graph
 
+MAX_PAIRS = 12 * MAX_VERTICES  # most stubs (n*d) or cross pairs (a*b): rr(10^6, 12)'s
+
 def path_graph(n: int) -> Graph:
     if not 1 <= n <= MAX_VERTICES:
         raise PreconditionError(f"path needs 1 <= n <= {MAX_VERTICES}")
@@ -80,8 +82,9 @@ def subdivided_prism_rungs(s: int, ell: int) -> list[tuple[int, ...]]:
 
 def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
     """Each of the a*b cross pairs appears independently with probability p."""
-    if a < 0 or b < 0 or a + b > MAX_VERTICES:
-        raise PreconditionError(f"side sizes must be nonnegative, with a + b <= {MAX_VERTICES}")
+    if a < 0 or b < 0 or a + b > MAX_VERTICES or a * b > MAX_PAIRS:
+        raise PreconditionError("side sizes must be nonnegative, with "
+                                f"a + b <= {MAX_VERTICES} and a*b <= {MAX_PAIRS}")
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must be in [0, 1]")
     rng = random.Random(seed)
@@ -100,8 +103,8 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     """
     if n * d % 2 != 0:
         raise PreconditionError("n*d must be even")
-    if not 0 <= d < n <= MAX_VERTICES:
-        raise PreconditionError(f"need 0 <= d < n <= {MAX_VERTICES}")
+    if not 0 <= d < n <= MAX_VERTICES or n * d > MAX_PAIRS:
+        raise PreconditionError(f"need 0 <= d < n <= {MAX_VERTICES} and n*d <= {MAX_PAIRS}")
     attempt = 0
     while True:
         rng = random.Random((seed * 1_000_003 + attempt) & 0xFFFFFFFFFFFF)

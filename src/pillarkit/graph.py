@@ -14,13 +14,13 @@ parent itself.
 Every breadth-first search in the package runs on one kernel,
 :func:`bfs_layers`: it yields the layers of a search in g minus an
 ``avoid`` set, optionally inside a ``within`` set, and callers stop it at
-a radius or a size.  Five walks stay separate, each for a reason given
-where it is written: the two-coloring in ``Graph``, which checks every
-edge as it walks; ``kraken._shortest_cycle_from``, which needs non-tree
-edges as it meets them; ``kraken._shortcut_round``, which counts the
-link vertices it refuses to grow through; ``expander._sample_connected``,
-which takes the frontier in random order; and ``expander._peel``, which
-peels by degree and does not traverse.
+a radius, a size, or a first target.  Five walks stay separate, each for
+a reason given where it is written: the two-coloring in ``Graph``, which
+checks every edge as it walks; ``kraken._shortest_cycle_from``, which
+needs non-tree edges as it meets them; ``kraken._shortcut_round``, which
+counts the link vertices it refuses to grow through;
+``expander._sample_connected``, which takes the frontier in random order;
+and ``expander._peel``, which peels by degree and does not traverse.
 """
 
 from __future__ import annotations
@@ -304,16 +304,19 @@ def save_graph(g: Graph) -> str:
 
 def bfs_layers(g: Graph, sources: Iterable[int], avoid: Container[int] = _EMPTY,
                within: Container[int] | None = None,
-               parents: dict[int, int | None] | None = None) -> Iterator[list[int]]:
+               parents: dict[int, int | None] | None = None,
+               stop: Container[int] = _EMPTY) -> Iterator[list[int]]:
     """The BFS layers of g minus ``avoid`` (inside ``within`` when given),
     each a list in discovery order.
 
     Layer 0 is ``sources`` without repeats, used as given: a source may lie
-    in ``avoid`` or outside ``within``.  The next layer is built only when
-    the caller asks for it, so a caller stops at a radius or a size by
-    leaving the loop.  ``parents``, a dict when given, gets every reached
-    vertex, mapped to the vertex that reached it (None for a source); a
-    vertex already in it counts as reached.
+    in ``avoid`` or outside ``within``.  A caller stops the walk at a
+    radius, a size, or a first target: the next layer is built only when
+    the caller asks for it, and the walk ends at the first vertex it
+    discovers in ``stop`` (never a source), which ends a cut last layer.
+    ``parents``, a dict when given, gets every reached vertex, mapped to
+    the vertex that reached it (None for a source); a vertex already in it
+    counts as reached.
     """
     adj = g._adj
     seen = dict.fromkeys(sources)
@@ -329,6 +332,9 @@ def bfs_layers(g: Graph, sources: Iterable[int], avoid: Container[int] = _EMPTY,
                 if w not in seen and w not in avoid and (within is None or w in within):
                     seen[w] = u
                     nxt.append(w)
+                    if w in stop:  # once per discovered vertex, never per edge
+                        yield nxt
+                        return
         if not nxt:
             return
         layer = nxt
@@ -387,8 +393,8 @@ def set_distance(g: Graph, a: Iterable[int], b: Iterable[int],
         return 0
     avoid_set = _as_set(avoid)
     src = [v for v in a if v not in avoid_set] if avoid_set else a
-    for d, layer in enumerate(bfs_layers(g, src, avoid_set)):
-        if d and not bset.isdisjoint(layer):
+    for d, layer in enumerate(bfs_layers(g, src, avoid_set, stop=bset)):
+        if d and layer[-1] in bset:
             return d
         if cap is not None and d >= cap:
             return None
@@ -414,9 +420,9 @@ def shortest_set_path(g: Graph, sources: Iterable[int], targets: Iterable[int],
     if direct:
         return Path((direct[0],))
     parents: dict[int, int | None] = {}
-    for depth, layer in enumerate(bfs_layers(g, src, avoid_set, within, parents)):
-        if depth and not tgt.isdisjoint(layer):
-            return _trace(parents, next(w for w in layer if w in tgt))
+    for depth, layer in enumerate(bfs_layers(g, src, avoid_set, within, parents, tgt)):
+        if layer[-1] in tgt:  # no source is a target by now
+            return _trace(parents, layer[-1])
         if cap is not None and depth >= cap:
             return None
     return None

@@ -338,12 +338,12 @@ def _alt_route(g: Graph, a: int, b: int, blocked: set[int], max_len: int) -> Pat
     max_len).  ``blocked`` holds b, so the search never steps onto it."""
     into_b = set(g.neighbors(b))
     parents: dict[int, int | None] = {}
-    for depth, layer in enumerate(bfs_layers(g, [a], blocked, parents=parents)):
-        if depth + 1 > max_len:
-            return None
+    for depth, layer in enumerate(bfs_layers(g, [a], blocked, parents=parents, stop=into_b)):
         # from depth 1 on: a's own edge to b is the core edge itself
-        if depth and not into_b.isdisjoint(layer):
-            return Path(_trace(parents, next(u for u in layer if u in into_b)).vertices + (b,))
+        if depth and layer[-1] in into_b:
+            return Path(_trace(parents, layer[-1]).vertices + (b,))
+        if depth + 2 > max_len:  # a hit in the next layer would be too long
+            return None
     return None
 
 
@@ -357,7 +357,12 @@ def connect_fixed_length(g: Graph, f1: Expansion, f2: Expansion, ell: int,
     to make up the length (subset sum over their increments).  Failures
     raise LengthNotRealizedError carrying the nearest achievable lengths.
     """
-    rc = config.resolve(g.n)
+    return _connect_fixed(g, f1, f2, ell, avoid, config.resolve(g.n))
+
+
+def _connect_fixed(g: Graph, f1: Expansion, f2: Expansion, ell: int,
+                   avoid: frozenset[int] | set[int], rc: ResolvedConfig) -> Path:
+    """``connect_fixed_length`` with its config resolved at g.n."""
     uset = frozenset(avoid)
     if f1.members & f2.members:
         raise PreconditionError("expansions must be vertex-disjoint")
@@ -436,7 +441,7 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
         if not rep.valid:
             raise PreconditionError(f"{name} kraken invalid: {rep}")
     _check_link_pair(g, ka, kb, high, rc)
-    return _link_aligned(g, ka, kb, ell, high, rc, config)
+    return _link_aligned(g, ka, kb, ell, high, rc)
 
 
 def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
@@ -475,7 +480,7 @@ def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
 
 
 def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, ell: int, high: frozenset[int],
-                  rc: ResolvedConfig, config: RunConfig) -> list[Path]:
+                  rc: ResolvedConfig) -> list[Path]:
     """The paths of ``link_krakens`` for a pair that passed
     ``_check_link_pair``, with kb's cycle aligned as given."""
     if ell % 2 != parity(g, ka.cycle.vertices[0], kb.cycle.vertices[0]):
@@ -517,7 +522,7 @@ def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, ell: int, high: frozenset[in
             expansions.append(trimmed)
         conn_avoid = frozenset(zhat | (cycles - {ka.cycle.vertices[j], kb.cycle.vertices[j]}))
         try:
-            q = connect_fixed_length(g, expansions[0], expansions[1], ell, conn_avoid, config)
+            q = _connect_fixed(g, expansions[0], expansions[1], ell, conn_avoid, rc)
         except (LengthNotRealizedError, NoPathError, PreconditionError) as exc:
             raise StageError("link-connect", f"index {j + 1}: {exc}",
                              {"index": j, "nearest": getattr(exc, "nearest", None),
@@ -716,7 +721,7 @@ def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken,
             for _ in range(_LINK_RETRIES):
                 attempts += 1
                 try:
-                    paths = _link_aligned(h, ka, aligned, ell, high, rc, config)
+                    paths = _link_aligned(h, ka, aligned, ell, high, rc)
                     pillar = Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths))
                     rep = verify_pillar(h, pillar)
                     if not rep.valid:

@@ -390,12 +390,16 @@ def restrict_and_trim(g: Graph, e: Expansion, d_target: int,
                       avoid: Iterable[int]) -> Expansion | None:
     """Largest-priority BFS prefix of size d_target around the center once
     ``avoid`` is deleted; None when not enough survives.  The radius is
-    re-measured (deleting vertices can stretch inner distances)."""
+    re-measured (deleting vertices can stretch inner distances): it is the
+    depth of the layer that fills d_target, kept in increasing id order."""
+    if d_target < 1:
+        raise PreconditionError(f"need D' >= 1 (got {d_target})")
     avoid_set = frozenset(avoid)
     if e.center in avoid_set:
         return None
-    dist = distances_from(g, [e.center], within=e.members - avoid_set)
-    if len(dist) < d_target:
-        return None
-    order = sorted(dist, key=lambda v: (dist[v], v))[:d_target]
-    return Expansion(e.center, frozenset(order), max(dist[v] for v in order))
+    order: list[int] = []
+    for depth, layer in enumerate(bfs_layers(g, [e.center], avoid_set, e.members)):
+        order += sorted(layer)[:d_target - len(order)]
+        if len(order) == d_target:
+            return Expansion(e.center, frozenset(order), depth)
+    return None

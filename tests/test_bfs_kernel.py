@@ -2,16 +2,19 @@
 reference from ``util``: same results, and where order is visible, same
 order.  The graphs are small, often disconnected and often not bipartite."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from pillarkit.errors import PreconditionError
 from pillarkit.expander import greedy_max_cut_sides
-from pillarkit.graph import Graph, distances_from, set_distance, shortest_set_path
+from pillarkit.graph import (Graph, Path, bfs_layers, distances_from, set_distance,
+                             shortest_set_path)
 from pillarkit.kraken import _bfs_prefix
 from pillarkit.pillar import _alt_route
 from pillarkit.primitives import Expansion, restrict_and_trim, trim_expansion
 
-from util import (ref_alt_route, ref_distances_from, ref_leg_growth, ref_set_distance,
-                  ref_shortest_set_path)
+from util import (ref_alt_route, ref_bfs_layers, ref_distances_from, ref_leg_growth,
+                  ref_set_distance, ref_shortest_set_path)
 
 
 @st.composite
@@ -34,6 +37,45 @@ def _avoid_within(g: Graph, avoid, within, sources) -> frozenset[int]:
     """What a search in g minus avoid, inside within, never steps onto or
     starts from: sources outside within are still used as given."""
     return avoid | (_outside(g, within) - set(sources))
+
+
+@settings(max_examples=250, deadline=None)
+@given(search_case())
+def test_stop_cuts_the_full_layers_just_after_the_first_hit(case):
+    g, sources, targets, avoid, within, _ = case
+    full, ref_parents = ref_bfs_layers(g, sources, avoid | _outside(g, within))
+    hits = [(d, i) for d, layer in enumerate(full) if d for i, w in enumerate(layer) if w in targets]
+    want = full[:hits[0][0]] + [full[hits[0][0]][:hits[0][1] + 1]] if hits else full
+    parents: dict = {}
+    assert list(bfs_layers(g, sources, avoid, within, parents, stop=targets)) == want
+    assert list(parents.items()) == [(w, ref_parents[w]) for layer in want for w in layer]
+
+
+# 0 - 1 - 2 - 3, and 0 - 4 - 5 - 3: the first target BFS meets ends the walk
+_TWO_ROUTES = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 3)])
+
+
+def test_a_source_in_stop_is_no_hit():
+    assert list(bfs_layers(_TWO_ROUTES, [0, 2], stop={0, 2, 4})) == [[0, 2], [1, 4]]
+    assert shortest_set_path(_TWO_ROUTES, [0], {0, 3}) == Path((0,))
+
+
+def test_a_hit_layer_with_several_targets_ends_at_the_first_discovered():
+    parents: dict = {}
+    assert list(bfs_layers(_TWO_ROUTES, [0], stop={5, 2}, parents=parents)) == [[0], [1, 4], [2]]
+    assert parents == {0: None, 1: 0, 4: 0, 2: 1}
+    assert shortest_set_path(_TWO_ROUTES, [0], {5, 2}) == Path((0, 1, 2))
+    assert shortest_set_path(_TWO_ROUTES, [0], {5, 2}, within={0, 4, 5}) == Path((0, 4, 5))
+    assert set_distance(_TWO_ROUTES, [0], {5, 2}, avoid={1}) == 2
+
+
+@pytest.mark.parametrize("cap, found", [(3, True), (2, False)])
+def test_cap_at_the_hit_depth_still_finds_it(cap, found):
+    assert (shortest_set_path(_TWO_ROUTES, [0], {3}, cap=cap) == Path((0, 1, 2, 3))) is found
+    assert set_distance(_TWO_ROUTES, [0], {3}, cap=cap) == (3 if found else None)
+    # the other route from 0 to 1 has length 5: its last step is onto b
+    route = _alt_route(_TWO_ROUTES, 0, 1, {0, 1}, cap + 2)
+    assert (route == Path((0, 4, 5, 3, 2, 1))) is found
 
 
 @settings(max_examples=250, deadline=None)
@@ -102,6 +144,24 @@ def test_trim_and_restrict_same_members(case, r, d_target):
     else:
         kept = sorted(dist, key=lambda v: (dist[v], v))[:d_target]
         assert (got.members, got.radius) == (frozenset(kept), max(dist[v] for v in kept))
+
+
+def test_restrict_keeps_the_cut_layer_in_id_order():
+    # 0's second layer is found as [3, 2] (3 through 1) but kept as [2, 3]
+    g = Graph(6, [(0, 1), (0, 5), (1, 3), (2, 5), (2, 4)])
+    e = Expansion(0, frozenset(range(6)), 3)
+    got = restrict_and_trim(g, e, 4, ())
+    assert (got.members, got.radius) == ({0, 1, 5, 2}, 2)
+    got = restrict_and_trim(g, e, 3, {5})
+    assert (got.members, got.radius) == ({0, 1, 3}, 2)
+    assert restrict_and_trim(g, e, 5, {5}) is None
+
+
+@pytest.mark.parametrize("d_target", [0, -1])
+def test_restrict_refuses_an_empty_target(d_target):
+    e = Expansion(0, frozenset({0, 1}), 1)
+    with pytest.raises(PreconditionError):
+        restrict_and_trim(Graph(2, [(0, 1)]), e, d_target, ())
 
 
 @settings(max_examples=250, deadline=None)

@@ -180,6 +180,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err
 
+    def test_unwritable_out_exits_before_the_search(self, q3_file, tmp_path, monkeypatch):
+        def search(*args, **kwargs):
+            pytest.fail("the search ran though --out cannot be written")
+
+        monkeypatch.setattr(pillarkit.cli, "find_pillar", search)
+        for out in (tmp_path / "missing-dir" / "out", tmp_path):  # the second is a directory
+            assert main(["find", "pillar", "--graph", str(q3_file), "--out", str(out)]) == 2
+
+    def test_failed_search_leaves_an_existing_out_file_alone(self, tmp_path, capsys):
+        g = tmp_path / "c100.el"
+        assert main(["generate", "cycle", "--n", "100", "--out", str(g)]) == 0
+        out = tmp_path / "old.json"
+        out.write_text("kept")
+        assert main(["find", "pillar", "--graph", str(g), "--seed", "0", "--out", str(out)]) == 1
+        assert out.read_text() == "kept"
+
     def test_find_pillar_on_cube(self, q3_file, tmp_path):
         cert = tmp_path / "pillar.json"
         assert main(["find", "pillar", "--graph", str(q3_file), "--seed", "0",

@@ -74,6 +74,15 @@ def test_random_regular_pillar(seed):
     assert _digest(pillar) == RANDOM_REGULAR[seed]
 
 
+def test_random_regular_pillar_at_benchmark_scale():
+    """One of the benchmark's rr(10^4, 12) inputs, searched as it searches
+    them: at this size the links run through trimmed leg expansions and
+    detours, which the n = 2000 pillars above barely reach."""
+    pillar = find_pillar(random_regular(10000, 12, 9600), RunConfig(d=12), 9600)
+    assert (pillar.s, pillar.ell) == (4, 5)
+    assert _digest(pillar) == "1d546798eda43f857f5c06d629ea90e7cd8f943d92ade4ed3b235c1fd294dc77"
+
+
 HUB_KRAKEN = {
     0: "7049ddaee6ec6ddbd466672b5083e82901ae2e9659008e3eb4c74cef0e692d22",
     1: "d80c67fb99c2ecb7ae5c92afa7c0dc3518e4e2e4e05273e99dd028bb23031077",

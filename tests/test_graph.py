@@ -1,11 +1,13 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pillarkit import generators
 from pillarkit.errors import GraphParseError, PreconditionError
-from pillarkit.generators import (cycle_graph, hypercube, path_graph, prism,
+from pillarkit.generators import (MAX_PAIRS, cycle_graph, hypercube, path_graph, prism,
                                   random_bipartite, random_regular,
                                   subdivided_prism, subdivided_prism_rungs)
 from pillarkit.expander import _max_cut_graph, greedy_max_cut_sides
@@ -208,6 +210,42 @@ class TestGenerators:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+
+    @pytest.mark.parametrize("make, args", [
+        (random_bipartite, (MAX_VERTICES // 2, MAX_VERTICES // 2, 0.0, 0)),
+        (random_bipartite, (MAX_PAIRS // 4000 + 1, 4000, 1.0, 0)),
+        (random_regular, (MAX_VERTICES, 100_000, 0)),
+        (random_regular, (MAX_VERTICES, 14, 0)),
+    ], ids=["bipartite-1e11", "bipartite-one-row-over", "regular-d1e5", "regular-d14"])
+    def test_too_much_work_rejected_before_allocating(self, make, args):
+        """a*b cross pairs or n*d stubs past MAX_PAIRS: refused before any
+        draw or stub list."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match=str(MAX_PAIRS)):
+                make(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_max_pairs_admits_the_largest_regular_input(self, monkeypatch):
+        # rr(10^6, 12) and 3000 x 4000 pairs pass every check: the stand-ins
+        # for the pairing and the draws stop each call right after them
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(generators, "_pair_stubs", reached)
+        monkeypatch.setattr(generators, "random", SimpleNamespace(Random=reached))
+        with pytest.raises(Reached):
+            random_regular(MAX_VERTICES, 12, 0)
+        with pytest.raises(Reached):
+            random_bipartite(3000, 4000, 0.5, 0)
+        assert 3000 * 4000 == MAX_VERTICES * 12 == MAX_PAIRS
 
 
 class TestInducedDegree:

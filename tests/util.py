@@ -141,6 +141,27 @@ def prism_kraken(s_param: int = 1) -> tuple[Graph, Kraken]:
 # them before every search ran on graph.bfs_layers.
 
 
+def ref_bfs_layers(g: Graph, sources, blocked=frozenset()) -> tuple[list[list[int]], dict]:
+    """Every full layer, each in discovery order, and the parent map of a
+    FIFO search that steps only onto vertices outside ``blocked``; layer 0
+    is the sources without repeats, used as given."""
+    parent = dict.fromkeys(sources)
+    depth = dict.fromkeys(parent, 0)
+    layers = [list(parent)]
+    queue = deque(parent)
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in parent and w not in blocked:
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                if depth[w] == len(layers):
+                    layers.append([])
+                layers[depth[w]].append(w)
+                queue.append(w)
+    return layers, parent
+
+
 def ref_distances_from(g: Graph, sources, avoid=frozenset(), cap=None) -> dict[int, int]:
     dist = {s: 0 for s in sources if s not in avoid}
     queue = deque(dist)
