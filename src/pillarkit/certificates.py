@@ -11,7 +11,7 @@ from .graph import Graph
 from .kraken import Kraken, verify_kraken
 from .pillar import Pillar, verify_pillar
 from .primitives import Expansion, Q3Certificate
-from .validity import ValidityReport
+from .validity import ValidityReport, json_int
 
 KINDS = ("pillar", "kraken", "q3", "expansion")
 
@@ -33,11 +33,7 @@ def loads_certificate(text: str) -> dict:
         raise PreconditionError("certificate must be a JSON object with a 'kind' field")
     if data["kind"] not in KINDS:
         raise PreconditionError(f"unknown certificate kind {data['kind']!r}")
-    try:
-        version = int(data.get("version", 0))
-    except (TypeError, ValueError, OverflowError):
-        version = None
-    if version != 1:
+    if json_int(data.get("version", 0)) != 1:
         raise PreconditionError(f"unsupported certificate version {data.get('version')!r}")
     return data
 
@@ -52,17 +48,17 @@ def verify_certificate(g: Graph, data: dict) -> ValidityReport:
     rep = ValidityReport()
     if kind == "q3":
         try:
-            cert = Q3Certificate(tuple(int(v) for v in data["vertices"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            cert = Q3Certificate(tuple(map(json_int, data["vertices"])))
+        except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed cube certificate: {exc}")
         for msg in cert.failures(g):
             rep.add("cube-edges", msg)
         return rep
     try:
-        exp = Expansion(int(data["center"]),
-                        frozenset(int(v) for v in data["members"]),
-                        int(data["radius"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        exp = Expansion(json_int(data["center"]),
+                        frozenset(map(json_int, data["members"])),
+                        json_int(data["radius"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed expansion certificate: {exc}")
     for msg in exp.failures(g):
         rep.add("expansion", msg)

@@ -26,7 +26,7 @@ from .errors import InternalError, PreconditionError, StageError
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
                     distances_from, set_distance, shortest_set_path)
 from .primitives import Q3_CAP, Expansion, find_large_ball, find_q3_bruteforce, trim_expansion
-from .validity import ValidityReport
+from .validity import ValidityReport, json_int
 
 _MAX_LINK_ROUNDS = 64  # robust_kraken's rounds of linking legs and shortcut rewrites
 _BALL_CANDIDATES = 20  # ball centers find_large_ball tries for each anchor
@@ -73,19 +73,20 @@ class Kraken:
     @classmethod
     def from_json_dict(cls, data: dict, g: Graph) -> "Kraken":
         try:
-            cycle = Cycle(tuple(int(v) for v in data["cycle"]))
-            ends = tuple(int(v) for v in data["ends"])
-            paths = tuple(Path(tuple(int(v) for v in p)) for p in data["paths"])
+            cycle = Cycle(tuple(map(json_int, data["cycle"])))
+            ends = tuple(map(json_int, data["ends"]))
+            paths = tuple(Path(tuple(map(json_int, p))) for p in data["paths"])
             legs = []
             for j, members in enumerate(data["legs"]):
                 # keep every leg so a miscount fails the shape clause (extras get no center)
                 end = ends[j] if j < len(ends) else -1
-                mset = frozenset(int(v) for v in members)
+                mset = frozenset(map(json_int, members))
                 dist = _leg_distances(g, end, mset)
-                radius = max(dist.values()) if dist and len(dist) == len(mset) else int(data["s"])
+                radius = (max(dist.values()) if dist and len(dist) == len(mset)
+                          else json_int(data["s"]))
                 legs.append(Expansion(end, mset, radius))
-            return cls(cycle, ends, tuple(legs), paths, int(data["s"]), int(data["t"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls(cycle, ends, tuple(legs), paths, json_int(data["s"]), json_int(data["t"]))
+        except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed kraken certificate: {exc}")
 
 

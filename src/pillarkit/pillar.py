@@ -14,7 +14,7 @@ from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers
 from .kraken import Kraken, _child_seed, robust_kraken, verify_kraken
 from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
-from .validity import ValidityReport
+from .validity import ValidityReport, json_int
 from .expander import EXPANSION_TRIALS, extract_expander
 
 @dataclass(frozen=True)
@@ -49,13 +49,13 @@ class Pillar:
     def from_json_dict(cls, data: dict) -> "Pillar":
         try:
             return cls(
-                int(data["s"]),
-                int(data["ell"]),
-                Cycle(tuple(int(v) for v in data["cycle1"])),
-                Cycle(tuple(int(v) for v in data["cycle2"])),
-                tuple(Path(tuple(int(v) for v in p)) for p in data["paths"]),
+                json_int(data["s"]),
+                json_int(data["ell"]),
+                Cycle(tuple(map(json_int, data["cycle1"]))),
+                Cycle(tuple(map(json_int, data["cycle2"]))),
+                tuple(Path(tuple(map(json_int, p))) for p in data["paths"]),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed pillar certificate: {exc}")
 
 

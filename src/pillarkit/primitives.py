@@ -10,8 +10,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NoPathError, PillarkitError, PreconditionError, StageError
-from .expander import ExpanderParams
-from .graph import (Graph, Path, ball, bfs_layers, distances_from, induced_subgraph,
+from .expander import ExpanderParams, _peel
+from .graph import (Graph, Path, ball_layers, bfs_layers, distances_from, induced_subgraph,
                     shortest_set_path)
 
 # Cube positions are 3-bit coordinates; adjacency = one differing bit.
@@ -275,12 +275,16 @@ def _q3_backtrack(g: Graph) -> Q3Certificate | None:
 def find_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = Q3_CAP) -> Q3Certificate | None:
     """Seeded local cube search for graphs too large to scan exhaustively.
 
-    Any cube containing v lies inside the radius-3 ball of v, so each
-    trial brute-forces one such ball (skipped when over ``ball_cap``).
-    A vertex drawn again is skipped: its search held no cube before.
-    A None is only as strong as the sampling.
+    A cube has minimum degree 3, so it lies in the 3-core of g: when fewer
+    than 8 vertices survive the peel, g is certified cube-free and no
+    vertex is drawn.  Otherwise, since any cube containing v lies inside
+    the radius-3 ball of v, each trial walks that ball once and
+    brute-forces it, or its first three layers (the radius-2 ball) when it
+    is over ``ball_cap``; both over the cap skip the trial.  A vertex drawn
+    again is skipped: its search held no cube before.  Past the 3-core
+    test, a None is only as strong as the sampling.
     """
-    if g.n == 0:
+    if len(_peel(g, range(g.n), 3)) < 8:
         return None
     rng = random.Random(seed)
     tried = set()
@@ -289,9 +293,10 @@ def find_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = Q3_CA
         if v in tried:
             continue
         tried.add(v)
-        reached = ball(g, [v], 3)
+        layers = ball_layers(g, [v], 3)
+        reached = set().union(*layers)
         if len(reached) > ball_cap:
-            reached = ball(g, [v], 2)
+            reached = set().union(*layers[:3])
             if len(reached) > ball_cap:
                 continue
         keep = sorted(reached)

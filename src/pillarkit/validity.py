@@ -4,6 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import PreconditionError
+
+
+def json_int(v) -> int:
+    """``v`` itself when it is a JSON integer: a certificate names its ids,
+    counts and version with nothing else, not a bool, float or string."""
+    if type(v) is not int:
+        raise PreconditionError(f"expected an integer, got {v!r}")
+    return v
+
+
 @dataclass
 class ValidityReport:
     """Outcome of checking a structure against its invariants.

@@ -87,9 +87,9 @@ def hostile_certificate(draw):
     return data
 
 
-def _named_ids(data: dict) -> list[int]:
+def _named_ids(data: dict) -> list:
     def flat(x):
-        return [v for item in x for v in flat(item)] if isinstance(x, list) else [int(x)]
+        return [v for item in x for v in flat(item)] if isinstance(x, list) else [x]
     return [v for key in _ID_FIELDS[data["kind"]] if key in data for v in flat(data[key])]
 
 
@@ -126,7 +126,11 @@ def test_verify_certificate_fuzz(data, g):
     except PreconditionError:
         return
     if rep.valid:
-        assert all(0 <= v < g.n for v in _named_ids(data))
+        assert all(type(v) is int and 0 <= v < g.n for v in _named_ids(data))
+
+
+def _as_floats(x):
+    return [_as_floats(item) for item in x] if isinstance(x, list) else float(x)
 
 
 _VALID = [(_CUBE, find_pillar(_CUBE, RunConfig())), (_PRISM, _PRISM_KRAKEN),
@@ -154,3 +158,17 @@ def test_renamed_out_of_range_is_invalid(case, draw):
     except PreconditionError:
         return
     assert not rep.valid
+
+
+@pytest.mark.parametrize("case", range(len(_VALID)))
+def test_float_ids_and_counts_are_malformed(case):
+    """Every id field and every count of a valid certificate, given as
+    floats one field at a time: int() would read each as the same value."""
+    g, obj = _VALID[case]
+    valid = obj.to_json_dict()
+    for key in _ID_FIELDS[valid["kind"]] + _OTHER_FIELDS[valid["kind"]]:
+        if key in ("k", "edges"):  # derived from the other fields, never read
+            continue
+        data = {**valid, key: _as_floats(valid[key])}
+        with pytest.raises(PreconditionError, match="expected an integer"):
+            verify_certificate(g, loads_certificate(json.dumps(data)))

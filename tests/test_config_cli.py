@@ -272,6 +272,23 @@ class TestCli:
         assert main(["verify", "expansion", "--graph", str(q3_file),
                      "--cert", str(cert)]) == 2
 
+    @pytest.mark.parametrize("fields", [
+        {"vertices": "01234567"},
+        {"vertices": [0.9, 1, 2, 3, 4, 5, 6, 7]},
+        {"vertices": [0, True, 2, 3, 4, 5, 6, 7]},
+        {"vertices": list(range(8)), "version": "1"},
+        {"vertices": list(range(8)), "version": True},
+        {"vertices": list(range(8)), "version": 1.0},
+    ], ids=["string", "float", "bool", "string-version", "bool-version", "float-version"])
+    def test_verify_non_integer_ids_exit_2(self, q3_file, tmp_path, capsys, fields):
+        # int() reads each of these as the valid cube [0, 1, ..., 7] at version 1
+        cert = tmp_path / "q3.json"
+        cert.write_text(json.dumps({"kind": "q3", "version": 1, **fields}))
+        assert main(["verify", "q3", "--graph", str(q3_file), "--cert", str(cert)]) == 2
+        assert "expected an integer" in capsys.readouterr().err
+        cert.write_text(json.dumps({"kind": "q3", "version": 1, "vertices": list(range(8))}))
+        assert main(["verify", "q3", "--graph", str(q3_file), "--cert", str(cert)]) == 0
+
     def test_verify_truncated_json_exit_2(self, q3_file, tmp_path):
         cert = tmp_path / "broken.json"
         cert.write_text('{"kind": "pillar", "version"')

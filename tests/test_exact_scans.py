@@ -1,6 +1,7 @@
-"""The expander's scans, robust_kraken's set of U-dominated vertices and
-kraken carving in G - U against the code they replaced, kept in ``util``
-as references: same results, and for the sampler the same random draws.
+"""The expander's scans, robust_kraken's set of U-dominated vertices,
+kraken carving in G - U and the sampled cube search against the code they
+replaced, kept in ``util`` as references: same results, and for the
+samplers the same random draws.
 The graphs are small, often disconnected and often not bipartite, and eps1
 runs up to 0.9 so that violations occur."""
 
@@ -20,10 +21,11 @@ from pillarkit.expander import (ExpanderParams, _max_cut_graph, _peel, _sample_c
 from pillarkit.generators import cycle_graph, hypercube, random_regular
 from pillarkit.graph import Graph, _largest_piece
 from pillarkit.kraken import _carve, robust_kraken
-from pillarkit.primitives import find_q3_sampled
+from pillarkit.primitives import Q3_CAP, find_q3_sampled
 
-from util import (ref_bfs_order, ref_carve, ref_greedy_max_cut_sides, ref_peel, ref_piece,
-                  ref_sample_connected, ref_u0, ref_violation)
+from util import (planted_prism_with_noise, ref_bfs_order, ref_carve, ref_greedy_max_cut_sides,
+                  ref_peel, ref_piece, ref_q3_sampled, ref_sample_connected, ref_u0,
+                  ref_violation)
 
 
 @st.composite
@@ -163,7 +165,10 @@ def test_robust_kraken_rejects_out_of_range_u(bad):
 
 
 def test_find_q3_sampled_searches_each_drawn_vertex_once(monkeypatch):
-    g = cycle_graph(50)  # cube-free, so every trial runs
+    # connected and cubic: cube-free, all of it is the 3-core, and its
+    # radius-3 balls hold at most 22 vertices, so every trial runs
+    g = random_regular(60, 3, 0)
+    assert len(_peel(g, range(g.n), 3)) == g.n
     searched = []
     real = primitives_mod.find_q3_bruteforce
     monkeypatch.setattr(primitives_mod, "find_q3_bruteforce",
@@ -172,6 +177,81 @@ def test_find_q3_sampled_searches_each_drawn_vertex_once(monkeypatch):
     rng = random.Random(4)
     drawn = {rng.randrange(g.n) for _ in range(64)}
     assert len(searched) == len(drawn) < 64
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_planted_inputs_have_no_3_core(seed):
+    """The benchmark's planted prisms: subdivided rungs and noise chains
+    peel away, so the cube search returns before drawing a vertex."""
+    g = planted_prism_with_noise(8, 5, 40, seed)
+    assert _peel(g, range(g.n), 3) == set()
+
+
+# Cores of the hosts below, before pendant trees and extra edges: the cube;
+# K4,4, whose radius-2 balls each hold a cube; the cube minus one edge,
+# which peels away; K7; and the Wagner graph, an 8-vertex cubic graph that
+# holds no cube.
+_CORES = {"none": [], "cube": hypercube(3).edges(), "cube minus an edge": hypercube(3).edges()[1:],
+          "K4,4": [(i, j) for i in range(4) for j in range(4, 8)],
+          "K7": [(i, j) for i in range(7) for j in range(i + 1, 7)],
+          "Wagner": [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]}
+
+
+def _with_tail(core: str) -> Graph:
+    """The core with a 40-vertex tail path on its last vertex: n is 47 or
+    48, above Q3_CAP, and the 3-core is the core's own."""
+    edges = _CORES[core]
+    last = max(map(max, edges))
+    return Graph(last + 41, edges + [(v, v + 1) for v in range(last, last + 40)])
+
+
+@pytest.mark.parametrize("g", [cycle_graph(50), _with_tail("cube minus an edge"), _with_tail("K7")],
+                         ids=["C50", "cube minus an edge", "K7"])
+def test_find_q3_sampled_searches_no_ball_below_8_core_vertices(monkeypatch, g):
+    def called(*args, **kwargs):
+        pytest.fail("a ball was searched though the 3-core holds fewer than 8 vertices")
+
+    for name in ("ball_layers", "find_q3_bruteforce"):
+        monkeypatch.setattr(primitives_mod, name, called)
+    assert find_q3_sampled(g, seed=4, trials=64) is None
+
+
+@st.composite
+def q3_hosts(draw):
+    """A core on vertices 0..7 (or none), trees hung on it up to n <= 80
+    vertices, and none, a few or 2n random extra edges (the last grow a
+    3-core of their own)."""
+    edges = list(_CORES[draw(st.sampled_from(sorted(_CORES)))])
+    n = draw(st.integers(8 if edges else 0, 80))
+    parents = draw(st.lists(st.integers(0, 79), min_size=n, max_size=n))
+    edges += [(parents[v] % v, v) for v in range(8, n) if parents[v] % 3]
+    if n > 1:
+        ids = st.integers(0, n - 1)
+        extra = draw(st.sampled_from([0, n // 4, 2 * n]))
+        edges += draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                               min_size=extra, max_size=extra))
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q3_hosts(), st.integers(0, 64), st.integers(8, 60), st.integers(0, 2 ** 16))
+def test_find_q3_sampled_same_cube(g, trials, ball_cap, seed):
+    assert find_q3_sampled(g, seed, trials, ball_cap) == ref_q3_sampled(g, seed, trials, ball_cap)
+
+
+@pytest.mark.parametrize("core, size", [("cube", 8), ("K4,4", 8), ("cube minus an edge", 0),
+                                        ("K7", 7), ("Wagner", 8)])
+@pytest.mark.parametrize("cap", [9, Q3_CAP])
+def test_find_q3_sampled_same_cube_on_each_core(core, size, cap):
+    """At cap 9 the radius-3 ball of a K4,4 vertex on the side away from
+    the tail (10 vertices) is over the cap, and its radius-2 ball holds the
+    cube."""
+    g = _with_tail(core)
+    assert len(_peel(g, range(g.n), 3)) == size
+    for seed in range(8):
+        got = find_q3_sampled(g, seed, trials=64, ball_cap=cap)
+        assert got == ref_q3_sampled(g, seed, trials=64, ball_cap=cap)
+        assert (got is not None) <= (core in ("cube", "K4,4"))
 
 
 def _ref_piece_ids(g: Graph, dead) -> list[int]:

@@ -16,8 +16,10 @@ from pillarkit.certificates import dumps_certificate
 from pillarkit.config import RunConfig
 from pillarkit.expander import ExpanderParams, _max_cut_graph, check_expansion, extract_expander
 from pillarkit.generators import hypercube, random_regular
+from pillarkit.graph import Graph
 from pillarkit.kraken import robust_kraken
 from pillarkit.pillar import find_pillar
+from pillarkit.primitives import find_q3_sampled
 
 from util import clique_chain, hub_graph, planted_prism_with_noise
 
@@ -176,3 +178,33 @@ def test_extracted_expander_at_benchmark_scale(monkeypatch):
                               sample_cap=2000)
     assert (_sha([h.edges(), list(ids)]), _sha([r.to_json_dict() for r in reports])) \
         == EXTRACTED_AT_SCALE
+
+
+# The sampled cube search: its ball choice decides which cube comes back.
+# On Q6 every radius-3 ball holds 42 vertices, over the default cap of 40,
+# and a radius-2 ball (weights <= 2 around its center) holds no cube, so
+# the default cap misses; a cap of 42 admits the radius-3 balls.
+SAMPLED_Q3 = {
+    ("q6", 40): {seed: None for seed in range(4)},
+    ("q6", 42): {
+        0: "e4f57e24980912cbb2b1b55e5dd99fc1489d4ca5117af1991628a4bac7449ff5",
+        1: "2c4249dafb823cc345fcaa1c847fe0061ce69bdd80c55408a7556558b244ced6",
+        2: "c2326aa411b08278593e69011e8859bcbe33bffbf4b0153ed9d8b22df9e789fb",
+        3: "069ae2d5f540ed15e496e7e03f602081f546ca36f560ffd3144a03c6844fe96e",
+    },
+    ("tail", 40): {seed: "ed6230c0f595681d4517f7586175244a287329c1b98266a1f365f1b3bf64670c"
+                   for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name, cap, seed",
+                         [(name, cap, seed) for name, cap in SAMPLED_Q3 for seed in range(4)])
+def test_sampled_cube(name, cap, seed):
+    """Q6, whose 3-core is all of it, and Q3 with a 192-vertex tail path,
+    whose 3-core is the cube."""
+    if name == "q6":
+        cube = find_q3_sampled(hypercube(6), seed, ball_cap=cap)
+    else:
+        tail = Graph(200, hypercube(3).edges() + [(i, i + 1) for i in range(8, 199)] + [(7, 8)])
+        cube = find_q3_sampled(tail, seed, trials=200, ball_cap=cap)
+    assert (cube and _digest(cube)) == SAMPLED_Q3[name, cap][seed]

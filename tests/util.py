@@ -14,9 +14,9 @@ import networkx as nx
 from pillarkit.errors import PreconditionError
 from pillarkit.expander import ExpanderParams, epsilon
 from pillarkit.generators import random_regular, subdivided_prism
-from pillarkit.graph import Cycle, Graph, Path, induced_subgraph
+from pillarkit.graph import Cycle, Graph, Path, ball, induced_subgraph
 from pillarkit.kraken import Kraken, find_kraken
-from pillarkit.primitives import Expansion
+from pillarkit.primitives import Q3_CAP, Expansion, Q3Certificate, find_q3_bruteforce
 
 def to_nx(g: Graph) -> nx.Graph:
     h = nx.Graph()
@@ -399,6 +399,30 @@ def ref_carve(g: Graph, dead, k_max: int, s: int, t: int, seed: int,
               for l in kr.legs),
         tuple(Path(tuple(remap(v) for v in p.vertices)) for p in kr.paths),
         kr.s, kr.t)
+
+
+def ref_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = Q3_CAP):
+    """The sampled cube search as first written: no 3-core test, and a
+    second walk for the radius-2 ball when the radius-3 ball is too big."""
+    if g.n == 0:
+        return None
+    rng = random.Random(seed)
+    tried = set()
+    for _ in range(trials):
+        v = rng.randrange(g.n)
+        if v in tried:
+            continue
+        tried.add(v)
+        reached = ball(g, [v], 3)
+        if len(reached) > ball_cap:
+            reached = ball(g, [v], 2)
+            if len(reached) > ball_cap:
+                continue
+        keep = sorted(reached)
+        hit = find_q3_bruteforce(induced_subgraph(g, keep), cap=ball_cap)
+        if hit is not None:
+            return Q3Certificate(tuple(keep[u] for u in hit.vertices))
+    return None
 
 
 # -- the input path as it was before its fast rewrite ---------------------
