@@ -62,6 +62,9 @@ _CONSTANTS: list[tuple[str, int, object]] = [
     ("pillar_ell_min", 3, lambda n, c, r: _powint(math.log(n), 7)),
 ]
 
+# the least value a threshold override may take; 1 for the thresholds not named
+_FLOORS = {"k_max": 3, "kraken_separation": 0, "u_cap": 0, "u0_cap": 0}
+
 # settable values with no formula
 _KNOBS_INT = [
     ("seed", 0),
@@ -84,10 +87,14 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("relaxed", "formula"):
             raise PreconditionError(f"unknown mode {self.mode!r}")
-        known = {name for name, *_ in _CONSTANTS} | {name for name, _ in _KNOBS_INT}
-        for key in self.overrides:
-            if key not in known:
+        thresholds = {name for name, *_ in _CONSTANTS}
+        knobs = {name for name, _ in _KNOBS_INT}
+        for key, value in self.overrides.items():
+            if key not in thresholds | knobs:
                 raise PreconditionError(f"unknown config key {key!r}")
+            floor = _FLOORS.get(key, 1)
+            if key in thresholds and value < floor:
+                raise PreconditionError(f"config key {key} = {value} is below its floor {floor}")
         self.params  # raises PreconditionError on a bad (eps1, eps2, d) triple
 
     @property

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from collections.abc import Iterable
 from itertools import combinations
 
 from .errors import PreconditionError, StageError
@@ -234,19 +233,17 @@ def _check_sampled(g: Graph, params: ExpanderParams, seed: int, trials: int,
 # -- extraction --------------------------------------------------------
 
 
-def greedy_max_cut_sides(g: Graph, order: Iterable[int] | None = None) -> list[int]:
+def greedy_max_cut_sides(g: Graph) -> list[int]:
     """Greedy two-coloring in BFS order, each vertex opposite the majority
     of its placed neighbors.  Recovers a proper coloring on bipartite
-    inputs and keeps at least half the edges in general.  Given ``order``,
-    it places those vertices in that order and leaves the rest at -1."""
+    inputs and keeps at least half the edges in general."""
     adj = g._adj
     sign = [0] * g.n  # +1 on side 0, -1 on side 1, 0 unplaced
     tally = sign.__getitem__  # summed over a row: placed on side 0 minus on side 1
-    if order is None:
-        # one BFS per component from its lowest vertex; the next root is
-        # read only once the walks before it are placed
-        order = (v for root in range(g.n) if not sign[root]
-                 for layer in bfs_layers(g, [root]) for v in layer)
+    # one BFS per component from its lowest vertex; the next root is read
+    # only once the walks before it are placed
+    order = (v for root in range(g.n) if not sign[root]
+             for layer in bfs_layers(g, [root]) for v in layer)
     for v in order:
         sign[v] = 1 if sum(map(tally, adj[v])) <= 0 else -1
     return [(-1, 0, 1)[s] for s in sign]

@@ -371,16 +371,14 @@ def ball(g: Graph, seed: Iterable[int], radius: int, avoid: Iterable[int] = _EMP
 
 
 def distances_from(g: Graph, sources: Iterable[int], avoid: Iterable[int] = _EMPTY,
-                   cap: int | None = None, within: Container[int] | None = None) -> dict[int, int]:
+                   within: Container[int] | None = None) -> dict[int, int]:
     """BFS distance map from a source set in g minus avoid (inside ``within``
-    when given; cap optional), in discovery order."""
+    when given), in discovery order."""
     avoid_set = _as_set(avoid)
     dist: dict[int, int] = {}
     src = [s for s in sources if s not in avoid_set] if avoid_set else sources
     for d, layer in enumerate(bfs_layers(g, src, avoid_set, within)):
         dist.update(dict.fromkeys(layer, d))
-        if cap is not None and d >= cap:
-            break
     return dist
 
 

@@ -7,12 +7,11 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InternalError, NoPathError, PillarkitError, PreconditionError, StageError
 from .expander import ExpanderParams, _peel
-from .graph import (Graph, Path, ball_layers, bfs_layers, distances_from, induced_subgraph,
-                    shortest_set_path)
+from .graph import Graph, Path, bfs_layers, distances_from, shortest_set_path
 
 # Cube positions are 3-bit coordinates; adjacency = one differing bit.
 CUBE_EDGES = [(i, j) for i in range(8) for j in range(8)
@@ -161,148 +160,95 @@ def find_q3_bipartite(g: Graph, u_side: Iterable[int], w_side: Iterable[int], d:
     return cert
 
 
-Q3_CAP = 40  # most vertices the brute-force cube search takes, as a graph or a ball
+Q3_CAP = 40  # most vertices of a graph handed to the exhaustive cube search
+
+
+# The placed cube-neighbors of each position when positions fill in the
+# order 0..7.  Position 3, the second common neighbor of 1 and 2, comes
+# before 4: a pair of v's neighbors on no 4-cycle through v is dropped
+# before a third neighbor is tried.
+_ANCHORS = ((), (0,), (0,), (1, 2), (0,), (1, 4), (2, 4), (3, 5, 6))
+
+
+def _cube_at(g: Graph, v: int, core: set[int], rows: dict[int, frozenset[int]]) -> Q3Certificate | None:
+    """A cube of g with v at position 0, or None when no cube of g holds v.
+
+    ``core`` is g's 3-core, which holds every cube, and ``rows`` caches
+    each vertex's neighbors in it across calls.  The cube is
+    vertex-transitive, so backtracking over positions 1..7 from v at 0 is
+    complete for v.
+    """
+    def row(u: int) -> frozenset[int]:
+        if u not in rows:
+            rows[u] = frozenset(w for w in g.neighbors(u) if w in core)
+        return rows[u]
+
+    slot = [v]
+    return Q3Certificate(tuple(slot)) if _fill_cube(slot, row) else None
+
+
+def _fill_cube(slot: list[int], row: Callable[[int], frozenset[int]]) -> bool:
+    """Extend ``slot`` to all eight positions in place; False when none
+    exists.  Not a closure that calls itself: that is a reference cycle,
+    which keeps the 3-core alive until the next garbage collection."""
+    pos = len(slot)
+    if pos == 8:
+        return True
+    cands = frozenset.intersection(*(row(slot[a]) for a in _ANCHORS[pos]))
+    # the three axis neighbors of position 0 are interchangeable: take them increasing
+    low = slot[pos // 2] if pos in (2, 4) else -1
+    for w in sorted(cands):
+        if w > low and w not in slot:
+            slot.append(w)
+            if _fill_cube(slot, row):
+                return True
+            slot.pop()
+    return False
 
 
 def find_q3_bruteforce(g: Graph, cap: int = Q3_CAP) -> Q3Certificate | None:
     """Exhaustive cube search; None certifies the graph cube-free.
 
-    Uses a 4-set/representatives scan on bipartite inputs and a pruned
-    backtracking over cube positions otherwise.  Refuses graphs larger
-    than ``cap``.
+    Searches from each vertex of the 3-core in increasing order.  Refuses
+    graphs larger than ``cap``.
     """
     if g.n > cap:
         raise PreconditionError(f"brute-force cube search capped at n <= {cap} (got {g.n})")
-    if g.n < 8 or g.m < 12:
-        return None
-    if g.is_bipartite():
-        return _q3_bipartite_scan(g)
-    return _q3_backtrack(g)
-
-
-def _q3_bipartite_scan(g: Graph) -> Q3Certificate | None:
-    comps: dict[int, list[int]] = {}
-    for v in range(g.n):
-        if g.degree(v) >= 3:
-            comps.setdefault(g.comp[v], []).append(v)
-    for members in comps.values():
-        if len(members) < 8:
-            continue
-        side0 = [v for v in members if g.side[v] == 0]
-        side1 = [v for v in members if g.side[v] == 1]
-        small = side0 if len(side0) <= len(side1) else side1
-        for quad in combinations(small, 4):
-            nb = [set(g.neighbors(q)) for q in quad]
-            cands = []
-            ok = True
-            for omit in range(4):
-                common = frozenset.intersection(
-                    *(frozenset(nb[i]) for i in range(4) if i != omit))
-                common = common.difference(quad)
-                if not common:
-                    ok = False
-                    break
-                cands.append(sorted(common))
-            if ok:
-                reps = _distinct_reps(cands)
-                if reps is not None:
-                    return _assemble_cube(quad, reps)
+    core = _peel(g, range(g.n), 3)
+    rows: dict[int, frozenset[int]] = {}
+    for v in sorted(core):
+        cube = _cube_at(g, v, core, rows)
+        if cube is not None:
+            return cube
     return None
 
 
-def _distinct_reps(cands: list[list[int]]) -> list[int] | None:
-    order = sorted(range(len(cands)), key=lambda i: len(cands[i]))
-    chosen: dict[int, int] = {}
-
-    def rec(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        i = order[pos]
-        for c in cands[i]:
-            if c not in chosen.values():
-                chosen[i] = c
-                if rec(pos + 1):
-                    return True
-                del chosen[i]
-        return False
-
-    if not rec(0):
-        return None
-    return [chosen[i] for i in range(len(cands))]
-
-
-# Fill order and the cube-neighbors already placed at each step.
-_FILL_ORDER = (0, 1, 2, 4, 3, 5, 6, 7)
-_PLACED_NEIGHBORS = {0: (), 1: (0,), 2: (0,), 4: (0,), 3: (1, 2), 5: (1, 4),
-                     6: (2, 4), 7: (3, 5, 6)}
-
-
-def _q3_backtrack(g: Graph) -> Q3Certificate | None:
-    good = [v for v in range(g.n) if g.degree(v) >= 3]
-    nbr = {v: frozenset(w for w in g.neighbors(v) if g.degree(w) >= 3) for v in good}
-    slot = [-1] * 8
-
-    def rec(step: int, used: set[int]) -> bool:
-        if step == len(_FILL_ORDER):
-            return True
-        pos = _FILL_ORDER[step]
-        anchors = _PLACED_NEIGHBORS[pos]
-        if anchors:
-            cands = frozenset.intersection(*(nbr[slot[a]] for a in anchors))
-        else:
-            cands = good
-        for v in sorted(cands):
-            if v in used:
-                continue
-            # the three axis neighbors of position 0 are interchangeable
-            if pos == 2 and v < slot[1]:
-                continue
-            if pos == 4 and v < slot[2]:
-                continue
-            slot[pos] = v
-            used.add(v)
-            if rec(step + 1, used):
-                return True
-            used.discard(v)
-            slot[pos] = -1
-        return False
-
-    if rec(0, set()):
-        return Q3Certificate(tuple(slot))
-    return None
-
-
-def find_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = Q3_CAP) -> Q3Certificate | None:
-    """Seeded local cube search for graphs too large to scan exhaustively.
+def find_q3_sampled(g: Graph, seed: int, trials: int = 64) -> Q3Certificate | None:
+    """Seeded cube search from sampled vertices, for graphs too large to
+    search from every vertex.
 
     A cube has minimum degree 3, so it lies in the 3-core of g: when fewer
     than 8 vertices survive the peel, g is certified cube-free and no
-    vertex is drawn.  Otherwise, since any cube containing v lies inside
-    the radius-3 ball of v, each trial walks that ball once and
-    brute-forces it, or its first three layers (the radius-2 ball) when it
-    is over ``ball_cap``; both over the cap skip the trial.  A vertex drawn
-    again is skipped: its search held no cube before.  Past the 3-core
-    test, a None is only as strong as the sampling.
+    vertex is drawn.  Otherwise each trial draws a 3-core vertex and
+    searches for a cube through it, which finds one whenever it exists; a
+    vertex drawn again is skipped.  Past the 3-core test, a None is only
+    as strong as the sampling.
     """
-    if len(_peel(g, range(g.n), 3)) < 8:
+    core = _peel(g, range(g.n), 3)
+    if len(core) < 8:
         return None
+    pool = sorted(core)
     rng = random.Random(seed)
+    rows: dict[int, frozenset[int]] = {}
     tried = set()
     for _ in range(trials):
-        v = rng.randrange(g.n)
+        v = pool[rng.randrange(len(pool))]
         if v in tried:
             continue
         tried.add(v)
-        layers = ball_layers(g, [v], 3)
-        reached = set().union(*layers)
-        if len(reached) > ball_cap:
-            reached = set().union(*layers[:3])
-            if len(reached) > ball_cap:
-                continue
-        keep = sorted(reached)
-        hit = find_q3_bruteforce(induced_subgraph(g, keep), cap=ball_cap)
-        if hit is not None:
-            return Q3Certificate(tuple(keep[u] for u in hit.vertices))
+        cube = _cube_at(g, v, core, rows)
+        if cube is not None:
+            return cube
     return None
 
 

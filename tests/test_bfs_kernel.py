@@ -13,8 +13,8 @@ from pillarkit.kraken import _bfs_prefix
 from pillarkit.pillar import _alt_route
 from pillarkit.primitives import Expansion, restrict_and_trim, trim_expansion
 
-from util import (ref_alt_route, ref_bfs_layers, ref_distances_from, ref_leg_growth,
-                  ref_set_distance, ref_shortest_set_path)
+from util import (ref_alt_route, ref_bfs_layers, ref_distances_from, ref_greedy_max_cut_sides,
+                  ref_leg_growth, ref_set_distance, ref_shortest_set_path)
 
 
 @st.composite
@@ -81,11 +81,11 @@ def test_cap_at_the_hit_depth_still_finds_it(cap, found):
 @settings(max_examples=250, deadline=None)
 @given(search_case())
 def test_distances_from_same_dict_same_order(case):
-    g, sources, _, avoid, within, cap = case
-    got = distances_from(g, sources, avoid, cap)
-    assert list(got.items()) == list(ref_distances_from(g, sources, avoid, cap).items())
-    got = distances_from(g, sources, avoid, cap, within=within)
-    ref = ref_distances_from(g, sources, _avoid_within(g, avoid, within, sources), cap)
+    g, sources, _, avoid, within, _ = case
+    got = distances_from(g, sources, avoid)
+    assert list(got.items()) == list(ref_distances_from(g, sources, avoid).items())
+    got = distances_from(g, sources, avoid, within=within)
+    ref = ref_distances_from(g, sources, _avoid_within(g, avoid, within, sources))
     assert list(got.items()) == list(ref.items())
 
 
@@ -186,4 +186,4 @@ def test_max_cut_sides_follow_bfs_order(case):
             layer = list(ref_distances_from(g, [root]))
             order += layer
             seen.update(layer)
-    assert greedy_max_cut_sides(g) == greedy_max_cut_sides(g, order)
+    assert greedy_max_cut_sides(g) == ref_greedy_max_cut_sides(g, order)

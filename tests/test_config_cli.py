@@ -8,7 +8,7 @@ import pytest
 import pillarkit
 import pillarkit.cli
 from pillarkit.cli import main
-from pillarkit.config import _CONSTANTS, _KNOBS_INT, ResolvedConfig, RunConfig
+from pillarkit.config import _CONSTANTS, _FLOORS, _KNOBS_INT, ResolvedConfig, RunConfig
 from pillarkit.errors import InternalError, PreconditionError
 from pillarkit.graph import MAX_VERTICES
 
@@ -94,9 +94,12 @@ def test_every_knob_is_set_by_a_caller():
 
 
 def test_every_private_default_is_passed():
-    """A defaulted parameter of a private function that no call in the
+    """A defaulted parameter of a private function, or of a module-level
+    function that ``pillarkit`` does not export, that no call in the
     package passes is a constant: settable only from outside the package,
-    which a private function does not serve."""
+    which such a function does not serve.  ``cli.main`` is the console
+    entry point."""
+    exported = set(dir(pillarkit))
     defaulted: dict[str, list[str]] = {}
     positional: dict[str, list[str]] = {}
     passed: dict[str, set[str]] = {}
@@ -104,9 +107,11 @@ def test_every_private_default_is_passed():
     for path in Path(pillarkit.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        unexported = {f for f in tree.body if isinstance(f, ast.FunctionDef)
+                      and f.name not in exported and (path.stem, f.name) != ("cli", "main")}
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
-                    and not node.name.endswith("__"):
+            if isinstance(node, ast.FunctionDef) and (node in unexported or node.name.startswith("_")
+                                                      and not node.name.endswith("__")):
                 args = node.args
                 pos = [a.arg for a in args.posonlyargs + args.args]
                 kw = [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
@@ -369,6 +374,20 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")
         assert main(["find", "pillar", "--graph", str(q3_file), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key", [name for name, *_ in _CONSTANTS])
+    def test_threshold_below_its_floor_exit_2(self, q3_file, tmp_path, monkeypatch, capsys, key):
+        """Malformed input, not a starved search: the config is refused
+        before the search starts, and the floor itself is accepted."""
+        floor = _FLOORS.get(key, 1)
+        RunConfig(overrides={key: floor})
+        monkeypatch.setattr(pillarkit.cli, "find_pillar",
+                            lambda *args, **kwargs: pytest.fail("the search started"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {floor - 1}\n")
+        assert main(["find", "pillar", "--graph", str(q3_file), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: config key {key} = {floor - 1} is below its floor {floor}\n"
 
     @pytest.mark.parametrize("command", [["find", "pillar"], ["bench"]], ids=["find", "bench"])
     @pytest.mark.parametrize("line, message", [

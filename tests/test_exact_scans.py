@@ -1,7 +1,7 @@
-"""The expander's scans, robust_kraken's set of U-dominated vertices,
-kraken carving in G - U and the sampled cube search against the code they
-replaced, kept in ``util`` as references: same results, and for the
-samplers the same random draws.
+"""The expander's scans, robust_kraken's set of U-dominated vertices and
+kraken carving in G - U against the code they replaced, kept in ``util``
+as references: same results, and for the samplers the same random draws.
+The cube searches against networkx, on the sampler's replayed draws.
 The graphs are small, often disconnected and often not bipartite, and eps1
 runs up to 0.9 so that violations occur."""
 
@@ -21,10 +21,10 @@ from pillarkit.expander import (ExpanderParams, _max_cut_graph, _peel, _sample_c
 from pillarkit.generators import cycle_graph, hypercube, random_regular
 from pillarkit.graph import Graph, _largest_piece
 from pillarkit.kraken import _carve, robust_kraken
-from pillarkit.primitives import Q3_CAP, find_q3_sampled
+from pillarkit.primitives import find_q3_bruteforce, find_q3_sampled
 
-from util import (planted_prism_with_noise, ref_bfs_order, ref_carve, ref_greedy_max_cut_sides,
-                  ref_peel, ref_piece, ref_q3_sampled, ref_sample_connected, ref_u0,
+from util import (nx_has_q3, nx_on_q3, planted_prism_with_noise, ref_bfs_order, ref_carve,
+                  ref_greedy_max_cut_sides, ref_peel, ref_piece, ref_sample_connected, ref_u0,
                   ref_violation)
 
 
@@ -118,14 +118,9 @@ def test_sample_connected_same_members_same_draws(g, seed, size):
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs(), st.data())
-def test_greedy_max_cut_same_sides(g, data):
-    """Given a prefix of a permutation, the vertices after it stay -1; with
-    no order, one BFS per component from its lowest vertex."""
-    order = data.draw(st.permutations(range(g.n)))[:data.draw(st.integers(0, g.n))]
-    sides = greedy_max_cut_sides(g, list(order))
-    assert sides == ref_greedy_max_cut_sides(g, order)
-    assert [v for v in range(g.n) if sides[v] == -1] == sorted(set(range(g.n)) - set(order))
+@given(graphs())
+def test_greedy_max_cut_same_sides(g):
+    """One BFS per component from its lowest vertex."""
     assert greedy_max_cut_sides(g) == ref_greedy_max_cut_sides(g, ref_bfs_order(g))
 
 
@@ -165,18 +160,17 @@ def test_robust_kraken_rejects_out_of_range_u(bad):
 
 
 def test_find_q3_sampled_searches_each_drawn_vertex_once(monkeypatch):
-    # connected and cubic: cube-free, all of it is the 3-core, and its
-    # radius-3 balls hold at most 22 vertices, so every trial runs
+    # connected and cubic: cube-free, and all of it is the 3-core
     g = random_regular(60, 3, 0)
     assert len(_peel(g, range(g.n), 3)) == g.n
     searched = []
-    real = primitives_mod.find_q3_bruteforce
-    monkeypatch.setattr(primitives_mod, "find_q3_bruteforce",
-                        lambda h, cap: searched.append(h) or real(h, cap=cap))
+    real = primitives_mod._cube_at
+    monkeypatch.setattr(primitives_mod, "_cube_at",
+                        lambda h, v, core, rows: searched.append(v) or real(h, v, core, rows))
     assert find_q3_sampled(g, seed=4, trials=64) is None
     rng = random.Random(4)
     drawn = {rng.randrange(g.n) for _ in range(64)}
-    assert len(searched) == len(drawn) < 64
+    assert sorted(searched) == sorted(drawn) and len(searched) < 64
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -188,7 +182,7 @@ def test_planted_inputs_have_no_3_core(seed):
 
 
 # Cores of the hosts below, before pendant trees and extra edges: the cube;
-# K4,4, whose radius-2 balls each hold a cube; the cube minus one edge,
+# K4,4, each of whose vertices lies on a cube; the cube minus one edge,
 # which peels away; K7; and the Wagner graph, an 8-vertex cubic graph that
 # holds no cube.
 _CORES = {"none": [], "cube": hypercube(3).edges(), "cube minus an edge": hypercube(3).edges()[1:],
@@ -208,11 +202,10 @@ def _with_tail(core: str) -> Graph:
 @pytest.mark.parametrize("g", [cycle_graph(50), _with_tail("cube minus an edge"), _with_tail("K7")],
                          ids=["C50", "cube minus an edge", "K7"])
 def test_find_q3_sampled_searches_no_ball_below_8_core_vertices(monkeypatch, g):
-    def called(*args, **kwargs):
-        pytest.fail("a ball was searched though the 3-core holds fewer than 8 vertices")
-
-    for name in ("ball_layers", "find_q3_bruteforce"):
-        monkeypatch.setattr(primitives_mod, name, called)
+    """Below 8 vertices in the 3-core no vertex is searched."""
+    monkeypatch.setattr(primitives_mod, "_cube_at",
+                        lambda *args: pytest.fail("a vertex was searched though the 3-core "
+                                                  "holds fewer than 8 vertices"))
     assert find_q3_sampled(g, seed=4, trials=64) is None
 
 
@@ -233,25 +226,54 @@ def q3_hosts(draw):
     return Graph(n, edges)
 
 
+def _check_sampled_cube(g: Graph, seed: int, trials: int):
+    """Replays the draws over the 3-core: the cube comes back through the
+    first drawn vertex that lies on one, and None only when none does."""
+    got = find_q3_sampled(g, seed, trials)
+    core = sorted(ref_peel(g, set(range(g.n)), 3))
+    if len(core) < 8:
+        assert got is None
+        return got
+    rng = random.Random(seed)
+    drawn = dict.fromkeys(core[rng.randrange(len(core))] for _ in range(trials))
+    first = next((v for v in drawn if nx_on_q3(g, v)), None)
+    if first is None:
+        assert got is None
+    else:
+        assert got is not None and got.is_valid(g) and got.vertices[0] == first
+    return got
+
+
 @settings(max_examples=300, deadline=None)
-@given(q3_hosts(), st.integers(0, 64), st.integers(8, 60), st.integers(0, 2 ** 16))
-def test_find_q3_sampled_same_cube(g, trials, ball_cap, seed):
-    assert find_q3_sampled(g, seed, trials, ball_cap) == ref_q3_sampled(g, seed, trials, ball_cap)
+@given(q3_hosts(), st.integers(0, 64), st.integers(0, 2 ** 16))
+def test_find_q3_sampled_returns_the_first_drawn_cube_vertex(g, trials, seed):
+    _check_sampled_cube(g, seed, trials)
+
+
+@settings(max_examples=80, deadline=None)  # networkx takes up to 1 s on a cube-free host
+@given(q3_hosts(), st.randoms(use_true_random=False))
+def test_find_q3_bruteforce_decides_cube_freeness(g, rnd):
+    """Matches networkx, and a relabelling of the ids does not move the answer."""
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    relabelled = Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+    found = find_q3_bruteforce(g, cap=g.n)
+    assert found is None or found.is_valid(g)
+    assert (found is not None) == nx_has_q3(g) \
+        == (find_q3_bruteforce(relabelled, cap=g.n) is not None)
 
 
 @pytest.mark.parametrize("core, size", [("cube", 8), ("K4,4", 8), ("cube minus an edge", 0),
                                         ("K7", 7), ("Wagner", 8)])
-@pytest.mark.parametrize("cap", [9, Q3_CAP])
-def test_find_q3_sampled_same_cube_on_each_core(core, size, cap):
-    """At cap 9 the radius-3 ball of a K4,4 vertex on the side away from
-    the tail (10 vertices) is over the cap, and its radius-2 ball holds the
-    cube."""
+def test_find_q3_sampled_on_each_core(core, size):
+    """Every vertex of the cube and of K4,4 lies on a cube, so the first
+    draw finds one; the other cores hold none."""
     g = _with_tail(core)
     assert len(_peel(g, range(g.n), 3)) == size
     for seed in range(8):
-        got = find_q3_sampled(g, seed, trials=64, ball_cap=cap)
-        assert got == ref_q3_sampled(g, seed, trials=64, ball_cap=cap)
-        assert (got is not None) <= (core in ("cube", "K4,4"))
+        for trials in (1, 64):
+            got = _check_sampled_cube(g, seed, trials)
+            assert (got is not None) == (core in ("cube", "K4,4"))
 
 
 def _ref_piece_ids(g: Graph, dead) -> list[int]:

@@ -32,7 +32,7 @@ def _sha(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-CUBE = "0331c8de2d55f9be34f20672976146ee7179238bba9b36b093a103457c1dcdbe"
+CUBE = "14441e31e5ab595ca367afa9e9d77f785ab474a609aa2e4f64993f3e13b17a5b"
 
 
 def test_cube():
@@ -180,31 +180,31 @@ def test_extracted_expander_at_benchmark_scale(monkeypatch):
         == EXTRACTED_AT_SCALE
 
 
-# The sampled cube search: its ball choice decides which cube comes back.
-# On Q6 every radius-3 ball holds 42 vertices, over the default cap of 40,
-# and a radius-2 ball (weights <= 2 around its center) holds no cube, so
-# the default cap misses; a cap of 42 admits the radius-3 balls.
+# The sampled cube search: its draws decide which cube comes back, with
+# the first drawn vertex on a cube at position 0.
 SAMPLED_Q3 = {
-    ("q6", 40): {seed: None for seed in range(4)},
-    ("q6", 42): {
-        0: "e4f57e24980912cbb2b1b55e5dd99fc1489d4ca5117af1991628a4bac7449ff5",
-        1: "2c4249dafb823cc345fcaa1c847fe0061ce69bdd80c55408a7556558b244ced6",
-        2: "c2326aa411b08278593e69011e8859bcbe33bffbf4b0153ed9d8b22df9e789fb",
-        3: "069ae2d5f540ed15e496e7e03f602081f546ca36f560ffd3144a03c6844fe96e",
+    "q6": {
+        0: "80648156e55aeca1503e020c630713b1e473aeffbc046a503b838da340a52620",
+        1: "162e3d17897cc3db286672f38f06137ed6ec3137fbdc9b42b8a4f9a8f8f20a9c",
+        2: "fc6d11542cece89fe2b842f5ff17eb7f43aef77f48fdd4f44a481e2bd8095554",
+        3: "d4c396e0c342a5523fa61f96b9a41783d6ac4fed2203a48c2054bf2cb3d2007e",
     },
-    ("tail", 40): {seed: "ed6230c0f595681d4517f7586175244a287329c1b98266a1f365f1b3bf64670c"
-                   for seed in range(4)},
+    "tail": {
+        0: "992d41dc0d8e3ca3ce5d0e47f3aa8928b934ff46c93dd7e5ba87141ad020b1cc",
+        1: "e23e5932ca1ed7aa1f2d1dff353ba56f26b4124d408ca971bf522b2a9e10324a",
+        2: "2618a2f2f13192086d0de842b8dab1b2e2706fbab59bec9a6f6ab6f99a5f47ac",
+        3: "36c2d8ebfe1c601e7c56c113d7d693614bec300c7a5d656657de4fce61e5a13a",
+    },
 }
 
 
-@pytest.mark.parametrize("name, cap, seed",
-                         [(name, cap, seed) for name, cap in SAMPLED_Q3 for seed in range(4)])
-def test_sampled_cube(name, cap, seed):
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in SAMPLED_Q3 for seed in range(4)])
+def test_sampled_cube(name, seed):
     """Q6, whose 3-core is all of it, and Q3 with a 192-vertex tail path,
     whose 3-core is the cube."""
     if name == "q6":
-        cube = find_q3_sampled(hypercube(6), seed, ball_cap=cap)
+        cube = find_q3_sampled(hypercube(6), seed)
     else:
         tail = Graph(200, hypercube(3).edges() + [(i, i + 1) for i in range(8, 199)] + [(7, 8)])
-        cube = find_q3_sampled(tail, seed, trials=200, ball_cap=cap)
-    assert (cube and _digest(cube)) == SAMPLED_Q3[name, cap][seed]
+        cube = find_q3_sampled(tail, seed, trials=200)
+    assert _digest(cube) == SAMPLED_Q3[name][seed]

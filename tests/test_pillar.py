@@ -310,6 +310,16 @@ class TestFindPillar:
         assert (p.s, p.ell) == (4, 1)
         assert verify_pillar(g, p).valid
 
+    @pytest.mark.parametrize("dim", [6, 7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_hypercube_cube_pillar(self, dim, seed):
+        """Every vertex of Q_d lies on a cube, and the sampled search finds
+        one through whichever vertex it draws."""
+        g = hypercube(dim)
+        p = find_pillar(g, RunConfig(), seed)
+        assert (p.s, p.ell) == (4, 1)
+        assert verify_pillar(g, p).valid
+
     def test_deterministic(self):
         g = hypercube(3)
         assert find_pillar(g, self.CFG, seed=3) == find_pillar(g, self.CFG, seed=3)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -95,6 +96,20 @@ class TestQ3Bruteforce:
         g = Graph(200, edges)
         cert = find_q3_sampled(g, seed=1, trials=200)
         assert cert is not None and cert.is_valid(g)
+
+    def test_searches_leave_no_reference_cycle(self):
+        """A cycle would hold the search's 3-core until the next collection."""
+        hosts = [hypercube(3), random_regular(60, 3, seed=0), hypercube(6)]
+        gc.collect()
+        gc.disable()
+        try:
+            find_q3_bruteforce(hosts[0])
+            find_q3_bruteforce(hosts[1], cap=60)
+            find_q3_sampled(hosts[1], seed=4)
+            find_q3_sampled(hosts[2], seed=0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_sampled_none_on_sparse(self):
         g = random_regular(300, 3, seed=4)

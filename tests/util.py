@@ -14,9 +14,9 @@ import networkx as nx
 from pillarkit.errors import PreconditionError
 from pillarkit.expander import ExpanderParams, epsilon
 from pillarkit.generators import random_regular, subdivided_prism
-from pillarkit.graph import Cycle, Graph, Path, ball, induced_subgraph
+from pillarkit.graph import Cycle, Graph, Path, induced_subgraph
 from pillarkit.kraken import Kraken, find_kraken
-from pillarkit.primitives import Q3_CAP, Expansion, Q3Certificate, find_q3_bruteforce
+from pillarkit.primitives import Expansion
 
 def to_nx(g: Graph) -> nx.Graph:
     h = nx.Graph()
@@ -29,6 +29,21 @@ def nx_has_q3(g: Graph) -> bool:
     """Independent cube-containment oracle via VF2 monomorphism."""
     cube = nx.hypercube_graph(3)
     matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), cube)
+    return matcher.subgraph_is_monomorphic()
+
+
+def nx_on_q3(g: Graph, v: int) -> bool:
+    """Whether some cube of g holds v: a VF2 monomorphism from the cube
+    into v's radius-3 ball (the cube's diameter is 3) that maps a cube
+    vertex to v.  The cube is vertex-transitive, so one vertex will do."""
+    near = nx.ego_graph(to_nx(g), v, radius=3)
+    nx.set_node_attributes(near, {u: u == v for u in near}, "root")
+    cube = nx.hypercube_graph(3)
+    nx.set_node_attributes(cube, {u: not any(u) for u in cube}, "root")
+    # VF2 pairs the cube's vertices in node order, the root (0, 0, 0)
+    # first, so the search starts from v instead of finding it last
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        near, cube, node_match=lambda a, b: a["root"] == b["root"])
     return matcher.subgraph_is_monomorphic()
 
 
@@ -399,30 +414,6 @@ def ref_carve(g: Graph, dead, k_max: int, s: int, t: int, seed: int,
               for l in kr.legs),
         tuple(Path(tuple(remap(v) for v in p.vertices)) for p in kr.paths),
         kr.s, kr.t)
-
-
-def ref_q3_sampled(g: Graph, seed: int, trials: int = 64, ball_cap: int = Q3_CAP):
-    """The sampled cube search as first written: no 3-core test, and a
-    second walk for the radius-2 ball when the radius-3 ball is too big."""
-    if g.n == 0:
-        return None
-    rng = random.Random(seed)
-    tried = set()
-    for _ in range(trials):
-        v = rng.randrange(g.n)
-        if v in tried:
-            continue
-        tried.add(v)
-        reached = ball(g, [v], 3)
-        if len(reached) > ball_cap:
-            reached = ball(g, [v], 2)
-            if len(reached) > ball_cap:
-                continue
-        keep = sorted(reached)
-        hit = find_q3_bruteforce(induced_subgraph(g, keep), cap=ball_cap)
-        if hit is not None:
-            return Q3Certificate(tuple(keep[u] for u in hit.vertices))
-    return None
 
 
 # -- the input path as it was before its fast rewrite ---------------------
