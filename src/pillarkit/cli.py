@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import random
 import sys
 import time
@@ -44,25 +45,13 @@ def _read_config(path: str | None, seed: int | None) -> RunConfig:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    kind = args.kind
+    make = generators.GENERATORS[args.kind]
     try:
-        if kind == "random-regular":
-            g = generators.random_regular(args.n, args.d, _need(args, "seed"))
-        elif kind == "random-bipartite":
-            g = generators.random_bipartite(args.a, args.b, args.p, _need(args, "seed"))
-        elif kind == "hypercube":
-            g = generators.hypercube(args.dim)
-        elif kind == "prism":
-            g = generators.prism(args.s)
-        elif kind == "subdivided-prism":
-            g = generators.subdivided_prism(args.s, args.ell)
-        elif kind == "path":
-            g = generators.path_graph(args.n)
-        else:
-            g = generators.cycle_graph(args.n)
+        # each generator parameter is the flag of the same name
+        g = make(*(_need(args, name) for name in inspect.signature(make).parameters))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(save_graph(g))
-    except (OSError, PreconditionError, TypeError) as exc:
+    except (OSError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {g.n} vertices, {g.m} edges to {args.out}")

@@ -19,7 +19,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, PreconditionError, StageError
@@ -372,7 +372,7 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
         if find_q3_bruteforce(g) is not None:
             raise PreconditionError("graph contains a cube; robust search assumes cube-freeness")
 
-    high = frozenset(v for v in range(g.n) if g.degree(v) >= rc.delta_threshold)
+    high = _high_degree(g, rc)
     into_u = Counter(chain.from_iterable(map(g.neighbors, uset)))  # edges into U
     u0 = frozenset(v for v, c in into_u.items() if c >= rc.params.d / 2 and v not in uset)
     if len(u0) > rc.u0_cap:
@@ -405,6 +405,18 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
                       "anchors": len(state.anchors)})
 
 
+def _high_degree(g: Graph, rc: ResolvedConfig) -> frozenset[int]:
+    """The high-degree set L: every vertex of degree at least delta_threshold."""
+    return frozenset(v for v in range(g.n) if g.degree(v) >= rc.delta_threshold)
+
+
+def _under_separation(g: Graph, a: frozenset[int], b: frozenset[int],
+                      high: frozenset[int], separation: int) -> int | None:
+    """The separation rule: the distance from a to b in g minus the
+    high-degree set when it is under ``separation``, else None."""
+    return set_distance(g, a, b, avoid=high, cap=separation - 1)
+
+
 def _qualifies(g: Graph, kr: Kraken, high: frozenset[int], uset: frozenset[int],
                rc: ResolvedConfig) -> bool:
     """The two output properties: every leg ends high-degree or avoids the
@@ -417,17 +429,13 @@ def _qualifies(g: Graph, kr: Kraken, high: frozenset[int], uset: frozenset[int],
         if leg.members & high:
             return False
         low.append(leg.members)
-    for a in range(len(low)):
-        for b in range(a + 1, len(low)):
-            d = set_distance(g, low[a], low[b], avoid=high, cap=rc.separation - 1)
-            if d is not None and d < rc.separation:
-                return False
+    if any(_under_separation(g, a, b, high, rc.separation) is not None
+           for a, b in combinations(low, 2)):
+        return False
     u_low = uset - high
     for members in low:
-        if u_low:
-            d = set_distance(g, members, u_low, avoid=high, cap=rc.separation - 1)
-            if d is not None and d < rc.separation:
-                return False
+        if u_low and _under_separation(g, members, u_low, high, rc.separation) is not None:
+            return False
     return True
 
 
@@ -488,23 +496,7 @@ def _build_anchors(state: KrakenSearchState) -> None:
             break
         if exp.size < rc.anchor_size:
             break
-        anchor = trim_expansion(g, exp, rc.anchor_size)
-        _assert_anchor_separation(state, anchor)
-        state.anchors.append(anchor)
-
-
-def _assert_anchor_separation(state: KrakenSearchState, anchor: Expansion) -> None:
-    g, rc = state.graph, state.cfg
-    others = set(state.forbidden) - state.high_degree
-    for a in state.anchors:
-        others |= a.members
-    if not others:
-        return
-    d = set_distance(g, anchor.members, others, avoid=state.high_degree,
-                     cap=rc.separation - 1)
-    if d is not None and d < rc.separation:
-        raise InternalError(
-            f"internal: new anchor lands {d} < {rc.separation} from existing anchors or U")
+        state.anchors.append(trim_expansion(g, exp, rc.anchor_size))
 
 
 def _link_obstacles(state: KrakenSearchState, i: int, j: int) -> set[int]:

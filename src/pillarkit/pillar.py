@@ -1,17 +1,26 @@
 """Pillars and how to build them: the certificate type and checker, the
 exact-length connector (complete search at small n, detour splicing at
-scale), kraken-to-kraken linking, and the end-to-end driver."""
+scale), kraken-to-kraken linking, and the end-to-end driver.
+
+Each result is checked once, by its checker on the graph it is returned
+in: ``link_krakens`` checks the pillar its paths form in g, and
+``find_pillar`` checks its pillar in g, not in the expander it searched.
+Public entry points check their inputs; private steps trust what the code
+before them established.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .config import ResolvedConfig, RunConfig
 from .errors import (InternalError, LengthNotRealizedError, NoPathError,
                      PreconditionError, StageError)
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
-                    distances_from, induced_subgraph, parity, set_distance, shortest_set_path)
-from .kraken import Kraken, _child_seed, robust_kraken, verify_kraken
+                    distances_from, induced_subgraph, parity, shortest_set_path)
+from .kraken import (Kraken, _child_seed, _high_degree, _under_separation, robust_kraken,
+                     verify_kraken)
 from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
 from .validity import ValidityReport, json_int
@@ -261,41 +270,41 @@ def _exact_fixed_path(g: Graph, v1: int, v2: int, ell: int,
     dist2 = distances_from(g, [v2], avoid)
     if v1 not in dist2 or dist2[v1] > ell:
         return None, True
-    bip = g.side is not None
-    stack = [v1]
-    on_stack = {v1}
-    nodes = 0
-
-    def rec(x: int, remaining: int) -> Path | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _EXACT_NODE_BUDGET:
-            return None
-        if remaining == 0:
-            return Path(tuple(stack)) if x == v2 else None
-        for w in g.neighbors(x):
-            if w in on_stack or w in avoid:
-                continue
-            d = dist2.get(w)
-            if d is None or d > remaining - 1:
-                continue
-            if bip and (remaining - 1 - d) % 2 != 0:
-                continue
-            if w == v2 and remaining != 1:
-                continue  # simple path: v2 may appear only as the last vertex
-            stack.append(w)
-            on_stack.add(w)
-            hit = rec(w, remaining - 1)
-            if hit is not None:
-                return hit
-            stack.pop()
-            on_stack.discard(w)
-        return None
-
     if ell == 0:
         return (Path((v1,)), True) if v1 == v2 else (None, True)
-    found = rec(v1, ell)
-    return found, nodes <= _EXACT_NODE_BUDGET
+    path = {v1: None}
+    nodes = [0]
+    found = _extend_exact(g, path, v1, ell, v2, dist2, nodes)
+    return (Path(tuple(path)) if found else None), nodes[0] <= _EXACT_NODE_BUDGET
+
+
+def _extend_exact(g: Graph, path: dict[int, None], x: int, remaining: int, v2: int,
+                  dist2: dict[int, int], nodes: list[int]) -> bool:
+    """Extend ``path`` (its keys in order, ending at x) in place by exactly
+    ``remaining`` edges to v2; False when that is impossible or the node
+    budget, counted in ``nodes[0]``, runs out.  ``dist2`` maps each vertex
+    outside the avoid set to its distance to v2.  Not a closure that calls
+    itself: that is a reference cycle, which leaves every search's maps to
+    the cyclic garbage collector."""
+    nodes[0] += 1
+    if nodes[0] > _EXACT_NODE_BUDGET:
+        return False
+    if remaining == 0:
+        return x == v2
+    bip = g.side is not None
+    for w in g.neighbors(x):
+        d = dist2.get(w)
+        if w in path or d is None or d > remaining - 1:
+            continue
+        if bip and (remaining - 1 - d) % 2 != 0:
+            continue
+        if w == v2 and remaining != 1:
+            continue  # simple path: v2 may appear only as the last vertex
+        path[w] = None
+        if _extend_exact(g, path, w, remaining - 1, v2, dist2, nodes):
+            return True
+        del path[w]
+    return False
 
 
 def _base_path(g: Graph, f1: Expansion, f2: Expansion, avoid: frozenset[int],
@@ -424,7 +433,8 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
 
     Three steps: each kraken is verified, the pair is checked once
     (``_check_link_pair``), then the paths are built for this alignment
-    and length (``_link_aligned``).
+    and length (``_link_aligned``).  The pillar they form with the two
+    cycles passes ``verify_pillar`` before the paths are returned.
     Worked one index at a time; each side's leg is turned into an
     expansion of its cycle vertex by one of three routes: the leg end is
     already high-degree (use its neighborhood), the grown leg ball stays
@@ -441,7 +451,11 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
         if not rep.valid:
             raise PreconditionError(f"{name} kraken invalid: {rep}")
     _check_link_pair(g, ka, kb, high, rc)
-    return _link_aligned(g, ka, kb, ell, high, rc)
+    paths = _link_aligned(g, ka, kb, ell, high, rc)
+    rep = verify_pillar(g, Pillar(ka.k, ell, ka.cycle, kb.cycle, tuple(paths)))
+    if not rep.valid:
+        raise InternalError(f"internal: linked pillar invalid ({rep})")
+    return paths
 
 
 def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
@@ -468,15 +482,11 @@ def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
 
     low_legs = [leg.members for kr in (ka, kb) for j, leg in enumerate(kr.legs)
                 if kr.ends[j] not in high]
-    min_sep = None
-    for i in range(len(low_legs)):
-        for j in range(i + 1, len(low_legs)):
-            d = set_distance(g, low_legs[i], low_legs[j], avoid=high, cap=rc.separation)
-            if d is not None and (min_sep is None or d < min_sep):
-                min_sep = d
-    if min_sep is not None and min_sep < rc.separation:
+    gaps = [d for a, b in combinations(low_legs, 2)
+            if (d := _under_separation(g, a, b, high, rc.separation)) is not None]
+    if gaps:
         raise PreconditionError(
-            f"low-degree legs only {min_sep} apart (need {rc.separation})")
+            f"low-degree legs only {min(gaps)} apart (need {rc.separation})")
 
 
 def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, ell: int, high: frozenset[int],
@@ -500,15 +510,9 @@ def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, ell: int, high: frozenset[in
             for kr in (ka, kb):
                 zhat |= kr.legs[i].members
                 zhat |= kr.paths[i].vertex_set()
-        unused_low = set()
-        for i in range(j + 1, s):
-            for kr in (ka, kb):
-                if kr.ends[i] not in high:
-                    unused_low |= kr.legs[i].members
         expansions = []
         for side_name, kr in (("first", ka), ("second", kb)):
-            exp, case = _side_expansion(g, kr, j, z, high, rc, side_name,
-                                        frozenset(unused_low))
+            exp, case = _side_expansion(g, kr, j, z, high, rc, side_name)
             conn_avoid = frozenset((zhat | (cycles - {ka.cycle.vertices[j], kb.cycle.vertices[j]}))
                                    | (expansions[0].members if expansions else set()))
             trimmed = restrict_and_trim(g, exp, rc.link_expansion_size, conn_avoid)
@@ -528,14 +532,12 @@ def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, ell: int, high: frozenset[in
                              {"index": j, "nearest": getattr(exc, "nearest", None),
                               "cause": type(exc).__name__})
         built.append(q)
-
-    _assert_link_output(g, ka, kb, built)
     return built
 
 
 def _side_expansion(g: Graph, kr: Kraken, j: int, z: frozenset[int],
-                    high: frozenset[int], rc: ResolvedConfig, side_name: str,
-                    unused_low: frozenset[int]) -> tuple[Expansion, int]:
+                    high: frozenset[int], rc: ResolvedConfig,
+                    side_name: str) -> tuple[Expansion, int]:
     """Case analysis turning leg j into an expansion of its cycle vertex."""
     center = kr.cycle.vertices[j]
     u = kr.ends[j]
@@ -547,14 +549,6 @@ def _side_expansion(g: Graph, kr: Kraken, j: int, z: frozenset[int],
     grown = frozenset(ball(g, seeds, rc.ell0, z - kr.legs[j].members)) | kr.legs[j].members
     touched = grown & high
     if not touched:
-        others = unused_low - kr.legs[j].members
-        if others:
-            sep = set_distance(g, kr.legs[j].members, others, avoid=high, cap=rc.ell0)
-            if sep is None and grown & others:
-                # separation hypothesis held with room to spare, so the
-                # ball cannot have reached a still-unused low-degree leg
-                raise InternalError(
-                    "internal: leg ball reached a separated unused leg")
         members = grown | pathv
         return Expansion(center, members, rc.ell0 + kr.legs[j].radius + len(pathv)), 2
     route = shortest_set_path(g, [u], touched, within=grown)
@@ -566,19 +560,6 @@ def _side_expansion(g: Graph, kr: Kraken, j: int, z: frozenset[int],
     w = route.vertices[-1]
     members = route.vertex_set() | frozenset(g.neighbors(w)) | pathv
     return Expansion(center, members, len(route.vertices) + len(pathv) + 1), 3
-
-
-def _assert_link_output(g: Graph, ka: Kraken, kb: Kraken, built: list[Path]) -> None:
-    cycles = set(ka.cycle.vertices) | set(kb.cycle.vertices)
-    seen: set[int] = set()
-    for j, q in enumerate(built):
-        if set(q.interior()) & cycles:
-            raise InternalError(f"internal: link path {j} runs through a cycle")
-        if seen & q.vertex_set():
-            raise InternalError(f"internal: link path {j} overlaps an earlier one")
-        seen |= q.vertex_set()
-        if q.failures(g):
-            raise InternalError(f"internal: link path {j} invalid in the host graph")
 
 
 # -- end-to-end driver --------------------------------------------------
@@ -698,7 +679,7 @@ def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken,
                config: RunConfig) -> tuple[Pillar | None, int, Exception | None]:
     """find_pillar's attempts on one pair: (pillar in g's ids or None, attempts, last error)."""
     rc = config.resolve(h.n)  # linking works on h, so its knobs follow h.n
-    high = frozenset(v for v in range(h.n) if h.degree(v) >= rc.delta_threshold)
+    high = _high_degree(h, rc)
     try:
         parity(h, ka.cycle.vertices[0], kb.cycle.vertices[0])
     except PreconditionError as exc:
@@ -722,11 +703,8 @@ def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken,
                 attempts += 1
                 try:
                     paths = _link_aligned(h, ka, aligned, ell, high, rc)
-                    pillar = Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths))
-                    rep = verify_pillar(h, pillar)
-                    if not rep.valid:
-                        raise InternalError(f"internal: linked pillar invalid ({rep})")
-                    out = _translate_pillar(pillar, ids)
+                    out = _translate_pillar(
+                        Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths)), ids)
                     rep = verify_pillar(g, out)
                     if not rep.valid:
                         raise InternalError(f"internal: translated pillar invalid ({rep})")

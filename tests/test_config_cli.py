@@ -10,6 +10,7 @@ import pillarkit.cli
 from pillarkit.cli import main
 from pillarkit.config import _CONSTANTS, _FLOORS, _KNOBS_INT, ResolvedConfig, RunConfig
 from pillarkit.errors import InternalError, PreconditionError
+from pillarkit.generators import GENERATORS
 from pillarkit.graph import MAX_VERTICES
 
 class TestRunConfig:
@@ -134,6 +135,47 @@ def test_every_private_default_is_passed():
     assert unset == []
 
 
+# the flags each generator reads; every one of them is required
+GENERATOR_FLAGS = {
+    "path": ["--n"],
+    "cycle": ["--n"],
+    "hypercube": ["--dim"],
+    "prism": ["--s"],
+    "subdivided-prism": ["--s", "--ell"],
+    "random-regular": ["--n", "--d", "--seed"],
+    "random-bipartite": ["--a", "--b", "--p", "--seed"],
+}
+FLAG_VALUES = {"--n": "10", "--d": "2", "--s": "4", "--ell": "3", "--a": "3", "--b": "3",
+               "--p": "0.5", "--dim": "3", "--seed": "0"}
+
+
+def test_every_generator_has_its_flags_listed():
+    assert set(GENERATOR_FLAGS) == set(GENERATORS)
+
+
+def test_every_private_function_is_referenced():
+    """A private module-level function that no other code in the package
+    names is an orphan: its own recursive calls do not count, and neither
+    do the tests."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(pillarkit.__file__).parent.glob("*.py")]
+    private = {f for tree in trees for f in tree.body if isinstance(f, ast.FunctionDef)
+               and f.name.startswith("_") and not f.name.endswith("__")}
+    own = {id(node): f.name for f in private for node in ast.walk(f)}
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if own.get(id(node)) != name:
+                referenced.add(name)
+    assert sorted(f.name for f in private if f.name not in referenced) == []
+
+
 @pytest.fixture()
 def q3_file(tmp_path):
     path = tmp_path / "q3.el"
@@ -170,6 +212,14 @@ class TestCli:
     def test_generate_missing_seed_exit_2(self, tmp_path):
         assert main(["generate", "random-regular", "--n", "10", "--d", "2",
                      "--out", str(tmp_path / "x.el")]) == 2
+
+    @pytest.mark.parametrize("kind, missing", [(kind, flag) for kind, flags in GENERATOR_FLAGS.items()
+                                               for flag in flags])
+    def test_generate_names_a_missing_flag_exit_2(self, tmp_path, capsys, kind, missing):
+        given = [arg for flag in GENERATOR_FLAGS[kind] if flag != missing
+                 for arg in (flag, FLAG_VALUES[flag])]
+        assert main(["generate", kind, *given, "--out", str(tmp_path / "x.el")]) == 2
+        assert capsys.readouterr().err == f"error: {missing} is required for this generator\n"
 
     def test_generate_past_max_vertices_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.el"

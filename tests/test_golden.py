@@ -12,8 +12,10 @@ import json
 import pytest
 
 from pillarkit import expander as expander_mod
+from pillarkit import kraken as kraken_mod
 from pillarkit.certificates import dumps_certificate
 from pillarkit.config import RunConfig
+from pillarkit.errors import StageError
 from pillarkit.expander import ExpanderParams, _max_cut_graph, check_expansion, extract_expander
 from pillarkit.generators import hypercube, random_regular
 from pillarkit.graph import Graph
@@ -21,7 +23,7 @@ from pillarkit.kraken import robust_kraken
 from pillarkit.pillar import find_pillar
 from pillarkit.primitives import find_q3_sampled
 
-from util import clique_chain, hub_graph, planted_prism_with_noise
+from util import clique_chain, hub_graph, planted_prism_with_noise, torus
 
 
 def _digest(cert) -> str:
@@ -120,6 +122,32 @@ def test_hub_kraken_bipartite_host(seed):
     g = _max_cut_graph(hub_graph(seed))
     kr = robust_kraken(g, frozenset(), RunConfig(d=12), seed=seed, q3_free=True)
     assert _digest(kr) == HUB_HOST_KRAKEN[seed]
+
+
+def test_torus_kraken_after_a_shortcut_rewrite(monkeypatch):
+    """The torus input on which a shortcut rewrite leads to a kraken: one
+    link round makes one rewrite, and the next round assembles."""
+    fired = []
+    real = kraken_mod._shortcut_round
+
+    def counted(state):
+        fired.append(real(state))
+        return fired[-1]
+
+    monkeypatch.setattr(kraken_mod, "_shortcut_round", counted)
+    cfg = RunConfig(d=4, overrides={"anchor_count": 4, "leg_size": 3, "separation": 2})
+    kr = robust_kraken(torus(26, 26), frozenset(), cfg, seed=10, q3_free=True)
+    assert fired == [True]
+    assert kr.k == 4
+    assert _digest(kr) == "5290dc71faaa89c42ae6ef33ff23b9567f00e040af014886e221ba21ad2c0369"
+
+
+def test_torus_assembly_stage():
+    """A fully linked torus kraken whose anchor is too crowded to seat its leg."""
+    with pytest.raises(StageError) as err:
+        robust_kraken(torus(40, 40), frozenset(), RunConfig(d=4), seed=3, q3_free=True)
+    assert err.value.stage == "assembly"
+    assert err.value.details == {"kraken": 0, "leg": 2}
 
 
 # The sampled expansion check and the extraction built on it: their seeded

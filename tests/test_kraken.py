@@ -14,7 +14,8 @@ from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink, _augment_links
 from pillarkit.pillar import find_pillar
 from pillarkit.primitives import Expansion
 
-from util import covered_hub_graph, hub_graph, prism_kraken, ref_shortest_set_path
+from util import (covered_hub_graph, hub_graph, prism_kraken, ref_set_distance,
+                  ref_shortest_set_path, torus)
 
 class TestVerifyKraken:
     def test_hand_built_valid(self):
@@ -316,6 +317,25 @@ class TestRobustKraken:
                 d = set_distance(g, kr.legs[i].members, kr.legs[j].members,
                                  cap=rc.separation - 1)
                 assert d is None  # at least `separation` apart
+
+    @pytest.mark.parametrize("name, seed", [("hubs", 0), ("hubs", 1), ("hubs", 2), ("torus", 0),
+                                            ("torus", 1), ("torus", 2), ("torus-minus-row", 0)])
+    def test_anchors_keep_their_separation(self, name, seed):
+        # _build_anchors asks find_large_ball to avoid the separation ball
+        # around U - L and the earlier anchors; nothing else re-checks it
+        if name == "hubs":
+            g, cfg, u = hub_graph(seed), RunConfig(d=12), frozenset()
+        else:
+            g, cfg = torus(40, 40), RunConfig(d=4)
+            u = frozenset(range(40)) if name == "torus-minus-row" else frozenset()
+        _, state = robust_kraken(g, u, cfg, seed=seed, q3_free=True, return_state=True)
+        high, sep = state.high_degree, state.cfg.separation
+        earlier = [u - high]
+        for anchor in state.anchors:
+            for other in earlier:
+                d = ref_set_distance(g, anchor.members, other, avoid=high)
+                assert d is None or d >= sep
+            earlier.append(anchor.members)
 
     def test_bare_cycle_fails_at_collection(self):
         cfg = RunConfig(d=4)

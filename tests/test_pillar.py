@@ -1,3 +1,4 @@
+import gc
 import time
 
 import pytest
@@ -130,6 +131,17 @@ class TestConnectFixedLength:
             connect_fixed_length(g, Expansion(0, frozenset({0, 1}), 1),
                                  Expansion(1, frozenset({1}), 0), 3, set(), self.CFG)
 
+    @pytest.mark.parametrize("ell", [7, 8])  # no path (parity) and a path
+    def test_exact_search_leaves_no_cyclic_garbage(self, ell):
+        g = hypercube(6)
+        gc.collect()
+        gc.disable()
+        try:
+            pillar_mod._exact_fixed_path(g, 0, 63, ell, frozenset())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 def detour_ladder_graph() -> Graph:
     """A 0..10 path with even-cycle detours of increments 2, 2 and 4 hung
@@ -215,8 +227,8 @@ class TestLinkKrakens:
         cases = []
         real = pillar_mod._side_expansion
 
-        def spy(g, kr, j, z, high, rc, side_name, unused_low):
-            exp, case = real(g, kr, j, z, high, rc, side_name, unused_low)
+        def spy(g, kr, j, z, high, rc, side_name):
+            exp, case = real(g, kr, j, z, high, rc, side_name)
             cases.append((j, side_name, case))
             return exp, case
 
@@ -243,6 +255,14 @@ class TestLinkKrakens:
         paths = link_krakens(big, ka, kb, 5, frozenset({28}), RunConfig(d=4))
         assert (0, "first", 3) in cases
         assert verify_pillar(big, Pillar(4, 5, ka.cycle, kb.cycle, tuple(paths))).valid
+
+    def test_invalid_link_output_is_an_internal_error(self, monkeypatch):
+        # link_krakens checks the pillar its paths form before returning them
+        g, ka, kb = self.build_prism_krakens()
+        real = pillar_mod._link_aligned
+        monkeypatch.setattr(pillar_mod, "_link_aligned", lambda *args: real(*args)[::-1])
+        with pytest.raises(InternalError, match="linked pillar invalid"):
+            link_krakens(g, ka, kb, 5, frozenset(), RunConfig(d=4))
 
     def test_cycle_length_mismatch(self):
         g, ka, kb = self.build_prism_krakens()

@@ -128,6 +128,18 @@ def covered_hub_graph(seed: int, hubs: int = 10, n: int = 2000) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def torus(a: int, b: int) -> Graph:
+    """The a x b torus C_a x C_b, vertex (i, j) at id i*b + j.  Even sides
+    make it bipartite and 4-regular, and no vertex reaches the default
+    high-degree threshold, so every link of the robust pipeline is a Q-link."""
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            edges.append((i * b + j, (i + 1) % a * b + j))
+            edges.append((i * b + j, i * b + (j + 1) % b))
+    return Graph(a * b, edges)
+
+
 def clique_chain(m: int, count: int) -> Graph:
     """``count`` copies of K_m joined in a path, the last vertex of each
     clique to the first of the next: each clique has at most two external
