@@ -22,7 +22,7 @@ from .certificates import dumps_certificate, loads_certificate, verify_certifica
 from .config import RunConfig, load_config
 from .errors import (GraphParseError, InternalError, LengthNotRealizedError,
                      NoPathError, PillarkitError, PreconditionError, StageError)
-from .expander import EXPANSION_TRIALS, check_expansion
+from .expander import EXPANSION_SAMPLE_CAP, EXPANSION_TRIALS, check_expansion
 from .graph import Graph, ball, load_graph, save_graph
 from .kraken import robust_kraken
 from .pillar import find_pillar
@@ -30,6 +30,10 @@ from .primitives import Q3_CAP, connect_short, find_q3_bruteforce, find_q3_sampl
 
 # bad graph, certificate or config files; a UnicodeDecodeError is no OSError
 _BAD_INPUT = (OSError, UnicodeDecodeError, GraphParseError, PreconditionError)
+
+# every generator parameter, by flag name and type
+_GENERATOR_FLAGS = {"n": int, "d": int, "s": int, "ell": int, "a": int, "b": int,
+                    "p": float, "dim": int, "seed": int}
 
 
 def _read_graph(path: str) -> Graph:
@@ -46,9 +50,13 @@ def _read_config(path: str | None, seed: int | None) -> RunConfig:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     make = generators.GENERATORS[args.kind]
+    params = inspect.signature(make).parameters
     try:
-        # each generator parameter is the flag of the same name
-        g = make(*(_need(args, name) for name in inspect.signature(make).parameters))
+        # each generator parameter is the flag of the same name, and no other flag is taken
+        for name in _GENERATOR_FLAGS:
+            if name not in params and getattr(args, name) is not None:
+                raise PreconditionError(f"--{name} is not a flag of the {args.kind} generator")
+        g = make(*(_need(args, name) for name in params))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(save_graph(g))
     except (OSError, PreconditionError) as exc:
@@ -181,7 +189,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if g.n > 0:
         report = check_expansion(g, rc.params, "sampled", seed=rc.seed,
                                  trials=EXPANSION_TRIALS,
-                                 sample_cap=rc.expansion_sample_cap)
+                                 sample_cap=EXPANSION_SAMPLE_CAP)
         runs = 1
         units = report.samples
     writer.writerow(["check_expansion_sampled", runs, units,
@@ -197,15 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a graph as an edge list")
     gen.add_argument("kind", choices=sorted(generators.GENERATORS))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--s", type=int)
-    gen.add_argument("--ell", type=int)
-    gen.add_argument("--a", type=int)
-    gen.add_argument("--b", type=int)
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--dim", type=int)
-    gen.add_argument("--seed", type=int)
+    for name, kind in _GENERATOR_FLAGS.items():
+        gen.add_argument(f"--{name}", type=kind)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 

@@ -98,6 +98,7 @@ class ExpansionReport:
 _EXACT_CAP = 20  # exact mode enumerates every medium set, so only small graphs
 _MAX_ROUNDS = 30  # extract_expander's rounds of peeling and splitting
 EXPANSION_TRIALS = 40  # sampled-check trials of find_pillar's extraction and the CLI bench
+EXPANSION_SAMPLE_CAP = 2000  # the same two callers' cap on the size of a sampled set
 
 
 def _size_bounds(n: int, params: ExpanderParams) -> tuple[int, int]:

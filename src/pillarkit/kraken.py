@@ -489,8 +489,7 @@ def _build_anchors(state: KrakenSearchState) -> None:
         sep_ball = set(ball(g, core, rc.separation, state.high_degree - core)) if core else set()
         avoid = state.high_degree | state.forbidden | used | sep_ball
         try:
-            exp = find_large_ball(g, avoid, rc.params,
-                                  w_cap=None if rc.mode == "formula" else float(g.n),
+            exp = find_large_ball(g, avoid, rc.params, w_cap=float(g.n),
                                   max_candidates=_BALL_CANDIDATES)
         except (PreconditionError, StageError):
             break

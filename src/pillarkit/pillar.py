@@ -24,7 +24,7 @@ from .kraken import (Kraken, _child_seed, _high_degree, _under_separation, robus
 from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
 from .validity import ValidityReport, json_int
-from .expander import EXPANSION_TRIALS, extract_expander
+from .expander import EXPANSION_SAMPLE_CAP, EXPANSION_TRIALS, extract_expander
 
 @dataclass(frozen=True)
 class Pillar:
@@ -628,7 +628,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
         try:
             h, ids = extract_expander(
                 g, target, config.params, seed=_child_seed(seed, 0),
-                trials=EXPANSION_TRIALS, sample_cap=rc.expansion_sample_cap)
+                trials=EXPANSION_TRIALS, sample_cap=EXPANSION_SAMPLE_CAP)
             break
         except (PreconditionError, StageError):
             continue
@@ -659,7 +659,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                 raise
             break  # the pairs that failed to link are the better report
         for mate in [old for old in found if old.k == kr.k]:
-            pillar, attempts, last_error = _link_pair(g, h, ids, mate, kr, config)
+            pillar, attempts, last_error = _link_pair(g, h, ids, mate, kr, rc)
             if pillar is not None:
                 return pillar
             tried.append((kr.k, attempts))
@@ -676,9 +676,8 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
 
 
 def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken,
-               config: RunConfig) -> tuple[Pillar | None, int, Exception | None]:
+               rc: ResolvedConfig) -> tuple[Pillar | None, int, Exception | None]:
     """find_pillar's attempts on one pair: (pillar in g's ids or None, attempts, last error)."""
-    rc = config.resolve(h.n)  # linking works on h, so its knobs follow h.n
     high = _high_degree(h, rc)
     try:
         parity(h, ka.cycle.vertices[0], kb.cycle.vertices[0])

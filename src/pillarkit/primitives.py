@@ -291,8 +291,8 @@ def find_large_ball(g: Graph, w: Iterable[int], params: ExpanderParams, *,
     """First ball avoiding W that reaches n/25 vertices within the
     polylog radius budget, grown from centers in decreasing-degree order.
 
-    ``w_cap`` overrides the default avoid-set cap eps1*n/(100*ln^2 n),
-    which is below 1 for any feasible n and only binds in formula mode.
+    ``w_cap`` overrides the paper's avoid-set cap eps1*n/(100*ln^2 n),
+    which is below 1 for any feasible n; the kraken search passes n.
     """
     wset = frozenset(w)
     if w_cap is None:

@@ -4,11 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pillarkit
 import pillarkit.cli
 from pillarkit.cli import main
-from pillarkit.config import _CONSTANTS, _FLOORS, _KNOBS_INT, ResolvedConfig, RunConfig
+from pillarkit.config import _CONSTANTS, _DEFAULTS, _FLOORS, _KNOBS_INT, ResolvedConfig, RunConfig
 from pillarkit.errors import InternalError, PreconditionError
 from pillarkit.generators import GENERATORS
 from pillarkit.graph import MAX_VERTICES
@@ -16,20 +17,23 @@ from pillarkit.graph import MAX_VERTICES
 class TestRunConfig:
     def test_relaxed_defaults_resolve(self):
         rc = RunConfig(d=8).resolve(1000)
-        assert rc.ell0 == 3 and rc.leg_size == 2 and rc.mode == "relaxed"
+        assert rc.ell0 == 3 and rc.leg_size == 2
         assert rc.params.d == 8
 
-    def test_formula_mode_derives_from_n(self):
-        cfg = RunConfig(d=8, mode="formula")
-        rc = cfg.resolve(10 ** 5)
-        assert rc.m == pytest.approx(200 * 11.5129 ** 3 / 0.1, rel=0.01)
-        assert rc.k_max == 11          # floor(ln n)
-        assert rc.anchor_size >= 10 ** 15  # clamped astronomically large value
-
-    def test_override_wins_in_both_modes(self):
-        cfg = RunConfig(d=8, mode="formula")
+    def test_override_wins(self):
+        cfg = RunConfig(d=8)
         cfg.overrides["ell0"] = 7
         assert cfg.resolve(10 ** 5).ell0 == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(overrides=st.dictionaries(
+               st.sampled_from(sorted(_DEFAULTS)),
+               st.integers(min_value=3, max_value=10 ** 9)),
+           n=st.integers(min_value=0, max_value=MAX_VERTICES))
+    def test_resolve_is_the_same_at_every_n(self, overrides, n):
+        cfg = RunConfig(eps1=0.25, d=6, overrides=overrides)
+        assert cfg.resolve(n) == cfg.resolve(0)
+        assert RunConfig.from_text(cfg.to_text()).resolve(n) == cfg.resolve(0)
 
     def test_text_round_trip(self):
         cfg = RunConfig(eps1=0.25, eps2=0.1, d=16)
@@ -42,7 +46,7 @@ class TestRunConfig:
     def test_every_constant_named_in_text(self):
         text = RunConfig(d=4).to_text()
         keys = [line.split(" = ")[0] for line in text.splitlines()]
-        assert keys == ["mode", "eps1", "eps2", "d", *(name for name, *_ in _CONSTANTS), "seed"]
+        assert keys == ["eps1", "eps2", "d", *(name for name, _ in _CONSTANTS), "seed"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(PreconditionError):
@@ -53,9 +57,24 @@ class TestRunConfig:
         assert cfg.d == 6 and cfg.overrides["separation"] == 3
 
 
+def test_readme_threshold_table_matches_the_code():
+    """The README's table of thresholds names every ``_CONSTANTS`` key, in
+    ``to_text`` order, with its default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("| key | default | the paper's value in n |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip() for cell in line.split("|")[1:3])
+        rows.append((key.strip("`"), int(default)))
+    assert rows == _CONSTANTS
+
+
 def _config_reads() -> set[str]:
     """Names the package reads off a resolved config: ``rc.x``, ``cfg.x`` or
-    ``<...>.cfg.x`` attributes, and ``r["x"]`` in the formulas of ``_CONSTANTS``."""
+    ``<...>.cfg.x`` attributes."""
     reads = set()
     for path in Path(pillarkit.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -64,9 +83,6 @@ def _config_reads() -> set[str]:
                 name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
                 if name in ("rc", "cfg"):
                     reads.add(node.attr)
-            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
-                  and node.value.id == "r" and isinstance(node.slice, ast.Constant)):
-                reads.add(node.slice.value)
     return reads
 
 
@@ -77,7 +93,7 @@ def test_every_resolved_config_field_is_read():
 
 
 def test_every_knob_is_set_by_a_caller():
-    """A config key with no formula that no caller sets is a constant:
+    """A config key other than a threshold that no caller sets is a constant:
     ``_KNOBS_INT`` keys must each be set as ``<...>.overrides["key"] = ...``
     by the package or the benchmark."""
     root = Path(pillarkit.__file__).parent
@@ -220,6 +236,17 @@ class TestCli:
                  for arg in (flag, FLAG_VALUES[flag])]
         assert main(["generate", kind, *given, "--out", str(tmp_path / "x.el")]) == 2
         assert capsys.readouterr().err == f"error: {missing} is required for this generator\n"
+
+    @pytest.mark.parametrize("kind", sorted(GENERATOR_FLAGS))
+    def test_generate_refuses_a_foreign_flag_exit_2(self, tmp_path, capsys, kind):
+        foreign = next(flag for flag in FLAG_VALUES if flag not in GENERATOR_FLAGS[kind])
+        given = [arg for flag in GENERATOR_FLAGS[kind] + [foreign]
+                 for arg in (flag, FLAG_VALUES[flag])]
+        out = tmp_path / "x.el"
+        assert main(["generate", kind, *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {foreign} is not a flag of the {kind} generator\n"
+        assert not out.exists()
 
     def test_generate_past_max_vertices_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.el"
@@ -418,12 +445,21 @@ class TestCli:
     @pytest.mark.parametrize("key", [
         "workers", "expansion_exact_cap", "collective_threshold",
         "connector_exact_cap", "q3_cap", "expansion_trials", "max_krakens", "link_retries",
-        "max_link_rounds", "d_target", "ball_candidates", "b", "expansion_sample_cap",
+        "max_link_rounds", "d_target", "ball_candidates", "b", "expansion_sample_cap", "mode",
     ])
     def test_removed_keys_exit_2(self, q3_file, tmp_path, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")
         assert main(["find", "pillar", "--graph", str(q3_file), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("value", ["relaxed", "formula"])
+    def test_mode_line_is_an_unknown_key(self, q3_file, tmp_path, capsys, value):
+        """Every file an older ``to_text`` wrote starts with a ``mode`` line;
+        the key is named as unknown, not its value as a bad integer."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = {value}\nd = 4\n")
+        assert main(["find", "pillar", "--graph", str(q3_file), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config line 1: unknown config key 'mode'\n"
 
     @pytest.mark.parametrize("key", [name for name, *_ in _CONSTANTS])
     def test_threshold_below_its_floor_exit_2(self, q3_file, tmp_path, monkeypatch, capsys, key):

@@ -195,7 +195,7 @@ EXTRACTED_AT_SCALE = ("d790a0e351ac660ef281739f3ac106bbe39f2500fc794a8a9895c42a8
 
 def test_extracted_expander_at_benchmark_scale(monkeypatch):
     """The extraction find_pillar runs on an rr(10^4, 12) graph at seed 0,
-    with the relaxed sample cap of 2000: unlike the n = 2000 cases above,
+    with its sample cap EXPANSION_SAMPLE_CAP = 2000: unlike the n = 2000 cases above,
     its sampled sets run past 1000 vertices."""
     reports = []
     real = expander_mod.check_expansion

@@ -5,7 +5,7 @@ import pytest
 
 from pillarkit import kraken as kraken_mod
 from pillarkit import pillar as pillar_mod
-from pillarkit.config import _CONSTANTS, RunConfig
+from pillarkit.config import RunConfig
 from pillarkit.errors import (InternalError, LengthNotRealizedError, PreconditionError,
                               StageError)
 from pillarkit.generators import (cycle_graph, hypercube, random_regular,
@@ -535,13 +535,11 @@ class TestLinkPairContract:
 
     def test_link_knobs_follow_the_linked_graph(self, monkeypatch):
         # 10 000 isolated vertices: the linked graph h is the 88-vertex
-        # prism piece of a 10 088-vertex g, and only pillar_ell_min follows n
+        # prism piece of a 10 088-vertex g, and linking on h starts at the
+        # run's pillar_ell_min
         prism = planted_prism_with_noise(8, 5, 40, seed=0)
         g = Graph(prism.n + 10_000, prism.edges())
-        cfg = RunConfig(d=4, mode="formula")
-        cfg.overrides.update({name: relaxed for name, relaxed, _ in _CONSTANTS
-                              if name != "pillar_ell_min"})
-        cfg.overrides["separation"] = 1
+        cfg = RunConfig(d=4, overrides={"pillar_ell_min": 7, "separation": 1})
         calls = []
         real = pillar_mod._link_aligned
 
@@ -556,6 +554,4 @@ class TestLinkPairContract:
             pass
         h_n, ell = calls[0]
         assert h_n == prism.n == 88
-        start = cfg.resolve(h_n).pillar_ell_min
-        assert start != cfg.resolve(g.n).pillar_ell_min
-        assert ell in (start, start + 1)  # the first length, raised to the pair's parity
+        assert ell in (7, 8)  # the first length, raised to the pair's parity
