@@ -102,6 +102,7 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         values: dict = {}
+        seen: dict[str, int] = {}  # the line that first names each key
         for line_no, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -111,6 +112,8 @@ class RunConfig:
             key, _, val = (part.strip() for part in line.partition("="))
             if key not in _DEFAULTS and key not in ("eps1", "eps2", "d"):
                 raise PreconditionError(f"config line {line_no}: unknown config key {key!r}")
+            if seen.setdefault(key, line_no) != line_no:
+                raise PreconditionError(f"config line {line_no}: {key} repeats line {seen[key]}")
             kind = float if key in ("eps1", "eps2") else int
             try:
                 values[key] = kind(val)

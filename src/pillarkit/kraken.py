@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -383,7 +384,7 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     u1 = uset | u0
 
     state = KrakenSearchState(g, rc, uset, high, u0, u1)
-    _build_collection(state, seed)
+    list(_carve_rounds(state, seed))  # every round: each kraken joins state.collection
     early = _first_qualifying(state)
     if early is not None:
         rep = verify_kraken(g, early)
@@ -443,7 +444,8 @@ def _child_seed(seed: int, tag: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + tag) & 0xFFFFFFFFFFFF
 
 
-def _build_collection(state: KrakenSearchState, seed: int) -> None:
+def _carve_rounds(state: KrakenSearchState, seed: int) -> Iterator[Kraken]:
+    """Carve the collection round by round, yielding each kraken once it joins the state."""
     g, rc = state.graph, state.cfg
     for round_no in range(rc.kraken_count):
         used = set()
@@ -465,15 +467,14 @@ def _build_collection(state: KrakenSearchState, seed: int) -> None:
             break
         state.collection.append(kr)
         state.links.append({})
+        yield kr
     if not state.collection:
         raise StageError("kraken-collection", "no kraken found in the survivor graph", {})
 
 
 def _first_qualifying(state: KrakenSearchState) -> Kraken | None:
-    for kr in state.collection:
-        if _qualifies(state.graph, kr, state.high_degree, state.forbidden, state.cfg):
-            return kr
-    return None
+    return next((kr for kr in state.collection if _qualifies(
+        state.graph, kr, state.high_degree, state.forbidden, state.cfg)), None)
 
 
 def _build_anchors(state: KrakenSearchState) -> None:

@@ -19,8 +19,8 @@ from .errors import (InternalError, LengthNotRealizedError, NoPathError,
                      PreconditionError, StageError)
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
                     distances_from, induced_subgraph, parity, shortest_set_path)
-from .kraken import (Kraken, _child_seed, _high_degree, _under_separation, robust_kraken,
-                     verify_kraken)
+from .kraken import (Kraken, KrakenSearchState, _carve_rounds, _child_seed, _high_degree,
+                     _qualifies, _under_separation, robust_kraken, verify_kraken)
 from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
 from .validity import ValidityReport, json_int
@@ -431,8 +431,8 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
     """Join matching cycle vertices of two disjoint krakens by disjoint
     paths of the same exact length.
 
-    Three steps: each kraken is verified, the pair is checked once
-    (``_check_link_pair``), then the paths are built for this alignment
+    Three steps: each kraken is verified, the pair (``_check_link_pair``)
+    and ell's parity are checked, then the paths are built for this alignment
     and length (``_link_aligned``).  The pillar they form with the two
     cycles passes ``verify_pillar`` before the paths are returned.
     Worked one index at a time; each side's leg is turned into an
@@ -451,6 +451,8 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
         if not rep.valid:
             raise PreconditionError(f"{name} kraken invalid: {rep}")
     _check_link_pair(g, ka, kb, high, rc)
+    if ell % 2 != parity(g, ka.cycle.vertices[0], kb.cycle.vertices[0]):
+        raise PreconditionError("target length has the wrong parity")
     paths = _link_aligned(g, ka, kb, ell, high, rc)
     rep = verify_pillar(g, Pillar(ka.k, ell, ka.cycle, kb.cycle, tuple(paths)))
     if not rep.valid:
@@ -492,10 +494,8 @@ def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
 def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, ell: int, high: frozenset[int],
                   rc: ResolvedConfig) -> list[Path]:
     """The paths of ``link_krakens`` for a pair that passed
-    ``_check_link_pair``, with kb's cycle aligned as given."""
-    if ell % 2 != parity(g, ka.cycle.vertices[0], kb.cycle.vertices[0]):
-        raise PreconditionError("target length has the wrong parity")
-
+    ``_check_link_pair``, with kb's cycle aligned as given and ell of the
+    pair's parity."""
     s = ka.k
     cycles = set(ka.cycle.vertices) | set(kb.cycle.vertices)
     z_base = set(cycles)
@@ -590,12 +590,11 @@ def _rotate_kraken(kr: Kraken, shift: int, reflect: bool) -> Kraken:
 
 
 def _translate_pillar(p: Pillar, ids: list[int]) -> Pillar:
-    remap = lambda v: ids[v]
     return Pillar(
         p.s, p.ell,
-        Cycle(tuple(remap(v) for v in p.cycle1.vertices)),
-        Cycle(tuple(remap(v) for v in p.cycle2.vertices)),
-        tuple(Path(tuple(remap(v) for v in q.vertices)) for q in p.paths))
+        Cycle(tuple(ids[v] for v in p.cycle1.vertices)),
+        Cycle(tuple(ids[v] for v in p.cycle2.vertices)),
+        tuple(Path(tuple(ids[v] for v in q.vertices)) for q in p.paths))
 
 
 def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
@@ -607,14 +606,15 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     two share a cycle length and link them with equal-length paths,
     trying cycle alignments and lengths until one goes through.
 
-    The pair's alignment-free preconditions (``_check_link_pair``) are
-    checked once, before the first alignment; each attempt then runs only
-    ``_link_aligned``.  An alignment gets up to ``_LINK_RETRIES`` lengths,
-    except that a connection that fails at index 0 because the two
-    expansions are disconnected ends that alignment's retries: nothing
-    built at index 0 depends on the length, so every length would fail.
-    Failed pairs give way to the next equal-length pair, within ``_MAX_KRAKENS``;
-    the ``link`` StageError counts ``pairs``, ``alignments`` and ``attempts``.
+    The krakens are one robust_kraken collection on h, carved lazily; each
+    that qualifies is paired as it is carved with each earlier one of its
+    cycle length, and a pair failing ``_check_link_pair`` is skipped.  If
+    none links, a fallback makes up to ``_MAX_KRAKENS`` robust_kraken calls,
+    each in h minus the krakens before it.  An alignment gets up to
+    ``_LINK_RETRIES`` lengths; an index-0 disconnection ends it early.  Over
+    both passes, the ``pigeonhole`` and ``link`` StageErrors count ``carved``
+    krakens (of calls that returned), and ``link`` its ``pairs``,
+    ``alignments`` and ``attempts``.
     """
     if g.n == 0:
         raise PreconditionError("empty graph")
@@ -647,57 +647,72 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
             raise InternalError(f"internal: cube pillar invalid ({rep})")
         return pillar
 
-    forbidden: set[int] = set()
+    high = _high_degree(h, rc)
+    tried: list[tuple[int, int, str | None]] = []  # (cycle length, attempts, last error)
+    state = KrakenSearchState(h, rc, frozenset(), high, frozenset(), frozenset())
+    kept: list[Kraken] = []
+    for kr in _carve_rounds(state, _child_seed(seed, 2)):
+        if _qualifies(h, kr, high, frozenset(), rc) and (pillar := _link_to_earlier(
+                g, h, ids, kr, kept, high, rc, tried, in_collection=True)):
+            return pillar
+    carved = len(state.collection)
     found: list[Kraken] = []
-    tried: list[tuple[int, int]] = []  # (cycle length, attempts) of each pair that failed
     for i in range(_MAX_KRAKENS):
         try:
-            kr = robust_kraken(h, frozenset(forbidden), config,
-                               seed=_child_seed(seed, 2 + i), q3_free=True)
+            kr, st = robust_kraken(h, frozenset().union(*map(Kraken.vertex_set, found)), config,
+                                   seed=_child_seed(seed, 2 + i), q3_free=True, return_state=True)
         except (PreconditionError, StageError):
             if not tried:
                 raise
             break  # the pairs that failed to link are the better report
-        for mate in [old for old in found if old.k == kr.k]:
-            pillar, attempts, last_error = _link_pair(g, h, ids, mate, kr, rc)
-            if pillar is not None:
-                return pillar
-            tried.append((kr.k, attempts))
-        found.append(kr)
-        forbidden |= kr.vertex_set()
+        carved += len(st.collection)
+        if pillar := _link_to_earlier(g, h, ids, kr, found, high, rc, tried, in_collection=False):
+            return pillar
     if not tried:
         raise StageError("pigeonhole",
                          f"no two of {len(found)} krakens share a cycle length",
-                         {"lengths": sorted(k.k for k in found)})
-    raise StageError("link", f"no alignment and length linked the krakens: {last_error}",
+                         {"lengths": sorted(k.k for k in found), "carved": carved})
+    raise StageError("link", f"no alignment and length linked the krakens: {tried[-1][2]}",
                      {"cycle_length": tried[-1][0], "pairs": len(tried),
-                      "alignments": sum(2 * k for k, _ in tried),
-                      "attempts": sum(a for _, a in tried)})
+                      "alignments": sum(2 * k for k, _, _ in tried),
+                      "attempts": sum(a for _, a, _ in tried), "carved": carved})
 
 
-def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken,
-               rc: ResolvedConfig) -> tuple[Pillar | None, int, Exception | None]:
-    """find_pillar's attempts on one pair: (pillar in g's ids or None, attempts, last error)."""
-    high = _high_degree(h, rc)
-    try:
-        parity(h, ka.cycle.vertices[0], kb.cycle.vertices[0])
-    except PreconditionError as exc:
-        raise StageError("link", f"parity unavailable: {exc}", {})
-    try:
-        _check_link_pair(h, ka, kb, high, rc)
-    except PreconditionError as exc:
-        # robust_kraken's krakens meet every clause here, at the same h and config
-        raise InternalError(f"internal: kraken pair fails the link check ({exc})") from exc
-    last_error: Exception | None = None
+def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: list[Kraken],
+                     high: frozenset[int], rc: ResolvedConfig, tried: list,
+                     in_collection: bool) -> Pillar | None:
+    """Link kr to each earlier kraken of its length: the first pillar, or None with kr kept."""
+    for mate in [old for old in earlier if old.k == kr.k]:
+        try:
+            parity(h, mate.cycle.vertices[0], kr.cycle.vertices[0])
+        except PreconditionError as exc:
+            raise StageError("link", f"parity unavailable: {exc}", {})
+        try:
+            _check_link_pair(h, mate, kr, high, rc)
+        except PreconditionError as exc:
+            if in_collection:
+                continue  # at kraken_separation 0, one collection's krakens may sit 1 apart
+            # robust_kraken's krakens meet every clause here, at the same h and config
+            raise InternalError(f"internal: kraken pair fails the link check ({exc})") from exc
+        pillar, attempts, last_error = _link_pair(g, h, ids, mate, kr, high, rc)
+        if pillar is not None:
+            return pillar
+        tried.append((kr.k, attempts, last_error))
+    earlier.append(kr)
+    return None
+
+
+def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken, high: frozenset[int],
+               rc: ResolvedConfig) -> tuple[Pillar | None, int, str | None]:
+    """Attempts on one checked pair: (pillar in g's ids or None, attempts, last error)."""
+    last_error: str | None = None  # a kept exception would hold this frame in a cycle
     attempts = 0
     for reflect in (False, True):
         for shift in range(kb.k):
             aligned = _rotate_kraken(kb, shift, reflect)
             # kb passed verify_kraken, so its whole cycle shares one component
             target = parity(h, ka.cycle.vertices[0], aligned.cycle.vertices[0])
-            ell = rc.pillar_ell_min
-            if ell % 2 != target:
-                ell += 1
+            ell = rc.pillar_ell_min + (rc.pillar_ell_min % 2 != target)  # the pair's parity
             for _ in range(_LINK_RETRIES):
                 attempts += 1
                 try:
@@ -709,7 +724,7 @@ def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken,
                         raise InternalError(f"internal: translated pillar invalid ({rep})")
                     return out, attempts, None
                 except StageError as exc:  # _link_aligned wraps every connector failure
-                    last_error = exc
+                    last_error = str(exc)
                     if exc.details.get("index") == 0 and exc.details.get("cause") == "NoPathError":
                         break  # nothing at index 0 depends on ell: every length fails
                     ell = min((x for x in exc.details.get("nearest") or ()

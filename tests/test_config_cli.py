@@ -52,6 +52,14 @@ class TestRunConfig:
         with pytest.raises(PreconditionError):
             RunConfig.from_text("nonsense = 3\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("separation = 1\nseparation = 5\n", "config line 2: separation repeats line 1"),
+        ("d = 4\n# d = 6\nseparation = 1\nd = 8\n", "config line 4: d repeats line 1"),
+    ])
+    def test_repeated_key_rejected(self, text, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            RunConfig.from_text(text)
+
     def test_comments_allowed(self):
         cfg = RunConfig.from_text("# comment\nd = 6\nseparation = 3  # inline\n")
         assert cfg.d == 6 and cfg.overrides["separation"] == 3
@@ -460,6 +468,14 @@ class TestCli:
         cfg.write_text(f"mode = {value}\nd = 4\n")
         assert main(["find", "pillar", "--graph", str(q3_file), "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: config line 1: unknown config key 'mode'\n"
+
+    def test_repeated_key_exit_2(self, q3_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(pillarkit.cli, "find_pillar",
+                            lambda *args, **kwargs: pytest.fail("the search started"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("separation = 1\nseparation = 5\n")
+        assert main(["find", "pillar", "--graph", str(q3_file), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config line 2: separation repeats line 1\n"
 
     @pytest.mark.parametrize("key", [name for name, *_ in _CONSTANTS])
     def test_threshold_below_its_floor_exit_2(self, q3_file, tmp_path, monkeypatch, capsys, key):

@@ -63,10 +63,10 @@ def test_planted_prism(seed):
     assert _digest(find_pillar(g, cfg, seed=seed)) == PLANTED[seed]
 
 
-RANDOM_REGULAR = {
-    0: "6d43c66fbdf758f82e580ea77c6300e367b37014dd077e8d968e6fcaa72c9cf4",
-    1: "a92b0894c9d669f63f91d92ab5405151eb7005c3a166ed5e61ff07047cabd780",
-    2: "e1450291ccdc310504eed04ed7f2ed38878026cb0bb2bcbf0ab7627d25d6e260",
+RANDOM_REGULAR = {  # seed: (ell, digest); every pillar has s = 4
+    0: (5, "344819f0a1d0289ecf8c5831b6b44e79a9cbbef34c0141d21e959ea06e2edb56"),
+    1: (8, "e3cf95a33e0f553c9cf394d115cd47b73b196dfe64f7d317b36804a9ed1ca67c"),
+    2: (8, "96e7c00f86a12d7697fbcf0fa9d98659a3a65695bec3e116c1338e5766261de9"),
 }
 
 
@@ -74,8 +74,9 @@ RANDOM_REGULAR = {
 def test_random_regular_pillar(seed):
     g = random_regular(2000, 12, seed)
     pillar = find_pillar(g, RunConfig(d=12), seed)
-    assert (pillar.s, pillar.ell) == (4, 8)
-    assert _digest(pillar) == RANDOM_REGULAR[seed]
+    ell, digest = RANDOM_REGULAR[seed]
+    assert (pillar.s, pillar.ell) == (4, ell)
+    assert _digest(pillar) == digest
 
 
 def test_random_regular_pillar_at_benchmark_scale():
@@ -83,8 +84,8 @@ def test_random_regular_pillar_at_benchmark_scale():
     them: at this size the links run through trimmed leg expansions and
     detours, which the n = 2000 pillars above barely reach."""
     pillar = find_pillar(random_regular(10000, 12, 9600), RunConfig(d=12), 9600)
-    assert (pillar.s, pillar.ell) == (4, 5)
-    assert _digest(pillar) == "1d546798eda43f857f5c06d629ea90e7cd8f943d92ade4ed3b235c1fd294dc77"
+    assert (pillar.s, pillar.ell) == (4, 12)
+    assert _digest(pillar) == "68add25efaced9b0b39af0531d4ca833640c7bc92ea06e90e5089d3d89339c8d"
 
 
 HUB_KRAKEN = {

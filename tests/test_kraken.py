@@ -8,7 +8,7 @@ from pillarkit.errors import InternalError, PreconditionError, StageError
 from pillarkit.expander import _max_cut_graph
 from pillarkit.generators import cycle_graph, hypercube, random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path, set_distance
-from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink, _augment_links,
+from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink, _augment_links, _child_seed,
                               _link_obstacles, _qualifies, _shortcut_round, find_kraken,
                               robust_kraken, verify_kraken)
 from pillarkit.pillar import find_pillar
@@ -397,8 +397,11 @@ def _one_hub(seed: int):
 
 
 def _prism(seed: int):
-    """Default settings: find_pillar's second kraken gets no anchor and no link."""
-    return find_pillar(subdivided_prism(5, 5), RunConfig(d=3), seed=seed)
+    """Default settings: a second robust_kraken call, in the prism minus the
+    first call's kraken, gets no anchor and no link."""
+    g, cfg = subdivided_prism(5, 5), RunConfig(d=3)
+    first = robust_kraken(g, frozenset(), cfg, seed=_child_seed(seed, 2), q3_free=True)
+    return robust_kraken(g, first.vertex_set(), cfg, seed=_child_seed(seed, 3), q3_free=True)
 
 
 # Seeded runs whose link loop starves: (run, seed, the link-rounds details)

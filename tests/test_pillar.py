@@ -18,7 +18,7 @@ from pillarkit.pillar import (Adjuster, Detour, Pillar, _check_link_pair,
                               verify_pillar)
 from pillarkit.primitives import Expansion, find_q3_bruteforce
 
-from util import all_simple_path_lengths, planted_prism_with_noise
+from util import all_simple_path_lengths, planted_prism_with_noise, torus
 
 def natural_pillar(s: int, ell: int) -> tuple[Graph, Pillar]:
     g = subdivided_prism(s, ell)
@@ -450,10 +450,29 @@ class TestLinkSkips:
         assert disconnected
 
 
+@pytest.fixture
+def carves(monkeypatch) -> list[int]:
+    """One entry per kraken._carve call: every kraken find_pillar tries to carve."""
+    calls: list[int] = []
+    real = kraken_mod._carve
+    monkeypatch.setattr(kraken_mod, "_carve", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.fixture
+def no_fallback(monkeypatch) -> None:
+    """find_pillar must link inside its kraken collection: the fallback's
+    robust_kraken is never called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_pillar fell back to robust_kraken")
+
+    monkeypatch.setattr(pillar_mod, "robust_kraken", refuse)
+
+
 class TestLinkWork:
-    # prism 0 links on its first alignment's second length; on prism 2 the
-    # first seven alignments are disconnected at index 0
-    @pytest.mark.parametrize("seed, n_attempts, n_stops", [(0, 2, 0), (2, 9, 7)])
+    # both prisms link on their sixteenth and last alignment, at its second
+    # length; every alignment but one before it is disconnected at index 0
+    @pytest.mark.parametrize("seed, n_attempts, n_stops", [(0, 22, 12), (2, 23, 13)])
     def test_pair_checked_once_and_no_retry_after_disconnection(
             self, monkeypatch, seed, n_attempts, n_stops):
         verified = []
@@ -476,7 +495,7 @@ class TestLinkWork:
         g = planted_prism_with_noise(8, 5, 40, seed=seed)
         p = find_pillar(g, _planted_config(), seed=seed)
         assert verify_pillar(g, p).valid
-        assert not verified  # robust_kraken verified both krakens on return
+        assert not verified  # _carve verified both krakens as it carved them
         assert len(attempts) == n_attempts and attempts[-1][2] is None
         stops = 0
         for (cycle, _, exc), (next_cycle, _, _) in zip(attempts, attempts[1:]):
@@ -485,21 +504,56 @@ class TestLinkWork:
                 assert next_cycle != cycle
         assert stops == n_stops
 
-    def test_next_pair_links_when_the_first_pair_fails(self, monkeypatch):
-        # every attempt on krakens 0 and 1 fails here; kraken 2 links with 0
+    def test_next_pair_links_when_the_first_pair_fails(self, monkeypatch, carves, no_fallback):
+        # every attempt on collection krakens 0 and 1 fails; kraken 2 links with 0
+        real_link = pillar_mod._link_aligned
+        first: list[tuple] = []
+
+        def link(g, ka, kb, ell, *rest):
+            pair = (ka.cycle.vertex_set(), kb.cycle.vertex_set())
+            if not first:
+                first.append(pair)
+            if pair == first[0]:
+                raise StageError("link-connect", "index 1: stub",
+                                 {"index": 0, "nearest": None, "cause": "NoPathError"})
+            return real_link(g, ka, kb, ell, *rest)
+
         tried = []
-        real = pillar_mod._link_pair
+        real_pair = pillar_mod._link_pair
 
         def spy(*args):
-            out = real(*args)
+            out = real_pair(*args)
             tried.append(out[0] is not None)
             return out
 
+        monkeypatch.setattr(pillar_mod, "_link_aligned", link)
         monkeypatch.setattr(pillar_mod, "_link_pair", spy)
-        g = random_regular(10000, 12, 1311)
-        p = find_pillar(g, RunConfig(d=12), 1311)
+        g = random_regular(2000, 12, 1)
+        p = find_pillar(g, RunConfig(d=12), 1)
         assert verify_pillar(g, p).valid
-        assert tried[0] is False and tried[-1] is True
+        assert tried == [False, True]
+        assert len(carves) == 3
+
+    def test_unlinkable_collection_pair_is_skipped(self, monkeypatch, carves, no_fallback):
+        # at kraken_separation 0, krakens 0 and 1 of this collection, and then
+        # 0 and 2, have low-degree legs 1 apart; krakens 1 and 2 link
+        outcomes = []
+        real = pillar_mod._check_link_pair
+
+        def spy(*args):
+            try:
+                real(*args)
+            except PreconditionError as exc:
+                outcomes.append(str(exc))
+                raise
+            outcomes.append("ok")
+
+        monkeypatch.setattr(pillar_mod, "_check_link_pair", spy)
+        g = random_regular(2000, 12, 0)
+        p = find_pillar(g, RunConfig(d=12), 0)
+        assert verify_pillar(g, p).valid
+        assert outcomes == ["low-degree legs only 1 apart (need 2)"] * 2 + ["ok"]
+        assert len(carves) == 3
 
     @pytest.mark.parametrize("index, cause, per_alignment", [
         (1, "LengthNotRealizedError", 8),  # every retry is made
@@ -516,10 +570,56 @@ class TestLinkWork:
         with pytest.raises(StageError) as err:
             find_pillar(g, _planted_config(), seed=0)
         assert err.value.stage == "link"
-        assert err.value.details["pairs"] == 1  # no third kraken to pair
+        # the collection's one pair, then the fallback's: its second kraken
+        # pairs with its first, and a third call finds no kraken to pair
+        assert err.value.details["pairs"] == 2
+        # the collection's two krakens, then the fallback's two calls that returned
+        assert err.value.details["carved"] == 5
         k = err.value.details["cycle_length"]
-        assert err.value.details["alignments"] == 2 * k
-        assert err.value.details["attempts"] == 2 * k * per_alignment
+        assert err.value.details["alignments"] == 2 * 2 * k
+        assert err.value.details["attempts"] == 2 * 2 * k * per_alignment
+
+
+class TestCarvedKrakens:
+    """find_pillar carves one collection and links inside it: a change that
+    carves a second collection for these inputs fails here."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_regular_carves_two(self, carves, no_fallback, seed):
+        g = random_regular(2000, 12, seed)
+        assert verify_pillar(g, find_pillar(g, RunConfig(d=12), seed)).valid
+        assert len(carves) == 2
+
+    def test_planted_prism_carves_two(self, carves, no_fallback):
+        g = planted_prism_with_noise(8, 5, 40, seed=0)
+        assert verify_pillar(g, find_pillar(g, _planted_config(), seed=0)).valid
+        assert len(carves) == 2
+
+
+@pytest.mark.parametrize("seed, outcome", enumerate(["ok", "assembly", "assembly", "ok",
+                                                      "assembly"]))
+def test_even_torus_goes_through_the_fallback(monkeypatch, seed, outcome):
+    """No pair of torus(30, 30)'s collection links, so robust_kraken runs."""
+    calls = []
+    real = pillar_mod.robust_kraken
+    monkeypatch.setattr(pillar_mod, "robust_kraken",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    g = torus(30, 30)
+    try:
+        got = "ok" if verify_pillar(g, find_pillar(g, RunConfig(d=4), seed)).valid else "invalid"
+    except StageError as exc:
+        got = exc.stage
+    assert got == outcome
+    assert calls
+
+
+def test_non_bipartite_host_stops_at_parity():
+    """subdivided_prism(5, 5) is too sparse to extract from, so find_pillar
+    searches it as it is; its collection holds two 5-cycle krakens, and the
+    odd cycles leave their pair no parity."""
+    with pytest.raises(StageError, match="parity unavailable") as err:
+        find_pillar(subdivided_prism(5, 5), RunConfig(d=3), seed=0)
+    assert err.value.stage == "link"
 
 
 class TestLinkPairContract:
