@@ -95,8 +95,7 @@ def cmd_find(args: argparse.Namespace) -> int:
                 print(f"not found: no cube ({how} search, n={g.n})")
                 return 1
         elif args.target == "kraken":
-            cert = robust_kraken(g, frozenset(), cfg, seed=rc.seed,
-                                 q3_free=True if g.n > Q3_CAP else None)
+            cert = robust_kraken(g, frozenset(), cfg, seed=rc.seed)
         else:
             cert = find_pillar(g, cfg, seed=rc.seed)
     except StageError as exc:

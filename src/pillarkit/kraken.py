@@ -29,7 +29,7 @@ from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers
 from .primitives import Q3_CAP, Expansion, find_large_ball, find_q3_bruteforce, trim_expansion
 from .validity import ValidityReport, json_int
 
-_MAX_LINK_ROUNDS = 64  # robust_kraken's rounds of linking legs and shortcut rewrites
+_MAX_LINK_ROUNDS = 64  # _finish's rounds of linking legs and shortcut rewrites
 _BALL_CANDIDATES = 20  # ball centers find_large_ball tries for each anchor
 
 @dataclass(frozen=True)
@@ -344,36 +344,39 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     pairwise well separated (and separated from U) away from the
     high-degree set.
 
-    Krakens are collected in the survivor graph G - U as it is, with no
-    second extraction (the caller's expander pays for deleting U through
-    its deletion budget) and no copy: each is carved on g's ids, with U and
-    the earlier krakens' surroundings as a dead set.  The Q3-free
-    hypothesis is certified by brute force on small graphs and otherwise
-    taken from the caller (pass ``q3_free=True``); what the hypothesis
-    buys algorithmically, the bound on vertices dominated by U, is checked
-    directly either way.  Stages starve with a StageError naming the stage.
-
-    If no collected kraken qualifies, anchors are built and each round of
-    the link loop links what free legs it can, assembles the first fully
-    linked kraken, or else makes one shortcut rewrite and goes round again.
-    Without a rewrite, or after ``_MAX_LINK_ROUNDS`` rounds, it raises stage
-    ``link-rounds`` with each kraken's links and legs and the anchor count.
+    This is one round of ``find_pillar``'s: ``_survivor_state`` sets up the
+    search in G - U, ``_carve_rounds`` carves the whole collection, and
+    ``_finish`` turns it into the kraken returned.  Krakens are collected
+    in the survivor graph as it is, with no second extraction (the
+    caller's expander pays for deleting U through its deletion budget) and
+    no copy: each is carved on g's ids, with U and the earlier krakens'
+    surroundings as a dead set.  The Q3-free hypothesis is certified by
+    brute force on small graphs and otherwise taken from the caller (pass
+    ``q3_free=True``); what the hypothesis buys algorithmically, the bound
+    on vertices dominated by U, is checked directly either way.  Stages
+    starve with a StageError naming the stage.
     """
     rc = config.resolve(g.n)
     if seed is None:
         seed = rc.seed
-    uset = frozenset(u)
+    if q3_free is False:
+        raise PreconditionError("caller flagged the graph as containing a cube")
+    if q3_free is None and g.n <= Q3_CAP and find_q3_bruteforce(g) is not None:
+        raise PreconditionError("graph contains a cube; robust search assumes cube-freeness")
+    state = _survivor_state(g, frozenset(u), rc, _high_degree(g, rc))
+    list(_carve_rounds(state, seed))  # every round: each kraken joins state.collection
+    kr = _finish(state)
+    return (kr, state) if return_state else kr
+
+
+def _survivor_state(g: Graph, uset: frozenset[int], rc: ResolvedConfig,
+                    high: frozenset[int]) -> KrakenSearchState:
+    """The empty search state in G - U, once U is in range and under its cap
+    and the set U0 of vertices U dominates is under its own."""
     if uset and (min(uset) < 0 or max(uset) >= g.n):
         raise PreconditionError(f"U has ids out of range for n={g.n}")
     if len(uset) > rc.u_cap:
         raise PreconditionError(f"|U| = {len(uset)} over the cap {rc.u_cap}")
-    if q3_free is False:
-        raise PreconditionError("caller flagged the graph as containing a cube")
-    if q3_free is None and g.n <= Q3_CAP:
-        if find_q3_bruteforce(g) is not None:
-            raise PreconditionError("graph contains a cube; robust search assumes cube-freeness")
-
-    high = _high_degree(g, rc)
     into_u = Counter(chain.from_iterable(map(g.neighbors, uset)))  # edges into U
     u0 = frozenset(v for v, c in into_u.items() if c >= rc.params.d / 2 and v not in uset)
     if len(u0) > rc.u0_cap:
@@ -381,23 +384,30 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
                          f"{len(u0)} vertices dominated by U (cap {rc.u0_cap}); "
                          "the cube-freeness hypothesis looks violated",
                          {"u0": len(u0)})
-    u1 = uset | u0
+    return KrakenSearchState(g, rc, uset, high, u0, uset | u0)
 
-    state = KrakenSearchState(g, rc, uset, high, u0, u1)
-    list(_carve_rounds(state, seed))  # every round: each kraken joins state.collection
-    early = _first_qualifying(state)
+
+def _finish(state: KrakenSearchState) -> Kraken:
+    """The round's kraken from its carved collection: the first that
+    qualifies, checked.  If none does, anchors are built and each round of
+    the link loop links what free legs it can, assembles the first fully
+    linked kraken, or else makes one shortcut rewrite and goes round again.
+    Without a rewrite, or after ``_MAX_LINK_ROUNDS`` rounds, it raises stage
+    ``link-rounds`` with each kraken's links and legs and the anchor count."""
+    g = state.graph
+    early = next((kr for kr in state.collection if _qualifies(
+        g, kr, state.high_degree, state.forbidden, state.cfg)), None)
     if early is not None:
         rep = verify_kraken(g, early)
         if not rep.valid:
             raise InternalError(f"internal: collected kraken invalid ({rep})")
-        return (early, state) if return_state else early
+        return early
     _build_anchors(state)
     for _ in range(_MAX_LINK_ROUNDS):
         _augment_links(state)
         full = next((i for i in range(len(state.collection)) if not state.free_legs(i)), None)
         if full is not None:
-            kr = _assemble(state, full)
-            return (kr, state) if return_state else kr
+            return _assemble(state, full)
         if not _shortcut_round(state):
             break
     raise StageError("link-rounds", "no kraken fully linked",
@@ -470,11 +480,6 @@ def _carve_rounds(state: KrakenSearchState, seed: int) -> Iterator[Kraken]:
         yield kr
     if not state.collection:
         raise StageError("kraken-collection", "no kraken found in the survivor graph", {})
-
-
-def _first_qualifying(state: KrakenSearchState) -> Kraken | None:
-    return next((kr for kr in state.collection if _qualifies(
-        state.graph, kr, state.high_degree, state.forbidden, state.cfg)), None)
 
 
 def _build_anchors(state: KrakenSearchState) -> None:

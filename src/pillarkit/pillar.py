@@ -19,8 +19,8 @@ from .errors import (InternalError, LengthNotRealizedError, NoPathError,
                      PreconditionError, StageError)
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
                     distances_from, induced_subgraph, parity, shortest_set_path)
-from .kraken import (Kraken, KrakenSearchState, _carve_rounds, _child_seed, _high_degree,
-                     _qualifies, _under_separation, robust_kraken, verify_kraken)
+from .kraken import (Kraken, _carve_rounds, _child_seed, _finish, _high_degree, _qualifies,
+                     _survivor_state, _under_separation, verify_kraken)
 from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
 from .validity import ValidityReport, json_int
@@ -252,7 +252,7 @@ _EXACT_NODE_BUDGET = 2_000_000  # nodes _exact_fixed_path's DFS visits before it
 _PROBE_STEPS = 6  # parity steps either side of ell that _probe_exact tries
 _CONNECTOR_EXACT_CAP = 64  # largest graph the connector searches by complete DFS
 _D_TARGET = 2  # find_pillar's first degree target for the expander it extracts
-_MAX_KRAKENS = 8  # robust_kraken calls find_pillar makes before it gives up
+_MAX_KRAKENS = 8  # rounds of find_pillar's kraken search before it gives up
 _LINK_RETRIES = 8  # lengths find_pillar tries per alignment of a kraken pair
 
 
@@ -606,18 +606,17 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     two share a cycle length and link them with equal-length paths,
     trying cycle alignments and lengths until one goes through.
 
-    The krakens are one robust_kraken collection on h, carved lazily; each
-    that qualifies is paired as it is carved with each earlier one of its
-    cycle length, and a pair failing ``_check_link_pair`` is skipped.  If
-    none links, a fallback makes up to ``_MAX_KRAKENS`` robust_kraken calls,
-    each in h minus the krakens before it.  An alignment gets up to
-    ``_LINK_RETRIES`` lengths; an index-0 disconnection ends it early.  Over
-    both passes, the ``pigeonhole`` and ``link`` StageErrors count ``carved``
-    krakens (of calls that returned), and ``link`` its ``pairs``,
-    ``alignments`` and ``attempts``.
+    The krakens come in up to ``_MAX_KRAKENS`` rounds, as in robust_kraken.
+    Round i carves a collection lazily in h minus U, the union of the
+    earlier rounds' krakens; each kraken that qualifies is paired as it is
+    carved with each earlier qualifying one of the round and of its cycle
+    length, and a pair failing ``_check_link_pair`` is skipped.  If none
+    links, the round ends with ``_finish``, and the kraken it returns is
+    paired with each earlier round's.  An alignment gets up to
+    ``_LINK_RETRIES`` lengths; an index-0 disconnection ends it early.  The
+    ``pigeonhole`` and ``link`` StageErrors count the ``carved`` krakens of
+    every round, and ``link`` its ``pairs``, ``alignments`` and ``attempts``.
     """
-    if g.n == 0:
-        raise PreconditionError("empty graph")
     rc = config.resolve(g.n)
     # pass to a bipartite expanding subgraph at the configured degree
     # target, or at the largest target the average degree supports; too
@@ -649,23 +648,22 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
 
     high = _high_degree(h, rc)
     tried: list[tuple[int, int, str | None]] = []  # (cycle length, attempts, last error)
-    state = KrakenSearchState(h, rc, frozenset(), high, frozenset(), frozenset())
-    kept: list[Kraken] = []
-    for kr in _carve_rounds(state, _child_seed(seed, 2)):
-        if _qualifies(h, kr, high, frozenset(), rc) and (pillar := _link_to_earlier(
-                g, h, ids, kr, kept, high, rc, tried, in_collection=True)):
-            return pillar
-    carved = len(state.collection)
-    found: list[Kraken] = []
+    found: list[Kraken] = []  # each round's finished kraken
+    carved = 0
     for i in range(_MAX_KRAKENS):
         try:
-            kr, st = robust_kraken(h, frozenset().union(*map(Kraken.vertex_set, found)), config,
-                                   seed=_child_seed(seed, 2 + i), q3_free=True, return_state=True)
+            state = _survivor_state(h, frozenset().union(*map(Kraken.vertex_set, found)), rc, high)
+            kept: list[Kraken] = []
+            for kr in _carve_rounds(state, _child_seed(seed, 2 + i)):
+                carved += 1
+                if _qualifies(h, kr, high, state.forbidden, rc) and (pillar := _link_to_earlier(
+                        g, h, ids, kr, kept, high, rc, tried, in_collection=True)):
+                    return pillar
+            kr = _finish(state)
         except (PreconditionError, StageError):
             if not tried:
                 raise
             break  # the pairs that failed to link are the better report
-        carved += len(st.collection)
         if pillar := _link_to_earlier(g, h, ids, kr, found, high, rc, tried, in_collection=False):
             return pillar
     if not tried:
@@ -683,16 +681,14 @@ def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: li
                      in_collection: bool) -> Pillar | None:
     """Link kr to each earlier kraken of its length: the first pillar, or None with kr kept."""
     for mate in [old for old in earlier if old.k == kr.k]:
-        try:
-            parity(h, mate.cycle.vertices[0], kr.cycle.vertices[0])
-        except PreconditionError as exc:
-            raise StageError("link", f"parity unavailable: {exc}", {})
+        if h.side is None:  # h is one component, so parity fails only here
+            raise StageError("link", "parity unavailable: parity undefined: graph is not bipartite")
         try:
             _check_link_pair(h, mate, kr, high, rc)
         except PreconditionError as exc:
             if in_collection:
                 continue  # at kraken_separation 0, one collection's krakens may sit 1 apart
-            # robust_kraken's krakens meet every clause here, at the same h and config
+            # _finish's krakens meet every clause here, at the same h and config
             raise InternalError(f"internal: kraken pair fails the link check ({exc})") from exc
         pillar, attempts, last_error = _link_pair(g, h, ids, mate, kr, high, rc)
         if pillar is not None:

@@ -200,6 +200,22 @@ def test_every_private_function_is_referenced():
     assert sorted(f.name for f in private if f.name not in referenced) == []
 
 
+def test_every_import_is_read():
+    """Each name a module imports is read in that module; the package's
+    ``__init__`` imports to re-export, so it is left out."""
+    unread = []
+    for path in sorted(Path(pillarkit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read - {"annotations"})]
+    assert unread == []
+
+
 @pytest.fixture()
 def q3_file(tmp_path):
     path = tmp_path / "q3.el"
@@ -321,6 +337,17 @@ class TestCli:
         assert main(["find", "kraken", "--graph", str(g), "--config", str(cfgfile),
                      "--seed", "0", "--out", str(cert)]) == 0
         assert main(["verify", "kraken", "--graph", str(g), "--cert", str(cert)]) == 0
+
+    def test_find_kraken_on_cube_exit_2(self, q3_file, capsys):
+        assert main(["find", "kraken", "--graph", str(q3_file), "--seed", "0"]) == 2
+        assert "graph contains a cube" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["q3", "kraken", "pillar"])
+    def test_find_on_empty_graph_exit_1(self, tmp_path, capsys, target):
+        g = tmp_path / "empty.el"
+        g.write_text("")
+        assert main(["find", target, "--graph", str(g), "--seed", "0"]) == 1
+        assert "not found" in capsys.readouterr().out
 
     def test_verify_corrupted_certificate_exit_1(self, q3_file, tmp_path, capsys):
         cert = tmp_path / "pillar.json"

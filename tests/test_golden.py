@@ -88,6 +88,22 @@ def test_random_regular_pillar_at_benchmark_scale():
     assert _digest(pillar) == "68add25efaced9b0b39af0531d4ca833640c7bc92ea06e90e5089d3d89339c8d"
 
 
+TORUS = {  # side: (ell, digest); every pillar has s = 4
+    26: (20, "62f00d365cee1b077f5bd58172a22d3bc9fc3a774c130afc516dbd091036b1bb"),
+    30: (34, "241329946e42e5e4cbf0b78c371bed49416be257ab04d45e4dfa26842523d6e4"),
+}
+
+
+@pytest.mark.parametrize("side", sorted(TORUS))
+def test_torus_pillar_from_two_finished_rounds(side):
+    """No pair of the even torus's first collection links, so each of two
+    rounds ends in the robust pipeline's finish, and their two krakens link."""
+    pillar = find_pillar(torus(side, side), RunConfig(d=4), 0)
+    ell, digest = TORUS[side]
+    assert (pillar.s, pillar.ell) == (4, ell)
+    assert _digest(pillar) == digest
+
+
 HUB_KRAKEN = {
     0: "7049ddaee6ec6ddbd466672b5083e82901ae2e9659008e3eb4c74cef0e692d22",
     1: "d80c67fb99c2ecb7ae5c92afa7c0dc3518e4e2e4e05273e99dd028bb23031077",

@@ -340,6 +340,11 @@ class TestFindPillar:
         assert (p.s, p.ell) == (4, 1)
         assert verify_pillar(g, p).valid
 
+    def test_empty_graph_starves_at_kraken_collection(self):
+        with pytest.raises(StageError) as err:
+            find_pillar(Graph(0, []), self.CFG, seed=0)
+        assert err.value.stage == "kraken-collection"
+
     def test_deterministic(self):
         g = hypercube(3)
         assert find_pillar(g, self.CFG, seed=3) == find_pillar(g, self.CFG, seed=3)
@@ -460,13 +465,13 @@ def carves(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
-def no_fallback(monkeypatch) -> None:
-    """find_pillar must link inside its kraken collection: the fallback's
-    robust_kraken is never called."""
+def no_finish(monkeypatch) -> None:
+    """find_pillar must link inside round 0's kraken collection: _finish,
+    which ends a round that linked nothing, is never called."""
     def refuse(*args, **kwargs):
-        raise AssertionError("find_pillar fell back to robust_kraken")
+        raise AssertionError("find_pillar finished a round")
 
-    monkeypatch.setattr(pillar_mod, "robust_kraken", refuse)
+    monkeypatch.setattr(pillar_mod, "_finish", refuse)
 
 
 class TestLinkWork:
@@ -504,7 +509,7 @@ class TestLinkWork:
                 assert next_cycle != cycle
         assert stops == n_stops
 
-    def test_next_pair_links_when_the_first_pair_fails(self, monkeypatch, carves, no_fallback):
+    def test_next_pair_links_when_the_first_pair_fails(self, monkeypatch, carves, no_finish):
         # every attempt on collection krakens 0 and 1 fails; kraken 2 links with 0
         real_link = pillar_mod._link_aligned
         first: list[tuple] = []
@@ -534,7 +539,7 @@ class TestLinkWork:
         assert tried == [False, True]
         assert len(carves) == 3
 
-    def test_unlinkable_collection_pair_is_skipped(self, monkeypatch, carves, no_fallback):
+    def test_unlinkable_collection_pair_is_skipped(self, monkeypatch, carves, no_finish):
         # at kraken_separation 0, krakens 0 and 1 of this collection, and then
         # 0 and 2, have low-degree legs 1 apart; krakens 1 and 2 link
         outcomes = []
@@ -570,27 +575,27 @@ class TestLinkWork:
         with pytest.raises(StageError) as err:
             find_pillar(g, _planted_config(), seed=0)
         assert err.value.stage == "link"
-        # the collection's one pair, then the fallback's: its second kraken
-        # pairs with its first, and a third call finds no kraken to pair
+        # round 0's one pair, then round 1's finished kraken with round 0's;
+        # round 2 finds no kraken to pair
         assert err.value.details["pairs"] == 2
-        # the collection's two krakens, then the fallback's two calls that returned
-        assert err.value.details["carved"] == 5
+        # round 0's two krakens and round 1's one
+        assert err.value.details["carved"] == 3
         k = err.value.details["cycle_length"]
         assert err.value.details["alignments"] == 2 * 2 * k
         assert err.value.details["attempts"] == 2 * 2 * k * per_alignment
 
 
 class TestCarvedKrakens:
-    """find_pillar carves one collection and links inside it: a change that
-    carves a second collection for these inputs fails here."""
+    """find_pillar carves one round's collection and links inside it: a
+    change that finishes the round or carves a second one fails here."""
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_random_regular_carves_two(self, carves, no_fallback, seed):
+    def test_random_regular_carves_two(self, carves, no_finish, seed):
         g = random_regular(2000, 12, seed)
         assert verify_pillar(g, find_pillar(g, RunConfig(d=12), seed)).valid
         assert len(carves) == 2
 
-    def test_planted_prism_carves_two(self, carves, no_fallback):
+    def test_planted_prism_carves_two(self, carves, no_finish):
         g = planted_prism_with_noise(8, 5, 40, seed=0)
         assert verify_pillar(g, find_pillar(g, _planted_config(), seed=0)).valid
         assert len(carves) == 2
@@ -598,12 +603,13 @@ class TestCarvedKrakens:
 
 @pytest.mark.parametrize("seed, outcome", enumerate(["ok", "assembly", "assembly", "ok",
                                                       "assembly"]))
-def test_even_torus_goes_through_the_fallback(monkeypatch, seed, outcome):
-    """No pair of torus(30, 30)'s collection links, so robust_kraken runs."""
+def test_even_torus_goes_through_the_fallback(monkeypatch, carves, seed, outcome):
+    """No pair of torus(30, 30)'s round-0 collection links, so _finish runs.
+    Each round makes its 3 carve attempts once: a search whose first
+    _finish raises makes 3, and one that reaches round 1 makes 6."""
     calls = []
-    real = pillar_mod.robust_kraken
-    monkeypatch.setattr(pillar_mod, "robust_kraken",
-                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    real = pillar_mod._finish
+    monkeypatch.setattr(pillar_mod, "_finish", lambda state: calls.append(1) or real(state))
     g = torus(30, 30)
     try:
         got = "ok" if verify_pillar(g, find_pillar(g, RunConfig(d=4), seed)).valid else "invalid"
@@ -611,6 +617,7 @@ def test_even_torus_goes_through_the_fallback(monkeypatch, seed, outcome):
         got = exc.stage
     assert got == outcome
     assert calls
+    assert len(carves) == [6, 3, 6, 6, 3][seed]
 
 
 def test_non_bipartite_host_stops_at_parity():
@@ -625,7 +632,7 @@ def test_non_bipartite_host_stops_at_parity():
 class TestLinkPairContract:
     @pytest.mark.parametrize("seed", range(5))
     def test_broken_kraken_contract_is_an_internal_error(self, monkeypatch, seed):
-        # robust_kraken guarantees every clause of the pair check; a
+        # _finish guarantees every clause of the pair check; a
         # _qualifies that accepts every kraken breaks that, and the break
         # is a bug in the library, not bad input
         monkeypatch.setattr(kraken_mod, "_qualifies", lambda *args: True)

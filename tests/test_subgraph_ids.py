@@ -85,12 +85,12 @@ def test_cli_finds_a_pillar_in_a_padded_file(tmp_path):
 
 
 def test_robust_kraken_checks_its_early_return(monkeypatch):
-    real = kraken_mod._first_qualifying
+    real = kraken_mod._carve
 
-    def off_by_one_leg_size(state):
-        kr = real(state)
+    def off_by_one_leg_size(*args):
+        kr = real(*args)
         return dataclasses.replace(kr, t=kr.t + 1)
 
-    monkeypatch.setattr(kraken_mod, "_first_qualifying", off_by_one_leg_size)
+    monkeypatch.setattr(kraken_mod, "_carve", off_by_one_leg_size)
     with pytest.raises(InternalError, match="collected kraken invalid"):
         robust_kraken(random_regular(2000, 12, 0), frozenset(), RunConfig(), seed=0, q3_free=True)
