@@ -252,12 +252,14 @@ def greedy_max_cut_sides(g: Graph) -> list[int]:
 
 def _max_cut_graph(g: Graph) -> Graph:
     """The spanning subgraph of edges crossing a two-coloring: g itself when
-    bipartite, else g's rows filtered by a greedy max-cut."""
+    bipartite, else g's rows filtered by a greedy max-cut, with its sides and
+    g's components: every vertex but a root (its component's lowest vertex,
+    on side 0) keeps a cut edge to a neighbor placed before it."""
     if g.side is not None:
         return g
     side = greedy_max_cut_sides(g)
     return Graph._from_rows(tuple([tuple([w for w in row if side[w] != side[u]])
-                                   for u, row in enumerate(g._adj)]))
+                                   for u, row in enumerate(g._adj)]), side, g.comp)
 
 
 def _peel(g: Graph, keep: set[int], d: int) -> set[int]:

@@ -16,7 +16,9 @@ Every breadth-first search in the package runs on one kernel,
 ``avoid`` set, optionally inside a ``within`` set, and callers stop it at
 a radius, a size, or a first target.  Five walks stay separate, each for
 a reason given where it is written: the two-coloring in ``Graph``, which
-checks every edge as it walks; ``kraken._shortest_cycle_from``, which
+checks every edge as it walks, and which a caller that already holds the
+coloring and the components skips (the max-cut host does);
+``kraken._shortest_cycle_from``, which
 needs non-tree edges as it meets them; ``kraken._shortcut_round``, which
 counts the link vertices it refuses to grow through;
 ``expander._sample_connected``, which takes the frontier in random order;
@@ -29,7 +31,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, filterfalse, islice
 from operator import eq
 
 from .errors import GraphParseError, PreconditionError
@@ -76,9 +78,17 @@ class Graph:
         self._adopt(tuple(tuple(sorted(r if len(r) == len(set(r)) else set(r))) for r in rows))
 
     @classmethod
-    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "Graph":
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...], side: list[int] | None = None,
+                   comp: tuple[int, ...] | None = None) -> "Graph":
+        """A graph on ``rows``.  A caller that knows the rows' two-coloring
+        and components may hand both in, as ``_adopt`` would find them (each
+        component's lowest vertex on side 0 and naming its id), and skip its walk."""
         g = cls.__new__(cls)
-        g._adopt(rows)
+        if comp is None:
+            g._adopt(rows)
+        else:
+            g.n, g.m, g._adj = len(rows), sum(map(len, rows)) // 2, rows
+            g.side, g.comp = tuple(side), comp
         return g
 
     def _adopt(self, rows: tuple[tuple[int, ...], ...]) -> None:
@@ -462,20 +472,35 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 def _largest_piece(g: Graph, dead: set[int] | frozenset[int] = _EMPTY) -> range | list[int]:
     """Sorted ids of the largest piece of g minus ``dead`` (ties: lowest vertex; dead in
-    range(g.n)), walked piece by piece until no survivor left could beat the best."""
-    if not dead and (g.n == 0 or max(g.comp) == 0):
+    range(g.n)).  A component that ``dead`` does not touch is a piece as it is; every
+    other piece holds a surviving neighbour of ``dead``, walked from the lowest one no
+    walk reached.  A walk past half the survivors, or into such a walk, stops: its
+    piece is the largest, its component less ``dead`` and the walks that ran out."""
+    comp = g.comp
+    if not dead and (g.n == 0 or max(comp) == 0):
         return range(g.n)
-    best: list[int] = []
-    left = g.n - len(dead)
-    reached: dict[int, int | None] = {}  # no walk reaches an earlier walk's vertices
-    for r in range(g.n):
-        if len(best) >= left:
-            break
-        if r not in reached and r not in dead:
-            piece = [v for layer in bfs_layers(g, [r], dead, parents=reached) for v in layer]
-            left -= len(piece)
-            best = max(best, piece, key=len)  # the earlier piece wins a tie
-    return sorted(best)
+    big: set[int] = set()  # vertices of the piece past half, once one is found
+    small: list[list[int]] = []  # walks that ran out: whole pieces
+    walked: set[int] = set()
+    for r in sorted({w for v in dead for w in g._adj[v]} - dead):
+        if r not in walked and r not in big:
+            piece: list[int] = []
+            for layer in bfs_layers(g, [r], dead, stop=big):
+                piece += layer
+                if 2 * len(piece) > g.n - len(dead) or piece[-1] in big:
+                    big.update(piece)
+                    break
+            else:
+                small.append(piece)
+                walked.update(piece)
+    if big:
+        c, gone = comp[next(iter(big))], walked.union(dead)
+        return list(filterfalse(gone.__contains__, compress(range(g.n), map(c.__eq__, comp))))
+    touched, whole = {comp[v] for v in dead}, {}
+    for v in range(g.n):  # no walk passed half: add the components dead does not touch
+        if comp[v] not in touched:
+            whole.setdefault(comp[v], []).append(v)
+    return max(sorted([sorted(p) for p in small] + list(whole.values())), key=len, default=[])
 
 
 def largest_component(g: Graph) -> Graph:

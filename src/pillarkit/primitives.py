@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, filterfalse
 from typing import Callable, Iterable, Sequence
 
 from .errors import InternalError, NoPathError, PillarkitError, PreconditionError, StageError
@@ -293,6 +293,7 @@ def find_large_ball(g: Graph, w: Iterable[int], params: ExpanderParams, *,
 
     ``w_cap`` overrides the paper's avoid-set cap eps1*n/(100*ln^2 n),
     which is below 1 for any feasible n; the kraken search passes n.
+    ``max_candidates``, when given, is at least 1 and caps the centers tried.
     """
     wset = frozenset(w)
     if w_cap is None:
@@ -301,12 +302,13 @@ def find_large_ball(g: Graph, w: Iterable[int], params: ExpanderParams, *,
         raise PreconditionError(f"|W| = {len(wset)} over the cap {w_cap:.3f}")
     if g.n == 0:
         raise PreconditionError("empty graph")
+    if max_candidates is not None and max_candidates < 1:
+        raise PreconditionError(f"need max_candidates >= 1 (got {max_candidates})")
     radius_budget = math.ceil(200 * math.log(g.n) ** 3 / params.eps1) if g.n > 2 else g.n
     target = g.n / 25
-    order = sorted((v for v in range(g.n) if v not in wset),
-                   key=lambda v: (-g.degree(v), v))
-    if max_candidates is not None:
-        order = order[:max_candidates]
+    # a reverse sort is stable: equal degrees stay in increasing id order
+    order = sorted(filterfalse(wset.__contains__, range(g.n)),
+                   key=list(map(len, g._adj)).__getitem__, reverse=True)[:max_candidates]
     for center in order:
         reached: list[int] = []
         for depth, layer in enumerate(bfs_layers(g, [center], wset)):

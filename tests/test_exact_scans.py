@@ -13,17 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pillarkit import kraken as kraken_mod
+from pillarkit import graph as graph_mod
 from pillarkit import primitives as primitives_mod
 from pillarkit.config import RunConfig
 from pillarkit.errors import PreconditionError, StageError
 from pillarkit.expander import (ExpanderParams, _max_cut_graph, _peel, _sample_connected,
                                 _size_bounds, _violation, epsilon, greedy_max_cut_sides)
-from pillarkit.generators import cycle_graph, hypercube, random_regular
+from pillarkit.generators import cycle_graph, hypercube, path_graph, random_regular
 from pillarkit.graph import Graph, _largest_piece
 from pillarkit.kraken import _carve, robust_kraken
 from pillarkit.primitives import find_q3_bruteforce, find_q3_sampled
 
-from util import (nx_has_q3, nx_on_q3, planted_prism_with_noise, ref_bfs_order, ref_carve,
+from util import (hub_graph, nx_has_q3, nx_on_q3, planted_prism_with_noise, ref_bfs_order, ref_carve,
                   ref_greedy_max_cut_sides, ref_peel, ref_piece, ref_sample_connected, ref_u0,
                   ref_violation)
 
@@ -296,14 +297,47 @@ def test_largest_piece_same_vertices(g, data):
 
 
 @pytest.mark.parametrize("g, dead, piece", [
-    (Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]), {3}, [0, 1, 2]),
-    # two tied pieces ahead of a smaller one: the walk reaches both
+    # a path less its middle vertex: two equal halves, neither passes half
+    (path_graph(7), {3}, [0, 1, 2]),
+    (path_graph(2001), {1000}, list(range(1000))),
+    # two tied pieces ahead of a smaller one, dead empty on a disconnected g
     (Graph(5, [(0, 1), (2, 3)]), set(), [0, 1]),
+    (Graph(7, [(0, 1), (2, 3), (3, 4)]), set(), [2, 3, 4]),
     (Graph(6, [(0, 1), (1, 2), (3, 4)]), {1}, [3, 4]),
+    # the largest piece is a component dead does not touch, past half or not
+    (Graph(11, [(0, 1), (1, 2), (2, 3), (3, 4)] + [(5 + i, 5 + (i + 1) % 6) for i in range(6)]),
+     {2}, [5, 6, 7, 8, 9, 10]),
+    (Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]), {2}, [5, 6, 7]),
+    # everything dead
     (Graph(3, [(0, 1), (1, 2)]), {0, 1, 2}, []),
+    (Graph(5, [(0, 1), (2, 3)]), {0, 1, 2, 3, 4}, []),
 ])
 def test_largest_piece_ties_and_everything_dead(g, dead, piece):
     assert list(_largest_piece(g, dead)) == _ref_piece_ids(g, dead) == piece
+
+
+@pytest.mark.parametrize("g", [random_regular(2000, 12, 0), hub_graph(0)], ids=["rr", "hubs"])
+@pytest.mark.parametrize("seed", range(3))
+def test_largest_piece_stops_past_half(monkeypatch, g, seed):
+    """G less a carved kraken and a random set: the walk from the lowest
+    surviving neighbour passes half and stops, so the walks scan the rows of
+    fewer vertices than the piece holds (walking every piece reads them all), and
+    the piece is the reference's."""
+    rc = RunConfig(d=12).resolve(g.n)
+    kr = _carve(g, range(g.n), frozenset(), rc.k_max, max(1, rc.m), rc.leg_size, seed)
+    dead = kr.vertex_set() | set(random.Random(seed).sample(range(g.n), 200))
+    scanned = []
+    real = graph_mod.bfs_layers
+
+    def counted(*args, **kwargs):
+        for layer in real(*args, **kwargs):
+            yield layer
+            scanned.extend(layer)  # asked for the next layer: this one's rows are read
+
+    monkeypatch.setattr(graph_mod, "bfs_layers", counted)
+    piece = _largest_piece(g, dead)
+    assert piece == _ref_piece_ids(g, dead)
+    assert 0 < len(scanned) < len(piece)
 
 
 @settings(max_examples=400, deadline=None)

@@ -337,6 +337,19 @@ class TestRowConstructor:
         ref = Graph(g.n, [(u, v) for u, v in g.edges() if side[u] != side[v]])
         assert _fields(cut) == _fields(ref)
 
+    @pytest.mark.parametrize("g", [random_regular(2000, 12, 0), Graph(7, [(0, 1), (1, 2), (2, 0),
+                                                                        (3, 4), (4, 5), (5, 3)])],
+                             ids=["rr", "two-triangles-and-a-point"])
+    def test_max_cut_graph_hands_in_its_coloring(self, monkeypatch, g):
+        """The greedy sides and g's components are the host's: building it
+        walks the host no second time."""
+        def refuse(self, rows):
+            raise AssertionError("the max-cut host ran Graph._adopt")
+
+        monkeypatch.setattr(Graph, "_adopt", refuse)
+        cut = _max_cut_graph(g)
+        assert not g.is_bipartite() and cut.is_bipartite() and cut.comp == g.comp
+
     def test_outside_edges_still_validated(self):
         with pytest.raises(PreconditionError):
             Graph(3, [(1, 1)])

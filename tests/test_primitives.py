@@ -14,7 +14,7 @@ from pillarkit.primitives import (Expansion, connect_short, find_large_ball,
                                   find_q3_sampled, restrict_and_trim,
                                   trim_expansion)
 
-from util import nx_has_q3, random_connected_graph
+from util import nx_has_q3, random_connected_graph, ref_find_large_ball
 
 P = ExpanderParams(0.1, 0.2, 4)
 
@@ -171,6 +171,33 @@ class TestFindLargeBall:
         g = Graph(100, [(i, i + 1) for i in range(0, 98, 2)])  # 50 tiny comps
         with pytest.raises(StageError, match="large-ball"):
             find_large_ball(g, set(), P, w_cap=100)
+
+    @pytest.mark.parametrize("max_candidates", [-199, 0])
+    def test_max_candidates_below_one_refused(self, max_candidates):
+        # -199 once sliced the order from its end and searched one center
+        g = random_regular(200, 6, 1)
+        with pytest.raises(PreconditionError, match="max_candidates"):
+            find_large_ball(g, set(), P, w_cap=100, max_candidates=max_candidates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(25, 100).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                             .filter(lambda e: e[0] != e[1]), max_size=n))),
+           st.data(), st.one_of(st.none(), st.integers(1, 5)))
+    def test_centers_ranked_by_degree_then_id(self, graph, data, max_candidates):
+        """Sparse graphs of many degree ties and small pieces, where a ball
+        of n/25 vertices is often out of a center's reach: the same ball, or
+        the same starvation, as centers sorted by (-degree, v)."""
+        g = Graph(*graph)
+        w = data.draw(st.frozensets(st.integers(0, g.n - 1), max_size=g.n // 2))
+
+        def outcome(search):
+            try:
+                return search(g, w, P, w_cap=float(g.n), max_candidates=max_candidates)
+            except StageError as exc:
+                return exc.details
+
+        assert outcome(find_large_ball) == outcome(ref_find_large_ball)
 
 
 class TestTrim:

@@ -6,12 +6,13 @@ oracles are plain enumerations (or networkx), so agreement is meaningful.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, deque
 
 import networkx as nx
 
-from pillarkit.errors import PreconditionError
+from pillarkit.errors import PreconditionError, StageError
 from pillarkit.expander import ExpanderParams, epsilon
 from pillarkit.generators import random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path, induced_subgraph
@@ -393,6 +394,36 @@ def ref_u0(g: Graph, uset: frozenset[int], d: int) -> frozenset[int]:
     """The vertices outside U with at least d/2 neighbors in U."""
     return frozenset(v for v in range(g.n)
                      if v not in uset and sum(1 for w in g.neighbors(v) if w in uset) >= d / 2)
+
+
+def ref_find_large_ball(g: Graph, w, params: ExpanderParams, w_cap: float,
+                        max_candidates: int | None = None) -> Expansion:
+    """``find_large_ball`` as first written: the centers sorted by the key
+    (-degree, v), one Python call per vertex."""
+    wset = frozenset(w)
+    if len(wset) > w_cap:
+        raise PreconditionError(f"|W| = {len(wset)} over the cap {w_cap:.3f}")
+    radius_budget = math.ceil(200 * math.log(g.n) ** 3 / params.eps1) if g.n > 2 else g.n
+    target = g.n / 25
+    order = sorted((v for v in range(g.n) if v not in wset), key=lambda v: (-g.degree(v), v))
+    if max_candidates is not None:
+        order = order[:max_candidates]
+    for center in order:
+        dist = {center: 0}
+        queue = deque([center])
+        while queue:  # the whole ball of radius_budget, in BFS order
+            u = queue.popleft()
+            if dist[u] < radius_budget:
+                for x in g.neighbors(u):
+                    if x not in dist and x not in wset:
+                        dist[x] = dist[u] + 1
+                        queue.append(x)
+        for depth in range(max(dist.values()) + 1):
+            reached = [v for v, d in dist.items() if d <= depth]
+            if len(reached) >= target:
+                return Expansion(center, frozenset(reached), depth)
+    raise StageError("large-ball", "no center grows a large enough ball",
+                     {"candidates": len(order), "target": math.ceil(target)})
 
 
 # -- slow reference for carving in G - U ---------------------------------
