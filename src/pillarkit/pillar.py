@@ -1,6 +1,7 @@
 """Pillars and how to build them: the certificate type and checker, the
 exact-length connector (complete search at small n, detour splicing at
-scale), kraken-to-kraken linking, and the end-to-end driver.
+scale), kraken-to-kraken linking with one length plan per alignment, and
+the end-to-end driver.
 
 Each result is checked once, by its checker on the graph it is returned
 in: ``link_krakens`` checks the pillar its paths form in g, and
@@ -24,7 +25,7 @@ from .kraken import (Kraken, _carve_rounds, _child_seed, _finish, _high_degree, 
 from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
 from .validity import ValidityReport, json_int
-from .expander import EXPANSION_SAMPLE_CAP, EXPANSION_TRIALS, extract_expander
+from .expander import EXPANSION_SAMPLE_CAP, EXPANSION_TRIALS, _max_cut_graph, extract_expander
 
 @dataclass(frozen=True)
 class Pillar:
@@ -173,8 +174,9 @@ class Detour:
 
 @dataclass(frozen=True)
 class Adjuster:
-    """A core path plus disjoint even-cycle detours; splicing any subset of
-    detours realizes core length + that subset's increment sum."""
+    """A core path plus disjoint even-cycle detours, one per core edge;
+    splicing any subset of detours realizes core length + that subset's
+    increment sum."""
 
     core: Path
     detours: tuple[Detour, ...]
@@ -184,10 +186,13 @@ class Adjuster:
         core_set = self.core.vertex_set()
         used: set[int] = set()
         edges = set(zip(self.core.vertices, self.core.vertices[1:]))
+        hung: dict[frozenset[int], int] = {}  # core edge -> first detour hung on it
         for i, det in enumerate(self.detours):
             out.extend(f"detour {i}: {m}" for m in det.failures(g))
             if (det.entry, det.exit) not in edges and (det.exit, det.entry) not in edges:
                 out.append(f"detour {i} not attached to a core edge")
+            if (first := hung.setdefault(frozenset((det.entry, det.exit)), i)) != i:
+                out.append(f"detours {first} and {i} share core edge {det.entry}-{det.exit}")
             inner = set(det.alternative.interior())
             if inner & core_set:
                 out.append(f"detour {i} interior meets the core")
@@ -196,26 +201,31 @@ class Adjuster:
             used |= inner
         return out
 
+    def _spliceable(self) -> dict[frozenset[int], Detour]:
+        """Core edge -> the first detour hung on it: the only ones that add their increment."""
+        edges = {frozenset(e) for e in zip(self.core.vertices, self.core.vertices[1:])}
+        out: dict[frozenset[int], Detour] = {}
+        for det in self.detours:
+            if (key := frozenset((det.entry, det.exit))) in edges:
+                out.setdefault(key, det)
+        return out
+
     def realizable_lengths(self) -> set[int]:
         sums = {0}
-        for det in self.detours:
+        for det in self._spliceable().values():
             sums |= {s + det.increment for s in sums}
         return {self.core.length + s for s in sums}
 
     def realize(self, ell: int) -> Path:
         """Splice a subset of detours so the result has length exactly ell."""
-        target = ell - self.core.length
-        chosen = _subset_sum(
-            [det.increment for det in self.detours], target)
+        spliceable = list(self._spliceable().items())
+        chosen = _subset_sum([det.increment for _, det in spliceable], ell - self.core.length)
         if chosen is None:
             lengths = sorted(self.realizable_lengths())
             below = [x for x in lengths if x <= ell][-1:]
             above = [x for x in lengths if x > ell][:1]
             raise LengthNotRealizedError(ell, below + above)
-        by_edge = {}
-        for idx in chosen:
-            det = self.detours[idx]
-            by_edge[frozenset((det.entry, det.exit))] = det
+        by_edge = dict(spliceable[idx] for idx in chosen)
         out = [self.core.vertices[0]]
         for a, b in zip(self.core.vertices, self.core.vertices[1:]):
             det = by_edge.get(frozenset((a, b)))
@@ -253,7 +263,7 @@ _PROBE_STEPS = 6  # parity steps either side of ell that _probe_exact tries
 _CONNECTOR_EXACT_CAP = 64  # largest graph the connector searches by complete DFS
 _D_TARGET = 2  # find_pillar's first degree target for the expander it extracts
 _MAX_KRAKENS = 8  # rounds of find_pillar's kraken search before it gives up
-_LINK_RETRIES = 8  # lengths find_pillar tries per alignment of a kraken pair
+_LINK_SLACK = 8  # length a linked rung's detours may add past the longest core
 
 
 def _exact_fixed_path(g: Graph, v1: int, v2: int, ell: int,
@@ -366,12 +376,7 @@ def connect_fixed_length(g: Graph, f1: Expansion, f2: Expansion, ell: int,
     to make up the length (subset sum over their increments).  Failures
     raise LengthNotRealizedError carrying the nearest achievable lengths.
     """
-    return _connect_fixed(g, f1, f2, ell, avoid, config.resolve(g.n))
-
-
-def _connect_fixed(g: Graph, f1: Expansion, f2: Expansion, ell: int,
-                   avoid: frozenset[int] | set[int], rc: ResolvedConfig) -> Path:
-    """``connect_fixed_length`` with its config resolved at g.n."""
+    rc = config.resolve(g.n)
     uset = frozenset(avoid)
     if f1.members & f2.members:
         raise PreconditionError("expansions must be vertex-disjoint")
@@ -429,20 +434,13 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
                  high_degree: frozenset[int] | set[int],
                  config: RunConfig) -> list[Path]:
     """Join matching cycle vertices of two disjoint krakens by disjoint
-    paths of the same exact length.
+    paths of the same exact length ell.
 
     Three steps: each kraken is verified, the pair (``_check_link_pair``)
-    and ell's parity are checked, then the paths are built for this alignment
-    and length (``_link_aligned``).  The pillar they form with the two
-    cycles passes ``verify_pillar`` before the paths are returned.
-    Worked one index at a time; each side's leg is turned into an
-    expansion of its cycle vertex by one of three routes: the leg end is
-    already high-degree (use its neighborhood), the grown leg ball stays
-    clear of high-degree vertices (use the ball), or the ball touches one
-    (walk to it and use its neighborhood).  The expansion is then trimmed
-    clear of everything still needed and handed to the exact-length
-    connector.  Failures carry the index, side, and case; a failed
-    connection also names the connector's exception as ``cause``.
+    and ell's parity are checked, then this alignment is planned with ell
+    as its only length (``_link_aligned``), or a StageError says why not.
+    The pillar the paths form with the two cycles passes ``verify_pillar``
+    before they are returned.
     """
     rc = config.resolve(g.n)
     high = frozenset(high_degree)
@@ -453,7 +451,7 @@ def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
     _check_link_pair(g, ka, kb, high, rc)
     if ell % 2 != parity(g, ka.cycle.vertices[0], kb.cycle.vertices[0]):
         raise PreconditionError("target length has the wrong parity")
-    paths = _link_aligned(g, ka, kb, ell, high, rc)
+    _, paths = _link_aligned(g, ka, kb, ell, ell, high, rc)
     rep = verify_pillar(g, Pillar(ka.k, ell, ka.cycle, kb.cycle, tuple(paths)))
     if not rep.valid:
         raise InternalError(f"internal: linked pillar invalid ({rep})")
@@ -491,48 +489,62 @@ def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
             f"low-degree legs only {min(gaps)} apart (need {rc.separation})")
 
 
-def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, ell: int, high: frozenset[int],
-                  rc: ResolvedConfig) -> list[Path]:
-    """The paths of ``link_krakens`` for a pair that passed
-    ``_check_link_pair``, with kb's cycle aligned as given and ell of the
-    pair's parity."""
-    s = ka.k
+def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, lo: int, hi: int, high: frozenset[int],
+                  rc: ResolvedConfig) -> tuple[int, list[Path]]:
+    """One plan for a pair that passed ``_check_link_pair``, kb's cycle
+    aligned as given: (ell, the s rungs of length ell), as in Liu and
+    Montgomery's adjusters.  First every rung's core: each side's leg
+    becomes an expansion of its cycle vertex, trimmed clear of what is still
+    needed, and a shortest path joins the two, clear of the earlier cores.
+    Then each rung's detours, clear of every core and earlier detour, enough
+    to add ``_LINK_SLACK`` past the longest core (or lo).  Then ell, the
+    least value in [lo, hi] and the config's window that every rung
+    realizes: each core has the pair's parity and each increment is even.
+    A missing core raises before any detour is built, naming its index; no
+    common length raises ``link-length``.
+    """
+    s, lo, hi = ka.k, max(lo, rc.ell_min), min(hi, rc.ell_max)
     cycles = set(ka.cycle.vertices) | set(kb.cycle.vertices)
-    z_base = set(cycles)
-    for kr in (ka, kb):
-        for p in kr.paths:
-            z_base |= p.vertex_set()
-    built: list[Path] = []
+    z_base = cycles.union(*(p.vertex_set() for kr in (ka, kb) for p in kr.paths))
+    cores: list[Path] = []
+    avoids: list[frozenset[int]] = []  # what each core keeps clear of
     for j in range(s):
-        z = frozenset(z_base | {v for q in built for v in q.vertices})
-        zhat = {v for q in built for v in q.vertices}
-        for i in range(j + 1, s):
-            for kr in (ka, kb):
-                zhat |= kr.legs[i].members
-                zhat |= kr.paths[i].vertex_set()
+        zhat = {v for q in cores for v in q.vertices}
+        z = frozenset(z_base | zhat)
+        for kr in (ka, kb):
+            for i in range(j + 1, s):
+                zhat |= kr.legs[i].members | kr.paths[i].vertex_set()
+        avoids.append(frozenset(zhat | (cycles - {ka.cycle.vertices[j], kb.cycle.vertices[j]})))
         expansions = []
         for side_name, kr in (("first", ka), ("second", kb)):
             exp, case = _side_expansion(g, kr, j, z, high, rc, side_name)
-            conn_avoid = frozenset((zhat | (cycles - {ka.cycle.vertices[j], kb.cycle.vertices[j]}))
-                                   | (expansions[0].members if expansions else set()))
-            trimmed = restrict_and_trim(g, exp, rc.link_expansion_size, conn_avoid)
+            trim_avoid = avoids[j] | (expansions[0].members if expansions else set())
+            trimmed = restrict_and_trim(g, exp, rc.link_expansion_size, trim_avoid)
             if trimmed is None:
                 raise StageError(
                     "link-trim",
                     f"index {j + 1}, {side_name} side, case {case}: expansion too small "
                     f"after clearing reserved vertices",
                     {"index": j, "side": side_name, "case": case,
-                     "available": len(exp.members - conn_avoid)})
+                     "available": len(exp.members - trim_avoid)})
             expansions.append(trimmed)
-        conn_avoid = frozenset(zhat | (cycles - {ka.cycle.vertices[j], kb.cycle.vertices[j]}))
         try:
-            q = _connect_fixed(g, expansions[0], expansions[1], ell, conn_avoid, rc)
-        except (LengthNotRealizedError, NoPathError, PreconditionError) as exc:
-            raise StageError("link-connect", f"index {j + 1}: {exc}",
-                             {"index": j, "nearest": getattr(exc, "nearest", None),
-                              "cause": type(exc).__name__})
-        built.append(q)
-    return built
+            cores.append(_base_path(g, expansions[0], expansions[1], avoids[j], rc.params))
+        except NoPathError as exc:
+            raise StageError("link-connect", f"index {j + 1}: {exc}", {"index": j})
+    top = max(lo, *(q.length for q in cores)) + _LINK_SLACK
+    used = set().union(*(q.vertex_set() for q in cores))
+    adjusters = []
+    for core, avoid in zip(cores, avoids):
+        detours = _harvest_detours(g, core, avoid | used, top - core.length)
+        used.update(v for det in detours for v in det.alternative.interior())
+        adjusters.append(Adjuster(core, tuple(detours)))
+    common = set.intersection(*(adj.realizable_lengths() for adj in adjusters))
+    ell = min((x for x in common if lo <= x <= hi), default=None)
+    if ell is None:
+        raise StageError("link-length", f"no length in [{lo}, {hi}] is realizable on all {s} "
+                         "rungs", {"cores": [q.length for q in cores]})
+    return ell, [adj.realize(ell) for adj in adjusters]
 
 
 def _side_expansion(g: Graph, kr: Kraken, j: int, z: frozenset[int],
@@ -601,10 +613,10 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     """The end-to-end driver.
 
     Pass to a well-expanding bipartite subgraph when the degree allows it
-    (otherwise search the graph as-is); return a cube directly as the
-    smallest pillar when one exists; else amass disjoint krakens until
-    two share a cycle length and link them with equal-length paths,
-    trying cycle alignments and lengths until one goes through.
+    (otherwise keep g); search the largest piece of that for a cube, and
+    return one as the smallest pillar; else search the piece's max-cut
+    host, bipartite and spanning, amassing disjoint krakens until two
+    share a cycle length and linking them with equal-length paths.
 
     The krakens come in up to ``_MAX_KRAKENS`` rounds, as in robust_kraken.
     Round i carves a collection lazily in h minus U, the union of the
@@ -612,15 +624,16 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     carved with each earlier qualifying one of the round and of its cycle
     length, and a pair failing ``_check_link_pair`` is skipped.  If none
     links, the round ends with ``_finish``, and the kraken it returns is
-    paired with each earlier round's.  An alignment gets up to
-    ``_LINK_RETRIES`` lengths; an index-0 disconnection ends it early.  The
-    ``pigeonhole`` and ``link`` StageErrors count the ``carved`` krakens of
-    every round, and ``link`` its ``pairs``, ``alignments`` and ``attempts``.
+    paired with each earlier round's.  Each alignment of a pair is planned
+    once (``_link_aligned``), at the least length from ``pillar_ell_min``
+    up that all its rungs realize.  The ``pigeonhole`` and ``link``
+    StageErrors count the ``carved`` krakens of every round, and ``link``
+    its ``pairs`` and ``alignments``.
     """
     rc = config.resolve(g.n)
     # pass to a bipartite expanding subgraph at the configured degree
     # target, or at the largest target the average degree supports; too
-    # sparse for either, search g as it is.  Vertex i of h is ids[i] in g.
+    # sparse for either, keep g.  Vertex i of h is ids[i] in g.
     h, ids = g, range(g.n)
     for target in sorted({_D_TARGET, max(1, int(g.average_degree() // 8))},
                          reverse=True):
@@ -646,8 +659,9 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
             raise InternalError(f"internal: cube pillar invalid ({rep})")
         return pillar
 
+    h = _max_cut_graph(h)  # the extracted expander is bipartite already: h itself
     high = _high_degree(h, rc)
-    tried: list[tuple[int, int, str | None]] = []  # (cycle length, attempts, last error)
+    tried: list[tuple[int, str | None]] = []  # (cycle length, last error) of each failed pair
     found: list[Kraken] = []  # each round's finished kraken
     carved = 0
     for i in range(_MAX_KRAKENS):
@@ -670,10 +684,9 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
         raise StageError("pigeonhole",
                          f"no two of {len(found)} krakens share a cycle length",
                          {"lengths": sorted(k.k for k in found), "carved": carved})
-    raise StageError("link", f"no alignment and length linked the krakens: {tried[-1][2]}",
+    raise StageError("link", f"no alignment linked the krakens: {tried[-1][1]}",
                      {"cycle_length": tried[-1][0], "pairs": len(tried),
-                      "alignments": sum(2 * k for k, _, _ in tried),
-                      "attempts": sum(a for _, a, _ in tried), "carved": carved})
+                      "alignments": sum(2 * k for k, _ in tried), "carved": carved})
 
 
 def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: list[Kraken],
@@ -681,8 +694,6 @@ def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: li
                      in_collection: bool) -> Pillar | None:
     """Link kr to each earlier kraken of its length: the first pillar, or None with kr kept."""
     for mate in [old for old in earlier if old.k == kr.k]:
-        if h.side is None:  # h is one component, so parity fails only here
-            raise StageError("link", "parity unavailable: parity undefined: graph is not bipartite")
         try:
             _check_link_pair(h, mate, kr, high, rc)
         except PreconditionError as exc:
@@ -690,42 +701,30 @@ def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: li
                 continue  # at kraken_separation 0, one collection's krakens may sit 1 apart
             # _finish's krakens meet every clause here, at the same h and config
             raise InternalError(f"internal: kraken pair fails the link check ({exc})") from exc
-        pillar, attempts, last_error = _link_pair(g, h, ids, mate, kr, high, rc)
+        pillar, last_error = _link_pair(g, h, ids, mate, kr, high, rc)
         if pillar is not None:
             return pillar
-        tried.append((kr.k, attempts, last_error))
+        tried.append((kr.k, last_error))
     earlier.append(kr)
     return None
 
 
 def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken, high: frozenset[int],
-               rc: ResolvedConfig) -> tuple[Pillar | None, int, str | None]:
-    """Attempts on one checked pair: (pillar in g's ids or None, attempts, last error)."""
+               rc: ResolvedConfig) -> tuple[Pillar | None, str | None]:
+    """One plan per alignment of a checked pair: (the first pillar, in g's
+    ids, or None; the last plan's error)."""
     last_error: str | None = None  # a kept exception would hold this frame in a cycle
-    attempts = 0
     for reflect in (False, True):
         for shift in range(kb.k):
             aligned = _rotate_kraken(kb, shift, reflect)
-            # kb passed verify_kraken, so its whole cycle shares one component
-            target = parity(h, ka.cycle.vertices[0], aligned.cycle.vertices[0])
-            ell = rc.pillar_ell_min + (rc.pillar_ell_min % 2 != target)  # the pair's parity
-            for _ in range(_LINK_RETRIES):
-                attempts += 1
-                try:
-                    paths = _link_aligned(h, ka, aligned, ell, high, rc)
-                    out = _translate_pillar(
-                        Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths)), ids)
-                    rep = verify_pillar(g, out)
-                    if not rep.valid:
-                        raise InternalError(f"internal: translated pillar invalid ({rep})")
-                    return out, attempts, None
-                except StageError as exc:  # _link_aligned wraps every connector failure
-                    last_error = str(exc)
-                    if exc.details.get("index") == 0 and exc.details.get("cause") == "NoPathError":
-                        break  # nothing at index 0 depends on ell: every length fails
-                    ell = min((x for x in exc.details.get("nearest") or ()
-                               if x > ell and x % 2 == target and x <= rc.ell_max),
-                              default=ell + 2)
-                    if ell > rc.ell_max:
-                        break
-    return None, attempts, last_error
+            try:
+                ell, paths = _link_aligned(h, ka, aligned, rc.pillar_ell_min, rc.ell_max, high, rc)
+            except StageError as exc:  # _link_aligned's only way to fail
+                last_error = str(exc)
+                continue
+            out = _translate_pillar(Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths)), ids)
+            rep = verify_pillar(g, out)
+            if not rep.valid:
+                raise InternalError(f"internal: translated pillar invalid ({rep})")
+            return out, None
+    return None, last_error

@@ -65,7 +65,7 @@ def test_planted_prism(seed):
 
 RANDOM_REGULAR = {  # seed: (ell, digest); every pillar has s = 4
     0: (5, "344819f0a1d0289ecf8c5831b6b44e79a9cbbef34c0141d21e959ea06e2edb56"),
-    1: (8, "e3cf95a33e0f553c9cf394d115cd47b73b196dfe64f7d317b36804a9ed1ca67c"),
+    1: (8, "dc2178c0dc4cfa1643d765477faadb420668d88ec3b1f1bd663703ad6c7583bb"),
     2: (8, "96e7c00f86a12d7697fbcf0fa9d98659a3a65695bec3e116c1338e5766261de9"),
 }
 
@@ -89,15 +89,25 @@ def test_random_regular_pillar_at_benchmark_scale():
 
 
 TORUS = {  # side: (ell, digest); every pillar has s = 4
-    26: (20, "62f00d365cee1b077f5bd58172a22d3bc9fc3a774c130afc516dbd091036b1bb"),
-    30: (34, "241329946e42e5e4cbf0b78c371bed49416be257ab04d45e4dfa26842523d6e4"),
+    26: (25, "8fd6469672347c1c90f6845ac6221ee224d1cc1dcd86453bda58f01a876e6e52"),
+    30: (27, "450e00bad25f4f97621ba11d5c167c41ee082273ec3d692b814aecfd1d017766"),
 }
+
+
+def test_sparse_random_regular_pillar():
+    """rr(10^4, 5) is too sparse to extract an expander from and not
+    bipartite, so the krakens are carved and linked in its max-cut host."""
+    pillar = find_pillar(random_regular(10000, 5, 0), RunConfig(d=5), 0)
+    assert (pillar.s, pillar.ell) == (4, 17)
+    assert _digest(pillar) == "5b74cbe1535a08d495e6d39a950d3d83453004858c66b3f19cdbe952ea6e2531"
 
 
 @pytest.mark.parametrize("side", sorted(TORUS))
 def test_torus_pillar_from_two_finished_rounds(side):
-    """No pair of the even torus's first collection links, so each of two
-    rounds ends in the robust pipeline's finish, and their two krakens link."""
+    """No pair of the even torus's first collection links, so rounds end in
+    the robust pipeline's finish, and two finished rounds' krakens link: at
+    side 26 rounds 0 and 1, at side 30 rounds 0 and 2 (no alignment of
+    round 1's kraken with round 0's links)."""
     pillar = find_pillar(torus(side, side), RunConfig(d=4), 0)
     ell, digest = TORUS[side]
     assert (pillar.s, pillar.ell) == (4, ell)

@@ -18,7 +18,8 @@ from pillarkit.pillar import (Adjuster, Detour, Pillar, _check_link_pair,
                               verify_pillar)
 from pillarkit.primitives import Expansion, find_q3_bruteforce
 
-from util import all_simple_path_lengths, planted_prism_with_noise, torus
+from util import (all_simple_path_lengths, planted_prism_with_noise, ref_least_common_length,
+                  torus)
 
 def natural_pillar(s: int, ell: int) -> tuple[Graph, Pillar]:
     g = subdivided_prism(s, ell)
@@ -183,6 +184,25 @@ class TestAdjuster:
             adj.realize(16)
         assert err.value.nearest == [12]
 
+    def test_two_detours_on_one_core_edge(self):
+        # splicing both would replace one edge twice: only the first counts
+        g = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)])
+        adj = Adjuster(Path((0, 1, 2)), (Detour(0, 1, Path((0, 3, 4, 1))),
+                                          Detour(0, 1, Path((0, 5, 6, 1)))))
+        assert adj.failures(g) == ["detours 0 and 1 share core edge 0-1"]
+        assert adj.realizable_lengths() == {2, 4}
+        assert adj.realize(4).vertices == (0, 3, 4, 1, 2)
+        with pytest.raises(LengthNotRealizedError) as err:
+            adj.realize(6)
+        assert err.value.nearest == [4]
+
+    def test_detour_off_the_core_adds_nothing(self):
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
+        adj = Adjuster(Path((0, 1, 2)), (Detour(3, 6, Path((3, 4, 5, 6))),))
+        assert adj.failures(g) == ["detour 0 not attached to a core edge"]
+        assert adj.realizable_lengths() == {2}
+        assert adj.realize(2).vertices == (0, 1, 2)
+
     def test_detour_invariants_flagged(self):
         g = detour_ladder_graph()
         bad = Detour(2, 3, Path((2, 20, 21, 22, 3)))  # 21-22 not an edge
@@ -260,7 +280,12 @@ class TestLinkKrakens:
         # link_krakens checks the pillar its paths form before returning them
         g, ka, kb = self.build_prism_krakens()
         real = pillar_mod._link_aligned
-        monkeypatch.setattr(pillar_mod, "_link_aligned", lambda *args: real(*args)[::-1])
+
+        def reversed_paths(*args):
+            ell, paths = real(*args)
+            return ell, paths[::-1]
+
+        monkeypatch.setattr(pillar_mod, "_link_aligned", reversed_paths)
         with pytest.raises(InternalError, match="linked pillar invalid"):
             link_krakens(g, ka, kb, 5, frozenset(), RunConfig(d=4))
 
@@ -402,16 +427,11 @@ def _alignments(kb: Kraken):
             for reflect in (False, True) for shift in range(kb.k)]
 
 
-def _is_index0_disconnection(exc: Exception) -> bool:
-    return (isinstance(exc, StageError) and exc.stage == "link-connect"
-            and exc.details["index"] == 0 and exc.details["cause"] == "NoPathError")
-
-
 class TestLinkSkips:
-    """The two skips of find_pillar's linking loop rest on premises that
-    these tests check on the criterion-9 prisms: the pair check gives one
-    outcome for every alignment, and an index-0 disconnection repeats at
-    every length find_pillar would try next."""
+    """The criterion-9 prisms' linked pair.  find_pillar checks a pair once,
+    not once per alignment, since the pair check gives one outcome for
+    every alignment; and link_krakens at a fixed ell returns paths of that
+    length or raises a StageError."""
 
     @staticmethod
     def _outcome(h, ka, kb, high, rc):
@@ -431,28 +451,34 @@ class TestLinkSkips:
             assert len(outcomes) == 1, outcomes
         assert self._outcome(h, ka, kb, high, _planted_config(1).resolve(h.n)) == "ok"
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_index0_disconnection_fails_every_length(self, monkeypatch, seed):
-        h, ka, kb, high, rc = _linked_pair(monkeypatch, seed)
-        cfg = _planted_config()
-        disconnected = 0
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixed_length_link_is_exact_or_a_stage_error(self, monkeypatch, seed):
+        h, ka, kb, high, _ = _linked_pair(monkeypatch, seed)
+        outcomes = set()
         for al in _alignments(kb):
-            ell = rc.pillar_ell_min
-            if ell % 2 != pillar_mod.parity(h, ka.cycle.vertices[0], al.cycle.vertices[0]):
-                ell += 1
-            with pytest.raises(StageError) as first:
-                link_krakens(h, ka, al, ell, high, cfg)
-            if not _is_index0_disconnection(first.value):
-                continue
-            disconnected += 1
-            # no nearest lengths come with a disconnection, so find_pillar
-            # would step by 2 for the rest of its retries
-            for retry in range(1, pillar_mod._LINK_RETRIES):
-                with pytest.raises(StageError) as later:
-                    link_krakens(h, ka, al, ell + 2 * retry, high, cfg)
-                assert _is_index0_disconnection(later.value)
-                assert str(later.value) == str(first.value)
-        assert disconnected
+            par = pillar_mod.parity(h, ka.cycle.vertices[0], al.cycle.vertices[0])
+            for ell in range(2 - par, 16, 2):
+                try:
+                    paths = link_krakens(h, ka, al, ell, high, _planted_config())
+                except StageError:
+                    outcomes.add("stage")
+                    continue
+                assert [p.length for p in paths] == [ell] * ka.k
+                outcomes.add("ok")
+        assert outcomes == {"ok", "stage"}
+
+
+def _link_input(case: str, seed: int) -> tuple[Graph, RunConfig]:
+    """A find_pillar input that links: a criterion-9 prism, rr(2000, 12),
+    or the sparse rr(10^4, 4), whose krakens sit on a max-cut host."""
+    if case == "planted":
+        return planted_prism_with_noise(8, 5, 40, seed=seed), _planted_config()
+    if case == "rr":
+        return random_regular(2000, 12, seed), RunConfig(d=12)
+    return random_regular(10_000, 4, seed), RunConfig(d=4)
+
+
+_LINKED = [("planted", seed) for seed in range(10)] + [("rr", seed) for seed in range(3)]
 
 
 @pytest.fixture
@@ -475,39 +501,56 @@ def no_finish(monkeypatch) -> None:
 
 
 class TestLinkWork:
-    # both prisms link on their sixteenth and last alignment, at its second
-    # length; every alignment but one before it is disconnected at index 0
-    @pytest.mark.parametrize("seed, n_attempts, n_stops", [(0, 22, 12), (2, 23, 13)])
-    def test_pair_checked_once_and_no_retry_after_disconnection(
-            self, monkeypatch, seed, n_attempts, n_stops):
+    @pytest.mark.parametrize("case, seed", _LINKED)
+    def test_each_alignment_planned_once(self, monkeypatch, case, seed):
         verified = []
         real_verify = pillar_mod.verify_kraken
         monkeypatch.setattr(pillar_mod, "verify_kraken",
                             lambda g, kr: verified.append(kr) or real_verify(g, kr))
-        attempts = []
+        plans = []
         real_link = pillar_mod._link_aligned
 
-        def link(g, ka, kb, ell, *rest):
-            try:
-                out = real_link(g, ka, kb, ell, *rest)
-            except StageError as exc:
-                attempts.append((kb.cycle.vertices, ell, exc))
-                raise
-            attempts.append((kb.cycle.vertices, ell, None))
-            return out
+        def link(g, ka, kb, *rest):
+            plans.append((ka.cycle.vertices, kb.cycle.vertices))  # kb as aligned
+            return real_link(g, ka, kb, *rest)
 
         monkeypatch.setattr(pillar_mod, "_link_aligned", link)
-        g = planted_prism_with_noise(8, 5, 40, seed=seed)
-        p = find_pillar(g, _planted_config(), seed=seed)
-        assert verify_pillar(g, p).valid
+        g, cfg = _link_input(case, seed)
+        assert verify_pillar(g, find_pillar(g, cfg, seed=seed)).valid
         assert not verified  # _carve verified both krakens as it carved them
-        assert len(attempts) == n_attempts and attempts[-1][2] is None
-        stops = 0
-        for (cycle, _, exc), (next_cycle, _, _) in zip(attempts, attempts[1:]):
-            if exc is not None and _is_index0_disconnection(exc):
-                stops += 1
-                assert next_cycle != cycle
-        assert stops == n_stops
+        assert plans and len(set(plans)) == len(plans)
+
+    @pytest.mark.parametrize("case, seed", _LINKED + [("sparse", 0), ("sparse", 3)])
+    def test_plan_takes_the_least_common_length(self, monkeypatch, case, seed):
+        rungs = []  # (core, detours) of the plan in progress
+        real_harvest = pillar_mod._harvest_detours
+
+        def harvest(g, core, avoid, need):
+            rungs.append((core, real_harvest(g, core, avoid, need)))
+            return rungs[-1][1]
+
+        lengths = []  # the planned length, or None where no length was common
+        real_link = pillar_mod._link_aligned
+
+        def link(g, ka, kb, lo, hi, high, rc):
+            rungs.clear()
+            window = (max(lo, rc.ell_min), min(hi, rc.ell_max))
+            try:
+                ell, paths = real_link(g, ka, kb, lo, hi, high, rc)
+            except StageError as exc:
+                if exc.stage == "link-length":
+                    assert len(rungs) == ka.k and ref_least_common_length(rungs, *window) is None
+                    lengths.append(None)
+                raise
+            assert len(rungs) == ka.k and ell == ref_least_common_length(rungs, *window)
+            assert [p.length for p in paths] == [ell] * ka.k
+            lengths.append(ell)
+            return ell, paths
+
+        monkeypatch.setattr(pillar_mod, "_harvest_detours", harvest)
+        monkeypatch.setattr(pillar_mod, "_link_aligned", link)
+        g, cfg = _link_input(case, seed)
+        assert find_pillar(g, cfg, seed=seed).ell == lengths[-1]
 
     def test_next_pair_links_when_the_first_pair_fails(self, monkeypatch, carves, no_finish):
         # every attempt on collection krakens 0 and 1 fails; kraken 2 links with 0
@@ -519,8 +562,7 @@ class TestLinkWork:
             if not first:
                 first.append(pair)
             if pair == first[0]:
-                raise StageError("link-connect", "index 1: stub",
-                                 {"index": 0, "nearest": None, "cause": "NoPathError"})
+                raise StageError("link-connect", "index 1: stub", {"index": 0})
             return real_link(g, ka, kb, ell, *rest)
 
         tried = []
@@ -560,15 +602,13 @@ class TestLinkWork:
         assert outcomes == ["low-degree legs only 1 apart (need 2)"] * 2 + ["ok"]
         assert len(carves) == 3
 
-    @pytest.mark.parametrize("index, cause, per_alignment", [
-        (1, "LengthNotRealizedError", 8),  # every retry is made
-        (0, "NoPathError", 1),             # the first attempt ends the alignment
-    ])
-    def test_link_failure_reports_alignments_and_attempts(self, monkeypatch, index,
-                                                          cause, per_alignment):
-        def fail(g, ka, kb, ell, *rest):
-            raise StageError("link-connect", f"index {index + 1}: stub",
-                             {"index": index, "nearest": None, "cause": cause})
+    @pytest.mark.parametrize("stage", ["link-connect", "link-length"])
+    def test_link_failure_reports_alignments(self, monkeypatch, stage):
+        plans = []
+
+        def fail(*args):
+            plans.append(args)
+            raise StageError(stage, "stub", {"index": 0})
 
         monkeypatch.setattr(pillar_mod, "_link_aligned", fail)
         g = planted_prism_with_noise(8, 5, 40, seed=0)
@@ -581,8 +621,9 @@ class TestLinkWork:
         # round 0's two krakens and round 1's one
         assert err.value.details["carved"] == 3
         k = err.value.details["cycle_length"]
-        assert err.value.details["alignments"] == 2 * 2 * k
-        assert err.value.details["attempts"] == 2 * 2 * k * per_alignment
+        # one plan per alignment, and no count of lengths tried
+        assert err.value.details["alignments"] == 2 * 2 * k == len(plans)
+        assert "attempts" not in err.value.details
 
 
 class TestCarvedKrakens:
@@ -606,7 +647,8 @@ class TestCarvedKrakens:
 def test_even_torus_goes_through_the_fallback(monkeypatch, carves, seed, outcome):
     """No pair of torus(30, 30)'s round-0 collection links, so _finish runs.
     Each round makes its 3 carve attempts once: a search whose first
-    _finish raises makes 3, and one that reaches round 1 makes 6."""
+    _finish raises makes 3, one that links in round 1 makes 6, and seed 0,
+    where no alignment of the round-1 pair links, links in round 2 after 9."""
     calls = []
     real = pillar_mod._finish
     monkeypatch.setattr(pillar_mod, "_finish", lambda state: calls.append(1) or real(state))
@@ -617,16 +659,17 @@ def test_even_torus_goes_through_the_fallback(monkeypatch, carves, seed, outcome
         got = exc.stage
     assert got == outcome
     assert calls
-    assert len(carves) == [6, 3, 6, 6, 3][seed]
+    assert len(carves) == [9, 3, 6, 6, 3][seed]
 
 
-def test_non_bipartite_host_stops_at_parity():
-    """subdivided_prism(5, 5) is too sparse to extract from, so find_pillar
-    searches it as it is; its collection holds two 5-cycle krakens, and the
-    odd cycles leave their pair no parity."""
-    with pytest.raises(StageError, match="parity unavailable") as err:
+def test_non_bipartite_host_searches_its_max_cut():
+    """subdivided_prism(5, 5) is too sparse to extract from, and its 5-cycles
+    make it non-bipartite, so find_pillar carves in its max-cut host, where
+    the krakens find too little room."""
+    with pytest.raises(StageError, match="no unclaimed neighbour of cycle vertex 22 has "
+                                         "room for a leg") as err:
         find_pillar(subdivided_prism(5, 5), RunConfig(d=3), seed=0)
-    assert err.value.stage == "link"
+    assert err.value.stage == "kraken-collection"
 
 
 class TestLinkPairContract:
@@ -642,23 +685,32 @@ class TestLinkPairContract:
 
     def test_link_knobs_follow_the_linked_graph(self, monkeypatch):
         # 10 000 isolated vertices: the linked graph h is the 88-vertex
-        # prism piece of a 10 088-vertex g, and linking on h starts at the
-        # run's pillar_ell_min
+        # prism piece of a 10 088-vertex g, and linking on h plans from the
+        # run's pillar_ell_min up
         prism = planted_prism_with_noise(8, 5, 40, seed=0)
         g = Graph(prism.n + 10_000, prism.edges())
         cfg = RunConfig(d=4, overrides={"pillar_ell_min": 7, "separation": 1})
-        calls = []
+        calls, refused, planned = [], [], []
         real = pillar_mod._link_aligned
 
-        def spy(h, ka, kb, ell, *rest):
-            calls.append((h.n, ell))
-            return real(h, ka, kb, ell, *rest)
+        def spy(h, ka, kb, lo, *rest):
+            calls.append((h.n, lo))
+            try:
+                ell, paths = real(h, ka, kb, lo, *rest)
+            except StageError as exc:
+                refused.append(exc.details.get("cores"))
+                raise
+            planned.append(ell)
+            return ell, paths
 
         monkeypatch.setattr(pillar_mod, "_link_aligned", spy)
-        try:
+        with pytest.raises(StageError, match="no alignment linked"):
             find_pillar(g, cfg, seed=0)
-        except StageError:
-            pass
-        h_n, ell = calls[0]
-        assert h_n == prism.n == 88
-        assert ell in (7, 8)  # the first length, raised to the pair's parity
+        assert calls[0] == (prism.n, 7) and prism.n == 88
+        # the prism's rungs have length 5 and no even cycle to hang a
+        # detour on, so a plan that builds all eight cores finds no length
+        assert [5] * 8 in refused and not planned
+        # rr(2000, 12) links at 5 by default, and here no lower than 7
+        g = random_regular(2000, 12, 0)
+        pillar = find_pillar(g, RunConfig(d=12, overrides={"pillar_ell_min": 7}), seed=0)
+        assert pillar.ell == planned[-1] >= 7 and verify_pillar(g, pillar).valid

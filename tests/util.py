@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
+from itertools import product
 
 import networkx as nx
 
@@ -296,6 +297,24 @@ def ref_alt_route(g: Graph, a: int, b: int, blocked, max_len: int) -> Path | Non
 # The loops the expander and robust_kraken ran before those scans learnt to
 # decide from a bound or to count with built-ins.  Results and random draws
 # must agree exactly.
+
+
+def ref_least_common_length(rungs, lo: int, hi: int) -> int | None:
+    """The least length in [lo, hi] that every rung can take, or None.
+    A rung is (core path, detours); it can take its core's length plus one
+    increment (alternative length less 1) for each core edge it picks a
+    detour on, trying every pick of at most one detour per edge."""
+    common = None
+    for core, detours in rungs:
+        edges = {frozenset(e) for e in zip(core.vertices, core.vertices[1:])}
+        options: dict[frozenset[int], list[int]] = {}
+        for det in detours:
+            if frozenset((det.entry, det.exit)) in edges:
+                options.setdefault(frozenset((det.entry, det.exit)), [0]).append(
+                    len(det.alternative.vertices) - 2)
+        lengths = {len(core.vertices) - 1 + sum(pick) for pick in product(*options.values())}
+        common = lengths if common is None else common & lengths
+    return min((x for x in common if lo <= x <= hi), default=None)
 
 
 def ref_violation(g: Graph, members: list[int], params: ExpanderParams):
