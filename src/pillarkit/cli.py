@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import os
 import random
 import sys
 import time
@@ -56,7 +57,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
         for name in _GENERATOR_FLAGS:
             if name not in params and getattr(args, name) is not None:
                 raise PreconditionError(f"--{name} is not a flag of the {args.kind} generator")
-        g = make(*(_need(args, name) for name in params))
+        values = [_need(args, name) for name in params]
+        # fail before generating; "a" truncates nothing, and a file made here
+        # goes again if the generator refuses its flags
+        fresh = not os.path.exists(args.out)
+        open(args.out, "a", encoding="utf-8").close()
+        try:
+            g = make(*values)
+        except PreconditionError:
+            if fresh:
+                os.remove(args.out)
+            raise
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(save_graph(g))
     except (OSError, PreconditionError) as exc:

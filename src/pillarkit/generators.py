@@ -99,7 +99,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     re-shuffled (plain full-restart rejection has vanishing success
     probability already at d around 6).  A dead end restarts the whole
     pairing with an incremented sub-seed, so the result is a pure
-    function of (n, d, seed).
+    function of (n, d, seed).  The pairing fills the adjacency rows as it
+    accepts edges, and they are valid by construction, so the graph is
+    built from them without ``Graph(n, edges)``'s checks.
     """
     if n * d % 2 != 0:
         raise PreconditionError("n*d must be even")
@@ -108,47 +110,60 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     attempt = 0
     while True:
         rng = random.Random((seed * 1_000_003 + attempt) & 0xFFFFFFFFFFFF)
-        edges = _pair_stubs(n, d, rng)
-        if edges is not None:
-            return Graph(n, edges)
+        rows = _pair_stubs(n, d, rng)
+        if rows is not None:
+            for row in rows:
+                row.sort()
+            return Graph._from_rows(tuple(map(tuple, rows)))
         attempt += 1
 
 
-def _pair_stubs(n: int, d: int, rng: random.Random) -> set[tuple[int, int]] | None:
-    edges: set[tuple[int, int]] = set()
-    stubs = list(range(n)) * d
+def _pair_stubs(n: int, d: int, rng: random.Random) -> list[list[int]] | None:
+    """The adjacency rows of one pairing, unsorted, or None at a dead end.
+
+    Each accepted edge s1 < s2 is appended to both rows and kept as the
+    int key ``s1 * n + s2``, for an O(1) clash test.  The shuffle is
+    ``rng.shuffle`` inlined: the same ``getrandbits`` draws and rejections
+    as ``_randbelow``, with the draw width k computed once per block of
+    positions i that share ``(i + 1).bit_length()``.
+    """
+    keys: set[int] = set()
+    rows: list[list[int]] = [[] for _ in range(n)]
+    stubs = list(range(n)) * d  # rows share one int object per vertex, not one per edge end
     getrandbits = rng.getrandbits
     while stubs:
         leftovers: dict[int, int] = {}
-        # rng.shuffle(stubs) inlined: getrandbits draws and rejects as _randbelow does
-        for i in reversed(range(1, len(stubs))):
-            k = (i + 1).bit_length()
-            j = getrandbits(k)
-            while j > i:
+        for k in range(len(stubs).bit_length(), 1, -1):  # i from 2^k - 2 down to 2^(k-1) - 1
+            for i in reversed(range((1 << k >> 1) - 1, min((1 << k) - 1, len(stubs)))):
                 j = getrandbits(k)
-            stubs[i], stubs[j] = stubs[j], stubs[i]
+                while j > i:
+                    j = getrandbits(k)
+                stubs[i], stubs[j] = stubs[j], stubs[i]
         it = iter(stubs)
         for s1, s2 in zip(it, it):
-            if s1 > s2:
+            if s1 > s2:  # before leftovers counts them: its key order drives the next shuffle
                 s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
+            key = s1 * n + s2
+            if s1 != s2 and key not in keys:
+                keys.add(key)
+                rows[s1].append(s2)
+                rows[s2].append(s1)
             else:
                 leftovers[s1] = leftovers.get(s1, 0) + 1
                 leftovers[s2] = leftovers.get(s2, 0) + 1
-        if leftovers and not _repairable(edges, leftovers):
+        if leftovers and not _repairable(keys, n, leftovers):
             return None
         stubs = [v for v, k in leftovers.items() for _ in range(k)]
-    return edges
+    return rows
 
 
-def _repairable(edges: set[tuple[int, int]], leftovers: dict[int, int]) -> bool:
+def _repairable(keys: set[int], n: int, leftovers: dict[int, int]) -> bool:
     # False iff every pair of leftover stubs is already an edge (dead end).
     for s1 in leftovers:
         for s2 in leftovers:
             if s1 == s2:
                 break
-            if (min(s1, s2), max(s1, s2)) not in edges:
+            if min(s1, s2) * n + max(s1, s2) not in keys:
                 return True
     return False
 

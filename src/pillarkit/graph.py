@@ -59,7 +59,8 @@ class Graph:
     duplicate edges and sorts rows.  ``Graph._from_rows`` takes symmetric,
     sorted, duplicate-free, loop-free rows as given: filtering a valid
     graph's rows and renumbering the kept vertices in increasing order
-    keeps all four properties, so derived graphs skip the checks.
+    keeps all four properties, so derived graphs skip the checks, and so
+    does ``random_regular``, whose pairing accepts no loop and no repeat.
     """
 
     __slots__ = ("n", "m", "_adj", "side", "comp")
@@ -303,9 +304,11 @@ def _parse_lines(text: str, ends: array | None = None, first_line: int = 1) -> G
 
 
 def save_graph(g: Graph) -> str:
-    """Edge-list text, edges sorted lexicographically; bit-exact round trip."""
-    lines = [f"{u} {v}" for u, v in g.edges()]
-    lines.extend(str(v) for v in range(g.n) if g.degree(v) == 0)
+    """Edge-list text, edges sorted lexicographically, then one line per
+    isolated vertex; bit-exact round trip.  Lines are formatted straight
+    from the sorted rows."""
+    lines = [f"{u} {v}" for u, row in enumerate(g._adj) for v in row if u < v]
+    lines.extend(str(v) for v, row in enumerate(g._adj) if not row)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -239,15 +240,36 @@ class TestCli:
         assert len(ids) == 24
 
     def test_generate_random_regular_byte_identical(self, tmp_path):
+        """The same text on every run, and the text pinned by its sha256."""
         a, b = tmp_path / "a.el", tmp_path / "b.el"
         args = ["generate", "random-regular", "--n", "1000", "--d", "10", "--seed", "7"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == \
+            "a8f20787f42c02ad532c61efc91b5a0be4fa83ca0547cd92ee8f5d474cc949aa"
 
     def test_generate_invalid_params_exit_2(self, tmp_path):
+        out = tmp_path / "x.el"
         assert main(["generate", "random-regular", "--n", "5", "--d", "3",
-                     "--seed", "0", "--out", str(tmp_path / "x.el")]) == 2
+                     "--seed", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_generate_refused_flags_leave_an_existing_out_alone(self, tmp_path):
+        out = tmp_path / "x.el"
+        out.write_text("0 1\n")
+        assert main(["generate", "random-regular", "--n", "5", "--d", "3",
+                     "--seed", "0", "--out", str(out)]) == 2
+        assert out.read_text() == "0 1\n"
+
+    def test_unwritable_out_exits_before_generating(self, tmp_path, monkeypatch):
+        def spy(n, d, seed):
+            pytest.fail("the generator ran though --out cannot be written")
+
+        monkeypatch.setitem(GENERATORS, "random-regular", spy)
+        for out in (tmp_path / "missing-dir" / "g.el", tmp_path):  # the second is a directory
+            assert main(["generate", "random-regular", "--n", "200000", "--d", "12",
+                         "--seed", "0", "--out", str(out)]) == 2
 
     def test_generate_missing_seed_exit_2(self, tmp_path):
         assert main(["generate", "random-regular", "--n", "10", "--d", "2",

@@ -1,5 +1,5 @@
 """Golden certificates: the sha256 of ``dumps_certificate`` output for
-fixed inputs and seeds.
+fixed inputs and seeds, plus one saved random regular graph.
 
 A fixed seed gives a bit-identical certificate, so these digests pin the
 search order end to end.  A change that moves one must say in CHANGES.md
@@ -18,7 +18,7 @@ from pillarkit.config import RunConfig
 from pillarkit.errors import StageError
 from pillarkit.expander import ExpanderParams, _max_cut_graph, check_expansion, extract_expander
 from pillarkit.generators import hypercube, random_regular
-from pillarkit.graph import Graph
+from pillarkit.graph import Graph, save_graph
 from pillarkit.kraken import robust_kraken
 from pillarkit.pillar import find_pillar
 from pillarkit.primitives import find_q3_sampled
@@ -32,6 +32,16 @@ def _digest(cert) -> str:
 
 def _sha(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+RR10K_TEXT = "4f71b07127a8e9c23292662706db6c141ef7957cab46e35bb616087b176a22a9"
+
+
+def test_random_regular_saved_text():
+    """The sha256 of ``save_graph(random_regular(10^4, 12, 0))``: the graph
+    and its text, byte for byte."""
+    text = save_graph(random_regular(10 ** 4, 12, 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == RR10K_TEXT
 
 
 CUBE = "14441e31e5ab595ca367afa9e9d77f785ab474a609aa2e4f64993f3e13b17a5b"

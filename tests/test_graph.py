@@ -391,6 +391,7 @@ def test_graph_matches_set_row_reference(case):
 
 @pytest.mark.parametrize("n, d, seed, restarts", [
     (10, 3, 26, 14), (2000, 3, 1, 2), (200, 12, 5, 1), (2000, 12, 1, 1), (2000, 12, 0, 0),
+    (20, 17, 0, 2), (30, 5, 1, 1), (60, 59, 1, 0), (600, 599, 0, 0), (10, 0, 0, 0),
 ])
 def test_random_regular_matches_shuffle_reference(n, d, seed, restarts):
     ref, attempts = ref_random_regular(n, d, seed)
