@@ -3,7 +3,8 @@ verification, and a small benchmark.
 
 Exit codes are uniform across subcommands: 0 success/valid, 1 search
 starved or certificate invalid, 2 malformed input, 3 a broken internal
-invariant (a bug in pillarkit, not in the input).  Every randomized
+invariant (a bug in pillarkit, not in the input).  Subcommands raise, and
+``main`` maps each exception to its exit code in one place.  Every randomized
 subcommand takes its seed from --seed or the config file; there is no
 ambient entropy.
 """
@@ -21,16 +22,13 @@ import time
 from . import generators
 from .certificates import dumps_certificate, loads_certificate, verify_certificate
 from .config import RunConfig, load_config
-from .errors import (GraphParseError, InternalError, LengthNotRealizedError,
-                     NoPathError, PillarkitError, PreconditionError, StageError)
+from .errors import (InternalError, LengthNotRealizedError, NoPathError, PillarkitError,
+                     PreconditionError, StageError)
 from .expander import EXPANSION_SAMPLE_CAP, EXPANSION_TRIALS, check_expansion
 from .graph import Graph, ball, load_graph, save_graph
 from .kraken import robust_kraken
 from .pillar import find_pillar
 from .primitives import Q3_CAP, connect_short, find_q3_bruteforce, find_q3_sampled
-
-# bad graph, certificate or config files; a UnicodeDecodeError is no OSError
-_BAD_INPUT = (OSError, UnicodeDecodeError, GraphParseError, PreconditionError)
 
 # every generator parameter, by flag name and type
 _GENERATOR_FLAGS = {"n": int, "d": int, "s": int, "ell": int, "a": int, "b": int,
@@ -52,27 +50,23 @@ def _read_config(path: str | None, seed: int | None) -> RunConfig:
 def cmd_generate(args: argparse.Namespace) -> int:
     make = generators.GENERATORS[args.kind]
     params = inspect.signature(make).parameters
+    # each generator parameter is the flag of the same name, and no other flag is taken
+    for name in _GENERATOR_FLAGS:
+        if name not in params and getattr(args, name) is not None:
+            raise PreconditionError(f"--{name} is not a flag of the {args.kind} generator")
+    values = [_need(args, name) for name in params]
+    # fail before generating; "a" truncates nothing, and a file made here
+    # goes again if the generator fails
+    fresh = not os.path.exists(args.out)
+    open(args.out, "a", encoding="utf-8").close()
     try:
-        # each generator parameter is the flag of the same name, and no other flag is taken
-        for name in _GENERATOR_FLAGS:
-            if name not in params and getattr(args, name) is not None:
-                raise PreconditionError(f"--{name} is not a flag of the {args.kind} generator")
-        values = [_need(args, name) for name in params]
-        # fail before generating; "a" truncates nothing, and a file made here
-        # goes again if the generator refuses its flags
-        fresh = not os.path.exists(args.out)
-        open(args.out, "a", encoding="utf-8").close()
-        try:
-            g = make(*values)
-        except PreconditionError:
-            if fresh:
-                os.remove(args.out)
-            raise
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(save_graph(g))
-    except (OSError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        g = make(*values)
+    except PillarkitError:
+        if fresh:
+            os.remove(args.out)
+        raise
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(save_graph(g))
     print(f"wrote {g.n} vertices, {g.m} edges to {args.out}")
     return 0
 
@@ -85,53 +79,28 @@ def _need(args: argparse.Namespace, name: str):
 
 
 def cmd_find(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-        cfg = _read_config(args.config, args.seed)
-        if args.out:  # fail before the search; "a" truncates nothing
-            open(args.out, "a", encoding="utf-8").close()
-    except _BAD_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rc = cfg.resolve(g.n)
-    try:
-        if args.target == "q3":
-            if g.n <= Q3_CAP:
-                cert = find_q3_bruteforce(g)
-                how = "exhaustive"
-            else:
-                cert = find_q3_sampled(g, rc.seed)
-                how = "sampled"
-            if cert is None:
-                print(f"not found: no cube ({how} search, n={g.n})")
-                return 1
-        elif args.target == "kraken":
-            cert = robust_kraken(g, frozenset(), cfg, seed=rc.seed)
+    g = _read_graph(args.graph)
+    cfg = _read_config(args.config, args.seed)
+    if args.out:  # fail before the search; "a" truncates nothing
+        open(args.out, "a", encoding="utf-8").close()
+    if args.target == "q3":
+        if g.n <= Q3_CAP:
+            cert = find_q3_bruteforce(g)
+            how = "exhaustive"
         else:
-            cert = find_pillar(g, cfg, seed=rc.seed)
-    except StageError as exc:
-        print(f"not found: {exc}")
-        if exc.details:
-            for key, val in sorted(exc.details.items()):
-                print(f"  {key} = {val}")
-        return 1
-    except (NoPathError, LengthNotRealizedError) as exc:
-        print(f"not found: {exc}")
-        return 1
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except (PreconditionError, PillarkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            cert = find_q3_sampled(g, cfg.resolve(g.n).seed)
+            how = "sampled"
+        if cert is None:
+            print(f"not found: no cube ({how} search, n={g.n})")
+            return 1
+    elif args.target == "kraken":
+        cert = robust_kraken(g, frozenset(), cfg)
+    else:
+        cert = find_pillar(g, cfg)
     text = dumps_certificate(cert)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"certificate written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -139,18 +108,12 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-        with open(args.cert, "r", encoding="utf-8") as fh:
-            data = loads_certificate(fh.read())
-        if data["kind"] != args.kind:
-            print(f"error: certificate is a {data['kind']!r}, expected {args.kind!r}",
-                  file=sys.stderr)
-            return 2
-        report = verify_certificate(g, data)
-    except _BAD_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = _read_graph(args.graph)
+    with open(args.cert, "r", encoding="utf-8") as fh:
+        data = loads_certificate(fh.read())
+    if data["kind"] != args.kind:
+        raise PreconditionError(f"certificate is a {data['kind']!r}, expected {args.kind!r}")
+    report = verify_certificate(g, data)
     if report.valid:
         print("valid")
         return 0
@@ -160,12 +123,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-        cfg = _read_config(args.config, args.seed)
-    except _BAD_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = _read_graph(args.graph)
+    cfg = _read_config(args.config, args.seed)
     rc = cfg.resolve(g.n)
     rng = random.Random(rc.seed)
     writer = csv.writer(sys.stdout)
@@ -244,7 +203,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StageError as exc:
+        print(f"not found: {exc}")
+        for key, val in sorted(exc.details.items()):
+            print(f"  {key} = {val}")
+        return 1
+    except (NoPathError, LengthNotRealizedError) as exc:
+        print(f"not found: {exc}")
+        return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    # unreadable or refused input; a UnicodeDecodeError is no OSError
+    except (OSError, UnicodeDecodeError, PillarkitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -72,13 +72,16 @@ class RunConfig:
     overrides: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        self._check_overrides()
+        self.params  # raises PreconditionError on a bad (eps1, eps2, d) triple
+
+    def _check_overrides(self) -> None:
         for key, value in self.overrides.items():
             if key not in _DEFAULTS:
                 raise PreconditionError(f"unknown config key {key!r}")
             floor = _FLOORS.get(key, 1)
             if key not in dict(_KNOBS_INT) and value < floor:
                 raise PreconditionError(f"config key {key} = {value} is below its floor {floor}")
-        self.params  # raises PreconditionError on a bad (eps1, eps2, d) triple
 
     @property
     def params(self) -> ExpanderParams:
@@ -86,7 +89,9 @@ class RunConfig:
 
     def resolve(self, n: int) -> "ResolvedConfig":
         """Materialize every threshold for an n-vertex host graph; the
-        record is the same at every n."""
+        record is the same at every n.  Overrides set after construction
+        are checked here as at construction."""
+        self._check_overrides()
         values = {name: self.overrides.get(name, default)
                   for name, default in _DEFAULTS.items()}
         return ResolvedConfig(params=self.params, **values)

@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, PreconditionError, StageError
@@ -217,6 +217,8 @@ def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
         k_max = max(4, math.floor(math.log(g.n))) if g.n > 2 else 4
     if s is None:
         s = max(1, math.ceil(200 * math.log(g.n) ** 3 / 0.1)) if g.n > 2 else 1
+    if t < 1:
+        raise PreconditionError("leg size t must be >= 1")
     return _carve(g, range(g.n), frozenset(), k_max, max(1, s), t, seed, sample_starts)
 
 
@@ -224,8 +226,6 @@ def _carve(g: Graph, verts: range | list[int], dead: set[int] | frozenset[int], 
            s: int, t: int, seed: int, sample_starts: int = 24) -> Kraken:
     """find_kraken's search in the sorted piece ``verts`` of g minus dead, on g's
     ids: a copy of the piece keeps their order, so its rows, draws and kraken are these."""
-    if t < 1:
-        raise PreconditionError("leg size t must be >= 1")
     rng = random.Random(seed)
     starts = rng.sample(verts, min(len(verts), sample_starts))
     # The host's floor: on a bipartite piece of a non-bipartite host, 3 never stops
@@ -363,7 +363,12 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
         raise PreconditionError("caller flagged the graph as containing a cube")
     if q3_free is None and g.n <= Q3_CAP and find_q3_bruteforce(g) is not None:
         raise PreconditionError("graph contains a cube; robust search assumes cube-freeness")
-    state = _survivor_state(g, frozenset(u), rc, _high_degree(g, rc))
+    uset = frozenset(u)
+    if uset and (min(uset) < 0 or max(uset) >= g.n):
+        raise PreconditionError(f"U has ids out of range for n={g.n}")
+    if len(uset) > rc.u_cap:
+        raise PreconditionError(f"|U| = {len(uset)} over the cap {rc.u_cap}")
+    state = _survivor_state(g, uset, rc, _high_degree(g, rc))
     list(_carve_rounds(state, seed))  # every round: each kraken joins state.collection
     kr = _finish(state)
     return (kr, state) if return_state else kr
@@ -371,12 +376,11 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
 
 def _survivor_state(g: Graph, uset: frozenset[int], rc: ResolvedConfig,
                     high: frozenset[int]) -> KrakenSearchState:
-    """The empty search state in G - U, once U is in range and under its cap
-    and the set U0 of vertices U dominates is under its own."""
-    if uset and (min(uset) < 0 or max(uset) >= g.n):
-        raise PreconditionError(f"U has ids out of range for n={g.n}")
+    """The empty search state in G - U, once U (in range; find_pillar's own rounds
+    grow it) is under its cap and the set U0 of vertices U dominates is under its own."""
     if len(uset) > rc.u_cap:
-        raise PreconditionError(f"|U| = {len(uset)} over the cap {rc.u_cap}")
+        raise StageError("u-bound", f"|U| = {len(uset)} over the cap {rc.u_cap}",
+                         {"u": len(uset)})
     into_u = Counter(chain.from_iterable(map(g.neighbors, uset)))  # edges into U
     u0 = frozenset(v for v, c in into_u.items() if c >= rc.params.d / 2 and v not in uset)
     if len(u0) > rc.u0_cap:
@@ -418,7 +422,7 @@ def _finish(state: KrakenSearchState) -> Kraken:
 
 def _high_degree(g: Graph, rc: ResolvedConfig) -> frozenset[int]:
     """The high-degree set L: every vertex of degree at least delta_threshold."""
-    return frozenset(v for v in range(g.n) if g.degree(v) >= rc.delta_threshold)
+    return frozenset(compress(range(g.n), map(rc.delta_threshold.__le__, map(len, g._adj))))
 
 
 def _under_separation(g: Graph, a: frozenset[int], b: frozenset[int],
@@ -470,7 +474,7 @@ def _carve_rounds(state: KrakenSearchState, seed: int) -> Iterator[Kraken]:
         try:
             kr = _carve(g, verts, avoid, rc.k_max, max(1, rc.m), rc.leg_size,
                         _child_seed(seed, 1000 + round_no))
-        except (PreconditionError, StageError) as exc:
+        except StageError as exc:
             if not state.collection:
                 raise StageError("kraken-collection", f"no kraken found: {exc}",
                                  {"survivors": len(verts)})
@@ -497,7 +501,7 @@ def _build_anchors(state: KrakenSearchState) -> None:
         try:
             exp = find_large_ball(g, avoid, rc.params, w_cap=float(g.n),
                                   max_candidates=_BALL_CANDIDATES)
-        except (PreconditionError, StageError):
+        except StageError:
             break
         if exp.size < rc.anchor_size:
             break

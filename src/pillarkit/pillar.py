@@ -609,7 +609,7 @@ def _translate_pillar(p: Pillar, ids: list[int]) -> Pillar:
         tuple(Path(tuple(ids[v] for v in q.vertices)) for q in p.paths))
 
 
-def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
+def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     """The end-to-end driver.
 
     Pass to a well-expanding bipartite subgraph when the degree allows it
@@ -628,12 +628,15 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
     once (``_link_aligned``), at the least length from ``pillar_ell_min``
     up that all its rungs realize.  The ``pigeonhole`` and ``link``
     StageErrors count the ``carved`` krakens of every round, and ``link``
-    its ``pairs`` and ``alignments``.
+    its ``pairs`` and ``alignments``.  A round whose U is over ``u_cap``
+    starves as ``u-bound``.  ``seed`` defaults to the config's ``seed``.
     """
     rc = config.resolve(g.n)
-    # pass to a bipartite expanding subgraph at the configured degree
-    # target, or at the largest target the average degree supports; too
-    # sparse for either, keep g.  Vertex i of h is ids[i] in g.
+    if seed is None:
+        seed = rc.seed
+    # pass to a bipartite expanding subgraph at degree target _D_TARGET, or
+    # at the largest target the average degree supports; too sparse for
+    # either, keep g.  Vertex i of h is ids[i] in g.
     h, ids = g, range(g.n)
     for target in sorted({_D_TARGET, max(1, int(g.average_degree() // 8))},
                          reverse=True):
@@ -674,7 +677,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int = 0) -> Pillar:
                         g, h, ids, kr, kept, high, rc, tried, in_collection=True)):
                     return pillar
             kr = _finish(state)
-        except (PreconditionError, StageError):
+        except StageError:
             if not tried:
                 raise
             break  # the pairs that failed to link are the better report

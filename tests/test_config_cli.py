@@ -13,7 +13,9 @@ from pillarkit.cli import main
 from pillarkit.config import _CONSTANTS, _DEFAULTS, _FLOORS, _KNOBS_INT, ResolvedConfig, RunConfig
 from pillarkit.errors import InternalError, PreconditionError
 from pillarkit.generators import GENERATORS
-from pillarkit.graph import MAX_VERTICES
+from pillarkit.graph import MAX_VERTICES, save_graph
+
+from util import torus
 
 class TestRunConfig:
     def test_relaxed_defaults_resolve(self):
@@ -52,6 +54,16 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(PreconditionError):
             RunConfig.from_text("nonsense = 3\n")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("separaton", 1, "unknown config key 'separaton'"),
+        ("k_max", 0, "config key k_max = 0 is below its floor 3"),
+    ])
+    def test_override_set_after_construction_checked(self, key, value, message):
+        cfg = RunConfig()
+        cfg.overrides[key] = value
+        with pytest.raises(PreconditionError, match=message):
+            cfg.resolve(100)
 
     @pytest.mark.parametrize("text, message", [
         ("separation = 1\nseparation = 5\n", "config line 2: separation repeats line 1"),
@@ -492,12 +504,34 @@ class TestCli:
         assert err.startswith("error: ") and "can't decode byte 0xff" in err
 
     @pytest.mark.parametrize("error, code", [(InternalError, 3), (PreconditionError, 2)])
-    def test_internal_error_exit_3(self, q3_file, monkeypatch, capsys, error, code):
+    def test_internal_error_exit_3(self, q3_file, tmp_path, monkeypatch, capsys, error, code):
+        """Every subcommand maps an exception to the same exit code; a
+        generator that raises leaves no fresh --out file."""
         def broken(*args, **kwargs):
             raise error("internal: planted")
-        monkeypatch.setattr(pillarkit.cli, "find_pillar", broken)
-        assert main(["find", "pillar", "--graph", str(q3_file), "--seed", "0"]) == code
-        assert "planted" in capsys.readouterr().err
+        cert, out = tmp_path / "q3.json", tmp_path / "c.el"
+        assert main(["find", "q3", "--graph", str(q3_file), "--out", str(cert)]) == 0
+        for name in ("find_pillar", "verify_certificate", "check_expansion"):
+            monkeypatch.setattr(pillarkit.cli, name, broken)
+        monkeypatch.setitem(GENERATORS, "cycle", lambda n: broken())
+        capsys.readouterr()
+        for argv in (["find", "pillar", "--graph", str(q3_file), "--seed", "0"],
+                     ["generate", "cycle", "--n", "5", "--out", str(out)],
+                     ["verify", "q3", "--graph", str(q3_file), "--cert", str(cert)],
+                     ["bench", "--graph", str(q3_file), "--seed", "0"]):
+            assert main(argv) == code, argv
+            assert "planted" in capsys.readouterr().err, argv
+        assert not out.exists()
+
+    def test_u_over_its_cap_exit_1(self, tmp_path, capsys):
+        """find_pillar's own round 1 grows U past u_cap = 0: a starved
+        stage with its report, not bad input."""
+        g, cfg = tmp_path / "torus.el", tmp_path / "run.cfg"
+        g.write_text(save_graph(torus(30, 30)))
+        cfg.write_text("u_cap = 0\n")
+        assert main(["find", "pillar", "--graph", str(g), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out == ("not found: stage 'u-bound': |U| = 63 over the cap 0\n"
+                                           "  u = 63\n")
 
     @pytest.mark.parametrize("key", [
         "workers", "expansion_exact_cap", "collective_threshold",

@@ -9,8 +9,8 @@ from pillarkit.expander import _max_cut_graph
 from pillarkit.generators import cycle_graph, hypercube, random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path, set_distance
 from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink, _augment_links, _child_seed,
-                              _link_obstacles, _qualifies, _shortcut_round, find_kraken,
-                              robust_kraken, verify_kraken)
+                              _high_degree, _link_obstacles, _qualifies, _shortcut_round,
+                              find_kraken, robust_kraken, verify_kraken)
 from pillarkit.pillar import find_pillar
 from pillarkit.primitives import Expansion
 
@@ -349,6 +349,18 @@ class TestRobustKraken:
         with pytest.raises(PreconditionError):
             robust_kraken(cycle_graph(100), frozenset({0, 1, 2}), cfg, seed=0,
                           q3_free=True)
+
+    @pytest.mark.parametrize("u", [{-1}, {100}])
+    def test_u_out_of_range_rejected(self, u):
+        with pytest.raises(PreconditionError, match="out of range"):
+            robust_kraken(cycle_graph(100), frozenset(u), RunConfig(d=4), q3_free=True)
+
+    def test_high_degree_set(self):
+        """L is every vertex of degree at least delta_threshold, the threshold included."""
+        g = hub_graph(0)
+        for threshold in (1, 12, 13, 100, 10 ** 6):
+            rc = RunConfig(overrides={"delta_threshold": threshold}).resolve(g.n)
+            assert _high_degree(g, rc) == {v for v in range(g.n) if g.degree(v) >= threshold}
 
     def test_cube_flag_false_rejected(self):
         cfg = RunConfig(d=4)

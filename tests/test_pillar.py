@@ -2,6 +2,7 @@ import gc
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pillarkit import kraken as kraken_mod
 from pillarkit import pillar as pillar_mod
@@ -373,6 +374,34 @@ class TestFindPillar:
     def test_deterministic(self):
         g = hypercube(3)
         assert find_pillar(g, self.CFG, seed=3) == find_pillar(g, self.CFG, seed=3)
+
+    def test_seed_defaults_to_the_config_seed(self):
+        g = torus(24, 24)
+        assert find_pillar(g, RunConfig(overrides={"seed": 3})) == find_pillar(g, RunConfig(), 3)
+
+    def test_u_over_its_cap_starves_at_u_bound(self):
+        """Round 1's U is the search's own krakens, so a U over u_cap is a
+        starved stage, not bad input."""
+        with pytest.raises(StageError) as err:
+            find_pillar(torus(30, 30), RunConfig(overrides={"u_cap": 0}))
+        assert err.value.stage == "u-bound" and err.value.details == {"u": 63}
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(["rr", "torus", "hypercube", "planted"]),
+           size=st.integers(0, 4), seed=st.integers(0, 3), u_cap=st.sampled_from([0, 100_000]))
+    def test_outcome_is_a_pillar_or_a_stage_error(self, family, size, seed, u_cap):
+        """On well-formed inputs the search returns a pillar its checker
+        accepts or starves with a StageError; nothing else escapes."""
+        g = {"rr": lambda: random_regular(200, 3 + size, seed),
+             "torus": lambda: torus(20 + 2 * size, 20 + size),
+             "hypercube": lambda: hypercube(3 + size),
+             "planted": lambda: planted_prism_with_noise(8, 5, 40, seed)}[family]()
+        cfg = RunConfig(overrides={"u_cap": u_cap, "separation": 1 + size % 2})
+        try:
+            p = find_pillar(g, cfg, seed)
+        except StageError:
+            return
+        assert verify_pillar(g, p).valid
 
     def test_tree_stage_error(self):
         g = Graph(15, [(i, (i - 1) // 2) for i in range(1, 15)])
