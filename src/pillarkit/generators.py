@@ -47,8 +47,8 @@ def subdivided_prism(s: int, ell: int) -> Graph:
     """Prism with every matching edge subdivided into a path of length ell.
 
     This is exactly a pillar with cycle length s and rung length ell:
-    ids 0..s-1 are the first cycle, s..2s-1 the second, then ell-1
-    interior vertices per rung in rung order.
+    ids 0..s-1 are the first cycle, s..2s-1 the second, and the rungs are
+    those of :func:`subdivided_prism_rungs`.
     """
     if s < 3:
         raise PreconditionError("subdivided prism needs s >= 3")
@@ -56,21 +56,15 @@ def subdivided_prism(s: int, ell: int) -> Graph:
         raise PreconditionError("subdivided prism needs ell >= 1")
     if s * (ell + 1) > MAX_VERTICES:
         raise PreconditionError(f"subdivided prism needs s*(ell+1) <= {MAX_VERTICES} vertices")
-    edges = []
-    for i in range(s):
-        j = (i + 1) % s
-        edges.append((i, j))
-        edges.append((s + i, s + j))
-    nxt = 2 * s
-    for i in range(s):
-        chain = [i] + list(range(nxt, nxt + ell - 1)) + [s + i]
-        nxt += ell - 1
+    edges = [(c + i, c + (i + 1) % s) for c in (0, s) for i in range(s)]
+    for chain in subdivided_prism_rungs(s, ell):
         edges.extend(zip(chain, chain[1:]))
-    return Graph(nxt, edges)
+    return Graph(s * (ell + 1), edges)
 
 
 def subdivided_prism_rungs(s: int, ell: int) -> list[tuple[int, ...]]:
-    """The natural rung decomposition matching :func:`subdivided_prism` ids."""
+    """The rungs of :func:`subdivided_prism`: rung i runs from i to s+i
+    through ell-1 interior vertices, numbered from 2s in rung order."""
     rungs = []
     nxt = 2 * s
     for i in range(s):

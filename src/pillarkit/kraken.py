@@ -20,11 +20,11 @@ import random
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, islice
 
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, PreconditionError, StageError
-from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
+from .graph import (Cycle, Graph, Path, _largest_piece, ball, bfs_layers,
                     distances_from, set_distance, shortest_set_path)
 from .primitives import Q3_CAP, Expansion, find_large_ball, find_q3_bruteforce, trim_expansion
 from .validity import ValidityReport, json_int
@@ -293,8 +293,7 @@ class KrakenSearchState:
     cfg: ResolvedConfig
     forbidden: frozenset[int]           # U
     high_degree: frozenset[int]         # L
-    u0: frozenset[int]
-    u1: frozenset[int]
+    u1: frozenset[int]                  # U and the vertices it dominates
     collection: list[Kraken] = field(default_factory=list)
     anchors: list[Expansion] = field(default_factory=list)
     links: list[dict[int, LegLink]] = field(default_factory=list)
@@ -345,8 +344,9 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     high-degree set.
 
     This is one round of ``find_pillar``'s: ``_survivor_state`` sets up the
-    search in G - U, ``_carve_rounds`` carves the whole collection, and
-    ``_finish`` turns it into the kraken returned.  Krakens are collected
+    search in G - U, ``_carve_rounds`` carves the whole collection, and the
+    first kraken of it that qualifies is returned, checked; if none does,
+    ``_finish`` runs the second half on the collection.  Krakens are collected
     in the survivor graph as it is, with no second extraction (the
     caller's expander pays for deleting U through its deletion budget) and
     no copy: each is carved on g's ids, with U and the earlier krakens'
@@ -370,7 +370,12 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
         raise PreconditionError(f"|U| = {len(uset)} over the cap {rc.u_cap}")
     state = _survivor_state(g, uset, rc, _high_degree(g, rc))
     list(_carve_rounds(state, seed))  # every round: each kraken joins state.collection
-    kr = _finish(state)
+    kr = next((kr for kr in state.collection
+               if _qualifies(g, kr, state.high_degree, uset, rc)), None)
+    if kr is None:
+        kr = _finish(state)
+    elif not (rep := verify_kraken(g, kr)).valid:
+        raise InternalError(f"internal: collected kraken invalid ({rep})")
     return (kr, state) if return_state else kr
 
 
@@ -388,24 +393,16 @@ def _survivor_state(g: Graph, uset: frozenset[int], rc: ResolvedConfig,
                          f"{len(u0)} vertices dominated by U (cap {rc.u0_cap}); "
                          "the cube-freeness hypothesis looks violated",
                          {"u0": len(u0)})
-    return KrakenSearchState(g, rc, uset, high, u0, uset | u0)
+    return KrakenSearchState(g, rc, uset, high, uset | u0)
 
 
 def _finish(state: KrakenSearchState) -> Kraken:
-    """The round's kraken from its carved collection: the first that
-    qualifies, checked.  If none does, anchors are built and each round of
-    the link loop links what free legs it can, assembles the first fully
+    """The robust second half, for a carved collection none of whose krakens
+    qualifies (the caller judges them): anchors are built, and each round
+    of the link loop links what free legs it can, assembles the first fully
     linked kraken, or else makes one shortcut rewrite and goes round again.
     Without a rewrite, or after ``_MAX_LINK_ROUNDS`` rounds, it raises stage
     ``link-rounds`` with each kraken's links and legs and the anchor count."""
-    g = state.graph
-    early = next((kr for kr in state.collection if _qualifies(
-        g, kr, state.high_degree, state.forbidden, state.cfg)), None)
-    if early is not None:
-        rep = verify_kraken(g, early)
-        if not rep.valid:
-            raise InternalError(f"internal: collected kraken invalid ({rep})")
-        return early
     _build_anchors(state)
     for _ in range(_MAX_LINK_ROUNDS):
         _augment_links(state)
@@ -563,60 +560,49 @@ def _shortcut_round(state: KrakenSearchState) -> bool:
     step r gets its initial segment rewritten through the ball (which
     strictly shortens it and re-seats it on the free leg, freeing the leg
     it left).  Makes the first such rewrite and returns True, else False.
+    The ball is a BFS from the leg that never enters a link vertex: step r
+    covers its layers 0..r-1, and ``met`` holds the link vertices next to them.
     """
-    # Not on bfs_layers: each step counts the link vertices it refuses to grow through.
     g, rc = state.graph, state.cfg
     for i, kr in enumerate(state.collection):
         free = state.free_legs(i)
         if not free:
             continue
         j0 = free[0]
-        a = kr.legs[j0].members
-        b = set(kr.cycle.vertices)
-        for p in kr.paths:
-            b |= p.vertex_set()
+        b = set(kr.cycle.vertices).union(*map(Path.vertex_set, kr.paths))
         b.discard(kr.ends[j0])
+        hard = b | state.forbidden
         links = sorted(state.links[i].items())
-        c = set()
-        for _, link in links:
-            c |= set(link.path.vertices)
-        hard = set(state.forbidden) | b
-        seeds = a - hard - c
-        parents: dict[int, int | None] = {v: None for v in seeds}
-        reached = set(seeds)
-        for r in range(1, rc.ell0 + 1):
-            boundary = set()
-            for v in reached:
-                for w in g.neighbors(v):
-                    if w not in reached and w not in hard:
-                        boundary.add(w)
+        c = set().union(*(link.path.vertices for _, link in links))
+        on_links = c - hard
+        depth: dict[int, int] = {}
+        met: set[int] = set()
+        layers = bfs_layers(g, kr.legs[j0].members - hard - c, hard | c)
+        for r, layer in enumerate(islice(layers, rc.ell0), 1):
+            depth.update(dict.fromkeys(layer, r - 1))
+            met.update(w for v in layer for w in g.neighbors(v) if w in on_links)
             for j, link in links:
-                hits = boundary & set(link.path.vertices)
+                hits = met.intersection(link.path.vertices)
                 if len(hits) > r + 1:
-                    _apply_shortcut(state, i, j, j0, link, hits, parents)
+                    _apply_shortcut(state, i, j, j0, link, hits, depth)
                     return True
-            new = boundary - c
-            for w in sorted(new):
-                if w not in parents:
-                    nb = min(v for v in g.neighbors(w) if v in reached)
-                    parents[w] = nb
-            reached |= new
-            if not new:
-                break
     return False
 
 
 def _apply_shortcut(state: KrakenSearchState, i: int, j: int, j0: int,
-                    link: LegLink, hits: set[int], parents: dict[int, int | None]) -> None:
+                    link: LegLink, hits: set[int], depth: dict[int, int]) -> None:
     """Replace the initial segment of an overlapped link path by a route
-    through the free leg's ball; the path gets strictly shorter and now
-    belongs to leg j0."""
+    through the free leg's ball, given each ball vertex's ``depth``: from
+    the least ball neighbour of the last hit, each step takes the least
+    neighbour one layer nearer the leg.  The path gets strictly shorter
+    and now belongs to leg j0."""
     g = state.graph
     verts = link.path.vertices
     idx = max(verts.index(h) for h in hits)
-    z = verts[idx]
-    y = min(v for v in g.neighbors(z) if v in parents)
-    new_path = Path(_trace(parents, y).vertices + verts[idx:])
+    route = [min(v for v in g.neighbors(verts[idx]) if v in depth)]
+    for d in range(depth[route[0]] - 1, -1, -1):
+        route.append(min(v for v in g.neighbors(route[-1]) if depth.get(v) == d))
+    new_path = Path(tuple(reversed(route)) + verts[idx:])
     if new_path.length >= link.path.length:
         raise InternalError("internal: shortcut rewrite failed to shorten the path")
     del state.links[i][j]

@@ -623,10 +623,10 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     earlier rounds' krakens; each kraken that qualifies is paired as it is
     carved with each earlier qualifying one of the round and of its cycle
     length, and a pair failing ``_check_link_pair`` is skipped.  If none
-    links, the round ends with ``_finish``, and the kraken it returns is
-    paired with each earlier round's.  Each alignment of a pair is planned
-    once (``_link_aligned``), at the least length from ``pillar_ell_min``
-    up that all its rungs realize.  The ``pigeonhole`` and ``link``
+    links, the round's kraken is its first qualifying one, or ``_finish``'s
+    when none qualifies, and it is paired with each earlier round's.  Each
+    alignment of a pair is planned once (``_link_aligned``), at the least
+    length from ``pillar_ell_min`` up that all its rungs realize.  The ``pigeonhole`` and ``link``
     StageErrors count the ``carved`` krakens of every round, and ``link``
     its ``pairs`` and ``alignments``.  A round whose U is over ``u_cap``
     starves as ``u-bound``.  ``seed`` defaults to the config's ``seed``.
@@ -638,14 +638,15 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     # at the largest target the average degree supports; too sparse for
     # either, keep g.  Vertex i of h is ids[i] in g.
     h, ids = g, range(g.n)
-    for target in sorted({_D_TARGET, max(1, int(g.average_degree() // 8))},
+    avg = g.average_degree()  # extract_expander needs at least 8 * target
+    for target in sorted({t for t in (_D_TARGET, max(1, int(avg // 8))) if 8 * t <= avg},
                          reverse=True):
         try:
             h, ids = extract_expander(
                 g, target, config.params, seed=_child_seed(seed, 0),
                 trials=EXPANSION_TRIALS, sample_cap=EXPANSION_SAMPLE_CAP)
             break
-        except (PreconditionError, StageError):
+        except StageError:
             continue
     piece = _largest_piece(h)
     h = induced_subgraph(h, piece)
@@ -676,7 +677,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
                 if _qualifies(h, kr, high, state.forbidden, rc) and (pillar := _link_to_earlier(
                         g, h, ids, kr, kept, high, rc, tried, in_collection=True)):
                     return pillar
-            kr = _finish(state)
+            kr = kept[0] if kept else _finish(state)
         except StageError:
             if not tried:
                 raise
@@ -702,7 +703,8 @@ def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: li
         except PreconditionError as exc:
             if in_collection:
                 continue  # at kraken_separation 0, one collection's krakens may sit 1 apart
-            # _finish's krakens meet every clause here, at the same h and config
+            # a round's kraken, qualifying or _finish's, meets every clause here,
+            # at the same h and config
             raise InternalError(f"internal: kraken pair fails the link check ({exc})") from exc
         pillar, last_error = _link_pair(g, h, ids, mate, kr, high, rc)
         if pillar is not None:

@@ -1,20 +1,32 @@
 """Every search built on ``graph.bfs_layers`` against a slow FIFO-queue
 reference from ``util``: same results, and where order is visible, same
-order.  The graphs are small, often disconnected and often not bipartite."""
+order.  The graphs are small, often disconnected and often not bipartite.
+The kraken shortcut round is checked against its first version on tori,
+and the source against ``graph.py``'s list of walks off the kernel."""
+
+import ast
+import copy
+import re
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pillarkit.errors import PreconditionError
+import pillarkit
+from pillarkit import graph as graph_mod
+from pillarkit import kraken as kraken_mod
+from pillarkit.config import RunConfig
+from pillarkit.errors import PreconditionError, StageError
 from pillarkit.expander import greedy_max_cut_sides
 from pillarkit.graph import (Graph, Path, bfs_layers, distances_from, set_distance,
                              shortest_set_path)
-from pillarkit.kraken import _bfs_prefix
+from pillarkit.kraken import _bfs_prefix, robust_kraken
 from pillarkit.pillar import _alt_route
 from pillarkit.primitives import Expansion, restrict_and_trim, trim_expansion
 
 from util import (ref_alt_route, ref_bfs_layers, ref_distances_from, ref_greedy_max_cut_sides,
-                  ref_leg_growth, ref_set_distance, ref_shortest_set_path)
+                  ref_leg_growth, ref_set_distance, ref_shortcut_round, ref_shortest_set_path,
+                  torus)
 
 
 @st.composite
@@ -187,3 +199,64 @@ def test_max_cut_sides_follow_bfs_order(case):
             order += layer
             seen.update(layer)
     assert greedy_max_cut_sides(g) == ref_greedy_max_cut_sides(g, order)
+
+
+# robust_kraken's overrides on tori; {anchor_count 2, leg_size 4} makes rewrites at every side
+_SHORTCUT_OVERRIDES = [{}, {"anchor_count": 4, "leg_size": 3, "separation": 2}, {"leg_size": 3},
+                       {"anchor_count": 2, "leg_size": 4}, {"separation": 3, "leg_size": 3},
+                       {"ell0": 5, "leg_size": 3}]
+
+
+def test_shortcut_round_same_rewrite(monkeypatch):
+    """Each state robust_kraken hands the shortcut round, copied twice: the
+    round and its reference return the same answer and leave the same links."""
+    real = kraken_mod._shortcut_round
+    answers = []
+
+    def both(state):
+        ours, ref = (copy.deepcopy(state, {id(state.graph): state.graph}) for _ in range(2))
+        answers.append(real(ours))
+        assert ref_shortcut_round(ref) == answers[-1]
+        assert ours.links == ref.links
+        return real(state)
+
+    monkeypatch.setattr(kraken_mod, "_shortcut_round", both)
+    for a in (20, 24, 26, 30):
+        g = torus(a, a)
+        for overrides in _SHORTCUT_OVERRIDES:
+            for seed in range(8):
+                try:
+                    robust_kraken(g, frozenset(), RunConfig(d=4, overrides=dict(overrides)),
+                                  seed=seed, q3_free=True)
+                except StageError:
+                    pass
+    assert answers.count(True) >= 10
+
+
+def _marked_walks(path: FilePath) -> set[str]:
+    """The functions of a module with a "Not on bfs_layers" comment, by
+    qualified name, prefixed with the module's name outside graph.py."""
+    text = path.read_text(encoding="utf-8")
+    spans = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    spans.append((child.lineno, child.end_lineno, prefix + child.name))
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(text), "" if path.stem == "graph" else f"{path.stem}.")
+    return {max((s for s in spans if s[0] <= no <= s[1]), key=lambda s: s[0])[2]
+            for no, line in enumerate(text.splitlines(), 1)
+            if line.lstrip().startswith("# Not on bfs_layers")}
+
+
+def test_walks_off_the_kernel_are_the_ones_graph_lists():
+    """Every walk that does not run on bfs_layers says why in a comment, and
+    graph.py's docstring names exactly those walks."""
+    doc = graph_mod.__doc__
+    listed = set(re.findall(r"``([\w.]+)``", doc[doc.index("walks stay separate"):]))
+    marked = set().union(*map(_marked_walks, FilePath(pillarkit.__file__).parent.glob("*.py")))
+    assert listed == marked == {"Graph._adopt", "kraken._shortest_cycle_from",
+                                "expander._sample_connected", "expander._peel"}

@@ -143,8 +143,8 @@ def test_robust_kraken_same_dominated_set(g, data, d):
     uset = data.draw(st.frozensets(st.integers(0, g.n - 1)))
     built = []
 
-    def capture(graph, rc, forbidden, high, u0, u1):
-        built.append(u0)
+    def capture(graph, rc, forbidden, high, u1):
+        built.append(u1 - forbidden)
         raise _Built
 
     with mock.patch.object(kraken_mod, "KrakenSearchState", capture):

@@ -17,7 +17,7 @@ from pillarkit.graph import (MAX_VERTICES, Graph, _parse_lines, ball, induced_de
                              parity, save_graph)
 
 from util import (all_simple_path_lengths, random_connected_graph, ref_graph,
-                  ref_random_regular, to_nx)
+                  ref_random_regular, ref_subdivided_prism, to_nx)
 
 class TestLoadGraph:
     def test_path_with_bipartition(self):
@@ -162,6 +162,11 @@ class TestGenerators:
 
     def test_subdivided_prism_identity(self):
         assert subdivided_prism(4, 1) == prism(4)
+
+    @pytest.mark.parametrize("s", range(3, 10))
+    def test_subdivided_prism_from_its_rungs(self, s):
+        for ell in range(1, 7):
+            assert subdivided_prism(s, ell) == ref_subdivided_prism(s, ell)
 
     def test_subdivided_prism_counts(self):
         g = subdivided_prism(6, 3)

@@ -216,7 +216,7 @@ def _gadget_state(cfg: RunConfig):
                 tuple(Path((i, i + 4)) for i in range(4)), s=1, t=1)
     assert verify_kraken(g, kr).valid
     rc = cfg.resolve(g.n)
-    state = KrakenSearchState(g, rc, frozenset(), frozenset(), frozenset(), frozenset())
+    state = KrakenSearchState(g, rc, frozenset(), frozenset(), frozenset())
     state.collection.append(kr)
     state.links.append({})
     state.anchors.append(Expansion(20, frozenset({20, 21, 22}), 2))
@@ -273,7 +273,7 @@ class TestSearchState:
                     tuple(Path((i, i + 4)) for i in range(4)), s=1, t=2)
         assert verify_kraken(g, kr).valid
         state = KrakenSearchState(g, RunConfig(d=4).resolve(g.n), frozenset(),
-                                  frozenset({8, 10}), frozenset(), frozenset())
+                                  frozenset({8, 10}), frozenset())
         state.collection.append(kr)
         state.links.append({0: LegLink("P", Path((4, 8)))})
         _augment_links(state)

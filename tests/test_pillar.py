@@ -691,6 +691,41 @@ def test_even_torus_goes_through_the_fallback(monkeypatch, carves, seed, outcome
     assert len(carves) == [9, 3, 6, 6, 3][seed]
 
 
+@pytest.mark.parametrize("case, seed", [("torus", 0), ("torus", 1), ("planted", 0),
+                                        ("planted", 1), ("rr", 0)])
+def test_each_carved_kraken_is_judged_and_checked_once(monkeypatch, case, seed):
+    """_carve checks each kraken it carves and find_pillar judges it as it is
+    carved; neither happens again where a round ends in _finish (the tori) or
+    on its first qualifying kraken (the planted prisms at the default
+    separation, and rr(2000, 4) seed 0)."""
+    g = {"torus": lambda: torus(30, 30), "planted": lambda: planted_prism_with_noise(8, 5, 40, seed),
+         "rr": lambda: random_regular(2000, 4, seed)}[case]()
+    carved, judged, checked = [], [], []
+    real_carve, real_verify = kraken_mod._carve, kraken_mod.verify_kraken
+
+    def carve(*args):
+        carved.append(real_carve(*args))
+        return carved[-1]
+
+    def verify(g, kr):
+        checked.append(kr)
+        return real_verify(g, kr)
+
+    def judge(real):
+        return lambda g, kr, *rest: judged.append(kr) or real(g, kr, *rest)
+
+    monkeypatch.setattr(kraken_mod, "_carve", carve)
+    monkeypatch.setattr(kraken_mod, "verify_kraken", verify)
+    monkeypatch.setattr(kraken_mod, "_qualifies", judge(kraken_mod._qualifies))
+    monkeypatch.setattr(pillar_mod, "_qualifies", judge(pillar_mod._qualifies))
+    try:
+        find_pillar(g, RunConfig(d=4), seed)
+    except StageError:
+        pass
+    for log in (judged, checked):
+        assert [sum(x is kr for x in log) for kr in carved] == [1] * len(carved)
+
+
 def test_non_bipartite_host_searches_its_max_cut():
     """subdivided_prism(5, 5) is too sparse to extract from, and its 5-cycles
     make it non-bipartite, so find_pillar carves in its max-cut host, where
@@ -704,10 +739,10 @@ def test_non_bipartite_host_searches_its_max_cut():
 class TestLinkPairContract:
     @pytest.mark.parametrize("seed", range(5))
     def test_broken_kraken_contract_is_an_internal_error(self, monkeypatch, seed):
-        # _finish guarantees every clause of the pair check; a
-        # _qualifies that accepts every kraken breaks that, and the break
-        # is a bug in the library, not bad input
-        monkeypatch.setattr(kraken_mod, "_qualifies", lambda *args: True)
+        # a round's kraken is one that qualifies, and so meets every clause
+        # of the pair check; a _qualifies that accepts every kraken breaks
+        # that, and the break is a bug in the library, not bad input
+        monkeypatch.setattr(pillar_mod, "_qualifies", lambda *args: True)
         g = planted_prism_with_noise(8, 5, 40, seed=seed)
         with pytest.raises(InternalError, match="link check.*apart"):
             find_pillar(g, RunConfig(d=4), seed=seed)

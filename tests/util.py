@@ -13,11 +13,11 @@ from itertools import product
 
 import networkx as nx
 
-from pillarkit.errors import PreconditionError, StageError
+from pillarkit.errors import InternalError, PreconditionError, StageError
 from pillarkit.expander import ExpanderParams, epsilon
 from pillarkit.generators import random_regular, subdivided_prism
-from pillarkit.graph import Cycle, Graph, Path, induced_subgraph
-from pillarkit.kraken import Kraken, find_kraken
+from pillarkit.graph import Cycle, Graph, Path, _trace, induced_subgraph
+from pillarkit.kraken import Kraken, KrakenSearchState, LegLink, find_kraken
 from pillarkit.primitives import Expansion
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -527,3 +527,82 @@ def _ref_pair_stubs(n: int, d: int, rng: random.Random) -> set[tuple[int, int]] 
             return None
         stubs = [v for v, k in leftovers.items() for _ in range(k)]
     return edges
+
+
+# -- the shortcut round and the prism as they were first written ----------
+
+
+def ref_shortcut_round(state: KrakenSearchState) -> bool:
+    """``kraken._shortcut_round`` before it ran on ``bfs_layers``: each step
+    rebuilds the boundary of the whole ball, and a parent map holds the
+    least ball neighbour that reached each vertex."""
+    g, rc = state.graph, state.cfg
+    for i, kr in enumerate(state.collection):
+        free = state.free_legs(i)
+        if not free:
+            continue
+        j0 = free[0]
+        a = kr.legs[j0].members
+        b = set(kr.cycle.vertices)
+        for p in kr.paths:
+            b |= p.vertex_set()
+        b.discard(kr.ends[j0])
+        links = sorted(state.links[i].items())
+        c = set()
+        for _, link in links:
+            c |= set(link.path.vertices)
+        hard = set(state.forbidden) | b
+        seeds = a - hard - c
+        parents: dict[int, int | None] = {v: None for v in seeds}
+        reached = set(seeds)
+        for r in range(1, rc.ell0 + 1):
+            boundary = set()
+            for v in reached:
+                for w in g.neighbors(v):
+                    if w not in reached and w not in hard:
+                        boundary.add(w)
+            for j, link in links:
+                hits = boundary & set(link.path.vertices)
+                if len(hits) > r + 1:
+                    ref_apply_shortcut(state, i, j, j0, link, hits, parents)
+                    return True
+            new = boundary - c
+            for w in sorted(new):
+                if w not in parents:
+                    nb = min(v for v in g.neighbors(w) if v in reached)
+                    parents[w] = nb
+            reached |= new
+            if not new:
+                break
+    return False
+
+
+def ref_apply_shortcut(state: KrakenSearchState, i: int, j: int, j0: int,
+                       link: LegLink, hits: set[int], parents: dict[int, int | None]) -> None:
+    """``kraken._apply_shortcut`` on ``ref_shortcut_round``'s parent map."""
+    g = state.graph
+    verts = link.path.vertices
+    idx = max(verts.index(h) for h in hits)
+    z = verts[idx]
+    y = min(v for v in g.neighbors(z) if v in parents)
+    new_path = Path(_trace(parents, y).vertices + verts[idx:])
+    if new_path.length >= link.path.length:
+        raise InternalError("internal: shortcut rewrite failed to shorten the path")
+    del state.links[i][j]
+    state.links[i][j0] = LegLink(link.kind, new_path, link.anchor)
+    state.check()
+
+
+def ref_subdivided_prism(s: int, ell: int) -> Graph:
+    """``subdivided_prism`` with its rung ids laid out in place."""
+    edges = []
+    for i in range(s):
+        j = (i + 1) % s
+        edges.append((i, j))
+        edges.append((s + i, s + j))
+    nxt = 2 * s
+    for i in range(s):
+        chain = [i] + list(range(nxt, nxt + ell - 1)) + [s + i]
+        nxt += ell - 1
+        edges.extend(zip(chain, chain[1:]))
+    return Graph(nxt, edges)
