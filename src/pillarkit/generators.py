@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 
-from .errors import PreconditionError
+from .errors import PreconditionError, StageError
 from .graph import MAX_VERTICES, Graph
 
 MAX_PAIRS = 12 * MAX_VERTICES  # most stubs (n*d) or cross pairs (a*b): rr(10^6, 12)'s
+# pairings random_regular tries before it gives up: near-complete degrees hit
+# a dead end on almost every pairing, so an uncapped search may never end
+_MAX_PAIRINGS = 200
 
 def path_graph(n: int) -> Graph:
     if not 1 <= n <= MAX_VERTICES:
@@ -93,7 +96,8 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     re-shuffled (plain full-restart rejection has vanishing success
     probability already at d around 6).  A dead end restarts the whole
     pairing with an incremented sub-seed, so the result is a pure
-    function of (n, d, seed).  The pairing fills the adjacency rows as it
+    function of (n, d, seed).  After ``_MAX_PAIRINGS`` dead ends it starves
+    as stage ``pairing``.  The pairing fills the adjacency rows as it
     accepts edges, and they are valid by construction, so the graph is
     built from them without ``Graph(n, edges)``'s checks.
     """
@@ -101,15 +105,15 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise PreconditionError("n*d must be even")
     if not 0 <= d < n <= MAX_VERTICES or n * d > MAX_PAIRS:
         raise PreconditionError(f"need 0 <= d < n <= {MAX_VERTICES} and n*d <= {MAX_PAIRS}")
-    attempt = 0
-    while True:
+    for attempt in range(_MAX_PAIRINGS):
         rng = random.Random((seed * 1_000_003 + attempt) & 0xFFFFFFFFFFFF)
         rows = _pair_stubs(n, d, rng)
         if rows is not None:
             for row in rows:
                 row.sort()
             return Graph._from_rows(tuple(map(tuple, rows)))
-        attempt += 1
+    raise StageError("pairing", f"all {_MAX_PAIRINGS} pairings of the stubs hit a dead end",
+                     {"n": n, "d": d, "pairings": _MAX_PAIRINGS})
 
 
 def _pair_stubs(n: int, d: int, rng: random.Random) -> list[list[int]] | None:

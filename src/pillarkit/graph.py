@@ -28,6 +28,7 @@ and ``expander._peel``, which peels by degree and does not traverse.
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Container, Iterable, Iterator
@@ -62,6 +63,8 @@ class Graph:
     graph's rows and renumbering the kept vertices in increasing order
     keeps all four properties, so derived graphs skip the checks, and so
     does ``random_regular``, whose pairing accepts no loop and no repeat.
+    ``load_graph`` checks ids and loops as it parses, and then builds the
+    rows as ``Graph(n, edges)`` would, without its checks.
     """
 
     __slots__ = ("n", "m", "_adj", "side", "comp")
@@ -76,8 +79,7 @@ class Graph:
                 raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
             rows[u].append(ids[v])
             rows[v].append(ids[u])
-        # a row longer than its set holds a duplicate edge: sort the set instead
-        self._adopt(tuple(tuple(sorted(r if len(r) == len(set(r)) else set(r))) for r in rows))
+        self._adopt(_sorted_rows(rows))
 
     @classmethod
     def _from_rows(cls, rows: tuple[tuple[int, ...], ...], side: list[int] | None = None,
@@ -247,28 +249,25 @@ def load_graph(text: str) -> Graph:
 
     Plain text (each line two short ids and one space) loads a chunk at a
     time into one flat array; the line parser gets the rest from the first
-    chunk that is not plain.
+    line that is not plain.
     """
+    # a run of plain lines, each ending in "\n" or at the end of the text
+    plain = re.compile(rf"(?:[0-9]{{1,{_ID_DIGITS}}} [0-9]{{1,{_ID_DIGITS}}}(?:\n|\Z))*")
     ends = array("i")
     pos = 0
     while pos < len(text):
         stop = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        chunk = text[pos:stop]
-        tokens = chunk.split()
-        it = iter(tokens)
-        if not (chunk.isascii() and max(map(len, tokens), default=0) <= _ID_DIGITS
-                and "\n".join(map(" ".join, zip(it, it))) == chunk.rstrip("\n")
-                and "".join(tokens).isdigit()):
+        end = plain.match(text, pos, stop).end()
+        ends.extend(map(int, text[pos:end].split()))
+        pos = end
+        if end < stop:
             break
-        ends.extend(map(int, tokens))
-        pos = stop
     it = iter(ends)
     if any(map(eq, it, it)):  # a self-loop: the line parser names its line
         return _parse_lines(text)
-    if pos < len(text):  # plain chunks hold only "\n" line breaks
+    if pos < len(text):  # plain lines hold only "\n" line breaks
         return _parse_lines(text[pos:], ends, text.count("\n", 0, pos) + 1)
-    it = iter(ends)
-    return Graph(max(ends, default=-1) + 1, zip(it, it))
+    return _graph_from_ends(max(ends, default=-1) + 1, ends)
 
 
 def _parse_lines(text: str, ends: array | None = None, first_line: int = 1) -> Graph:
@@ -300,8 +299,24 @@ def _parse_lines(text: str, ends: array | None = None, first_line: int = 1) -> G
             max_id = max(max_id, u, v)
         else:
             raise GraphParseError(line_no, f"expected 1 or 2 ids, got {len(ids)}")
+    return _graph_from_ends(max_id + 1, ends)
+
+
+def _graph_from_ends(n: int, ends: array) -> Graph:
+    """The graph whose edges are the consecutive pairs of ``ends``, whose ids
+    the loaders have checked: each below n, and no pair a self-loop."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    ids = list(range(n))  # rows share one int object per vertex, not one per edge end
     it = iter(ends)
-    return Graph(max_id + 1, zip(it, it))
+    for u, v in zip(it, it):
+        rows[u].append(ids[v])
+        rows[v].append(ids[u])
+    return Graph._from_rows(_sorted_rows(rows))
+
+
+def _sorted_rows(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    # a row longer than its set holds a duplicate edge: sort the set instead
+    return tuple(tuple(sorted(r if len(r) == len(set(r)) else set(r))) for r in rows)
 
 
 def save_graph(g: Graph) -> str:

@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, islice
+from itertools import chain, compress, islice
 
 from .config import ResolvedConfig, RunConfig
 from .errors import InternalError, PreconditionError, StageError
@@ -168,21 +168,20 @@ def verify_kraken(g: Graph, kr: Kraken) -> ValidityReport:
 def _shortest_cycle_from(g: Graph, start: int, dead: set[int] | frozenset[int]) -> list[int] | None:
     """Cycle from the first non-tree edge in a BFS from start in g minus dead."""
     # Not on bfs_layers: it needs each non-tree edge as the BFS meets it.
+    # No depth map: a reached neighbour of u one layer nearer the start, other
+    # than u's parent, would already have met u and closed a cycle.
+    adj = g._adj
     parent = {start: -1}
-    depth = {start: 0}
     queue = [start]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for w in g.neighbors(u):
+    for u in queue:
+        pu = parent[u]
+        for w in adj[u]:
             if w in dead:
                 continue
             if w not in parent:
                 parent[w] = u
-                depth[w] = depth[u] + 1
                 queue.append(w)
-            elif w != parent[u] and depth[w] >= depth[u]:
+            elif w != pu:
                 chain_u = [u]
                 while parent[chain_u[-1]] != -1:
                     chain_u.append(parent[chain_u[-1]])
@@ -422,18 +421,52 @@ def _high_degree(g: Graph, rc: ResolvedConfig) -> frozenset[int]:
     return frozenset(compress(range(g.n), map(rc.delta_threshold.__le__, map(len, g._adj))))
 
 
-def _under_separation(g: Graph, a: frozenset[int], b: frozenset[int],
-                      high: frozenset[int], separation: int) -> int | None:
-    """The separation rule: the distance from a to b in g minus the
-    high-degree set when it is under ``separation``, else None."""
-    return set_distance(g, a, b, avoid=high, cap=separation - 1)
+def _under_separation(g: Graph, sets: list[frozenset[int]], high: frozenset[int],
+                      separation: int) -> int | None:
+    """The separation rule: the least distance between two of ``sets`` in g
+    minus the high-degree set when it is under ``separation``, else None.
+
+    One search for all pairs: BFS layers from every set's members outside
+    the high set at once, each reached vertex labelled with its parent's
+    set.  Two sets that share a vertex are 0 apart; else the least distance
+    is the least depth(x) + depth(y) + 1 over edges xy whose ends carry
+    different labels, and every vertex of a shortest path under
+    ``separation`` lies within (separation - 1) // 2 of a source.  So the
+    search stops there, and reads only the rows of vertices x with
+    2 * depth(x) + 1 < separation: none at separation 1, the sources' at 2.
+    """
+    label: dict[int, int] = {}
+    for i, members in enumerate(sets):
+        for v in members:
+            if label.setdefault(v, i) != i:
+                return 0
+    parents: dict[int, int | None] = {}
+    depth: dict[int, int] = {}
+    layers = bfs_layers(g, [v for v in label if v not in high], high, parents=parents)
+    for d, layer in enumerate(islice(layers, (separation - 1) // 2 + 1)):
+        depth.update(dict.fromkeys(layer, d))
+        if d:
+            label.update((v, label[parents[v]]) for v in layer)
+    bound = separation  # a gap must be under this to count
+    adj = g._adj
+    for x, dx in depth.items():  # in BFS order
+        if 2 * dx + 1 >= bound:
+            break
+        lx = label[x]
+        for y in adj[x]:
+            dy = depth.get(y)
+            if dy is not None and dx + dy + 1 < bound and label[y] != lx:
+                bound = dx + dy + 1
+    return bound if bound < separation else None
 
 
 def _qualifies(g: Graph, kr: Kraken, high: frozenset[int], uset: frozenset[int],
                rc: ResolvedConfig) -> bool:
     """The two output properties: every leg ends high-degree or avoids the
     high-degree set entirely, and the avoiding legs are pairwise (and
-    from U) at least the configured separation apart off the high set."""
+    from U) at least the configured separation apart off the high set.
+    The legs are judged in one ``_under_separation`` search; U, which can be
+    large, is not seeded into it but reached from each leg by ``set_distance``."""
     low = []
     for j, leg in enumerate(kr.legs):
         if kr.ends[j] in high:
@@ -441,14 +474,12 @@ def _qualifies(g: Graph, kr: Kraken, high: frozenset[int], uset: frozenset[int],
         if leg.members & high:
             return False
         low.append(leg.members)
-    if any(_under_separation(g, a, b, high, rc.separation) is not None
-           for a, b in combinations(low, 2)):
+    if _under_separation(g, low, high, rc.separation) is not None:
         return False
     u_low = uset - high
-    for members in low:
-        if u_low and _under_separation(g, members, u_low, high, rc.separation) is not None:
-            return False
-    return True
+    return not u_low or all(
+        set_distance(g, members, u_low, avoid=high, cap=rc.separation - 1) is None
+        for members in low)
 
 
 def _child_seed(seed: int, tag: int) -> int:

@@ -13,7 +13,6 @@ before them established.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .config import ResolvedConfig, RunConfig
 from .errors import (InternalError, LengthNotRealizedError, NoPathError,
@@ -464,7 +463,9 @@ def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
     aligned with ka's or on the target length.  Rotating or reflecting a
     kraken permutes its cycle, ends, legs and paths by one index map, so
     every clause here comes out the same for every alignment.  Both krakens
-    must already pass ``verify_kraken``, as ``robust_kraken``'s do."""
+    must already pass ``verify_kraken``, as ``robust_kraken``'s do.  The
+    low-degree legs of both are judged in one ``_under_separation`` search,
+    and a failure names the least gap."""
     s = ka.k
     if kb.k != s:
         raise PreconditionError(f"cycle lengths differ: {s} vs {kb.k}")
@@ -482,11 +483,9 @@ def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
 
     low_legs = [leg.members for kr in (ka, kb) for j, leg in enumerate(kr.legs)
                 if kr.ends[j] not in high]
-    gaps = [d for a, b in combinations(low_legs, 2)
-            if (d := _under_separation(g, a, b, high, rc.separation)) is not None]
-    if gaps:
-        raise PreconditionError(
-            f"low-degree legs only {min(gaps)} apart (need {rc.separation})")
+    gap = _under_separation(g, low_legs, high, rc.separation)  # the least, in one search
+    if gap is not None:
+        raise PreconditionError(f"low-degree legs only {gap} apart (need {rc.separation})")
 
 
 def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, lo: int, hi: int, high: frozenset[int],
@@ -501,7 +500,9 @@ def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, lo: int, hi: int, high: froz
     least value in [lo, hi] and the config's window that every rung
     realizes: each core has the pair's parity and each increment is even.
     A missing core raises before any detour is built, naming its index; no
-    common length raises ``link-length``.
+    common length raises ``link-length``.  Index 0's core sees kb's
+    alignment only through its first vertex: it keeps clear of every later
+    leg and path, the same set for an alignment and its reflection.
     """
     s, lo, hi = ka.k, max(lo, rc.ell_min), min(hi, rc.ell_max)
     cycles = set(ka.cycle.vertices) | set(kb.cycle.vertices)
@@ -625,11 +626,14 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     length, and a pair failing ``_check_link_pair`` is skipped.  If none
     links, the round's kraken is its first qualifying one, or ``_finish``'s
     when none qualifies, and it is paired with each earlier round's.  Each
-    alignment of a pair is planned once (``_link_aligned``), at the least
-    length from ``pillar_ell_min`` up that all its rungs realize.  The ``pigeonhole`` and ``link``
-    StageErrors count the ``carved`` krakens of every round, and ``link``
-    its ``pairs`` and ``alignments``.  A round whose U is over ``u_cap``
-    starves as ``u-bound``.  ``seed`` defaults to the config's ``seed``.
+    alignment of a pair is planned at most once (``_link_aligned``), at the
+    least length from ``pillar_ell_min`` up that all its rungs realize; a
+    reflected alignment is not planned when its shift's plan failed at
+    index 0, which the two share (``_link_pair``).  The ``pigeonhole`` and
+    ``link`` StageErrors count the ``carved`` krakens of every round, and
+    ``link`` its ``pairs``, their ``alignments`` and the ``plans`` run.  A
+    round whose U is over ``u_cap`` starves as ``u-bound``.  ``seed``
+    defaults to the config's ``seed``.
     """
     rc = config.resolve(g.n)
     if seed is None:
@@ -665,7 +669,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
 
     h = _max_cut_graph(h)  # the extracted expander is bipartite already: h itself
     high = _high_degree(h, rc)
-    tried: list[tuple[int, str | None]] = []  # (cycle length, last error) of each failed pair
+    tried: list[tuple[int, int, str | None]] = []  # (cycle length, plans, last error) per pair
     found: list[Kraken] = []  # each round's finished kraken
     carved = 0
     for i in range(_MAX_KRAKENS):
@@ -688,9 +692,10 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
         raise StageError("pigeonhole",
                          f"no two of {len(found)} krakens share a cycle length",
                          {"lengths": sorted(k.k for k in found), "carved": carved})
-    raise StageError("link", f"no alignment linked the krakens: {tried[-1][1]}",
+    raise StageError("link", f"no alignment linked the krakens: {tried[-1][2]}",
                      {"cycle_length": tried[-1][0], "pairs": len(tried),
-                      "alignments": sum(2 * k for k, _ in tried), "carved": carved})
+                      "alignments": sum(2 * k for k, _, _ in tried),
+                      "plans": sum(plans for _, plans, _ in tried), "carved": carved})
 
 
 def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: list[Kraken],
@@ -706,30 +711,41 @@ def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: li
             # a round's kraken, qualifying or _finish's, meets every clause here,
             # at the same h and config
             raise InternalError(f"internal: kraken pair fails the link check ({exc})") from exc
-        pillar, last_error = _link_pair(g, h, ids, mate, kr, high, rc)
+        pillar, plans, last_error = _link_pair(g, h, ids, mate, kr, high, rc)
         if pillar is not None:
             return pillar
-        tried.append((kr.k, last_error))
+        tried.append((kr.k, plans, last_error))
     earlier.append(kr)
     return None
 
 
 def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken, high: frozenset[int],
-               rc: ResolvedConfig) -> tuple[Pillar | None, str | None]:
+               rc: ResolvedConfig) -> tuple[Pillar | None, int, str | None]:
     """One plan per alignment of a checked pair: (the first pillar, in g's
-    ids, or None; the last plan's error)."""
+    ids, or None; the plans run; the last plan's error).  A shift and its
+    reflection share index 0 (kb's vertex ``shift``), and ``_link_aligned``
+    plans that rung from the same sets for both: a shift whose plan failed at
+    index 0 is not planned again reflected, and its error stands in."""
     last_error: str | None = None  # a kept exception would hold this frame in a cycle
+    failed_first: dict[int, str] = {}  # shift -> its error, where index 0 failed
+    plans = 0
     for reflect in (False, True):
         for shift in range(kb.k):
+            if reflect and shift in failed_first:
+                last_error = failed_first[shift]
+                continue
             aligned = _rotate_kraken(kb, shift, reflect)
+            plans += 1
             try:
                 ell, paths = _link_aligned(h, ka, aligned, rc.pillar_ell_min, rc.ell_max, high, rc)
             except StageError as exc:  # _link_aligned's only way to fail
                 last_error = str(exc)
+                if exc.details.get("index") == 0:
+                    failed_first[shift] = last_error
                 continue
             out = _translate_pillar(Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths)), ids)
             rep = verify_pillar(g, out)
             if not rep.valid:
                 raise InternalError(f"internal: translated pillar invalid ({rep})")
-            return out, None
-    return None, last_error
+            return out, plans, None
+    return None, plans, last_error

@@ -2,11 +2,15 @@
 reference from ``util``: same results, and where order is visible, same
 order.  The graphs are small, often disconnected and often not bipartite.
 The kraken shortcut round is checked against its first version on tori,
-and the source against ``graph.py``'s list of walks off the kernel."""
+the one-search separation rule against pairwise set distances, the cycle
+search against its version with a depth map, and the source against
+``graph.py``'s list of walks off the kernel."""
 
 import ast
 import copy
+import random
 import re
+from itertools import combinations
 from pathlib import Path as FilePath
 
 import pytest
@@ -18,15 +22,16 @@ from pillarkit import kraken as kraken_mod
 from pillarkit.config import RunConfig
 from pillarkit.errors import PreconditionError, StageError
 from pillarkit.expander import greedy_max_cut_sides
-from pillarkit.graph import (Graph, Path, bfs_layers, distances_from, set_distance,
+from pillarkit.generators import random_regular
+from pillarkit.graph import (Graph, Path, ball, bfs_layers, distances_from, set_distance,
                              shortest_set_path)
 from pillarkit.kraken import _bfs_prefix, robust_kraken
-from pillarkit.pillar import _alt_route
+from pillarkit.pillar import _alt_route, find_pillar
 from pillarkit.primitives import Expansion, restrict_and_trim, trim_expansion
 
-from util import (ref_alt_route, ref_bfs_layers, ref_distances_from, ref_greedy_max_cut_sides,
-                  ref_leg_growth, ref_set_distance, ref_shortcut_round, ref_shortest_set_path,
-                  torus)
+from util import (planted_prism_with_noise, ref_alt_route, ref_bfs_layers, ref_distances_from,
+                  ref_greedy_max_cut_sides, ref_leg_growth, ref_set_distance, ref_shortcut_round,
+                  ref_shortest_cycle_from, ref_shortest_set_path, torus)
 
 
 @st.composite
@@ -199,6 +204,65 @@ def test_max_cut_sides_follow_bfs_order(case):
             order += layer
             seen.update(layer)
     assert greedy_max_cut_sides(g) == ref_greedy_max_cut_sides(g, order)
+
+
+# rr, torus and planted hosts for the one-search separation rule
+_SEPARATION_HOSTS = [random_regular(60, 3, 0), random_regular(200, 12, 1), torus(8, 8),
+                     planted_prism_with_noise(8, 5, 40, seed=0)]
+
+
+def _separation_cases(count: int):
+    """Seeded cases on each host: up to 5 sets of 1 or 2 ids and a high-degree
+    set L of up to 4, all drawn from the ball of radius 3 about a random vertex
+    (so they lie a few steps apart, and some overlap) or from every vertex,
+    and a separation of 1 to 5."""
+    rng = random.Random(0)
+    for _ in range(count):
+        g = rng.choice(_SEPARATION_HOSTS)
+        ids = rng.choice([sorted(ball(g, [rng.randrange(g.n)], 3)), range(g.n)])
+        sets = [frozenset(rng.sample(ids, rng.randint(1, 2))) for _ in range(rng.randint(0, 5))]
+        yield g, sets, frozenset(rng.sample(ids, rng.randint(0, 4))), rng.randint(1, 5)
+
+
+def test_one_separation_search_is_the_least_pairwise_gap():
+    seen = set()
+    for g, sets, high, separation in _separation_cases(3000):
+        gaps = [d for a, b in combinations(sets, 2)
+                if (d := ref_set_distance(g, a, b, avoid=high, cap=separation - 1)) is not None]
+        want = min(gaps, default=None)  # every gap here is under separation
+        assert kraken_mod._under_separation(g, sets, high, separation) == want
+        seen.add((separation, want))
+    # every gap under every separation, and none, came up
+    assert seen == {(sep, gap) for sep in range(1, 6) for gap in [None, *range(sep)]}
+
+
+def test_cycle_search_same_cycle_as_with_depths(monkeypatch):
+    """The cycle search against its version with a depth map: the carves of
+    ten planted searches, then random starts and dead sets on rr(2000, 3)
+    and rr(2000, 12)."""
+    cases = []
+    real = kraken_mod._shortest_cycle_from
+    monkeypatch.setattr(kraken_mod, "_shortest_cycle_from",
+                        lambda *args: cases.append(args) or real(*args))
+    cfg = RunConfig(d=4)
+    cfg.overrides["separation"] = 1
+    for seed in range(10):
+        find_pillar(planted_prism_with_noise(8, 5, 40, seed=seed), cfg, seed)
+    monkeypatch.undo()
+    planted = len(cases)
+    rng = random.Random(0)
+    for g in (random_regular(2000, 3, 0), random_regular(2000, 12, 0)):
+        for _ in range(300):
+            dead = frozenset(rng.sample(range(g.n), rng.choice([0, 20, 200, 800])))
+            start = rng.choice([v for v in range(g.n) if v not in dead])
+            cases.append((g, start, dead))
+    assert planted >= 400 and len(cases) >= 1000
+    found = 0
+    for g, start, dead in cases:
+        cycle = real(g, start, dead)
+        assert cycle == ref_shortest_cycle_from(g, start, dead)
+        found += cycle is not None
+    assert found >= 900
 
 
 # robust_kraken's overrides on tori; {anchor_count 2, leg_size 4} makes rewrites at every side

@@ -306,6 +306,15 @@ class TestCli:
             f"error: {foreign} is not a flag of the {kind} generator\n"
         assert not out.exists()
 
+    def test_generate_starved_pairing_exit_1(self, tmp_path, capsys, monkeypatch):
+        # rr(20, 17) seed 0 needs 3 pairings; with 2 allowed it starves
+        monkeypatch.setattr(pillarkit.generators, "_MAX_PAIRINGS", 2)
+        out = tmp_path / "x.el"
+        assert main(["generate", "random-regular", "--n", "20", "--d", "17",
+                     "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith("not found: stage 'pairing'")
+        assert not out.exists()
+
     def test_generate_past_max_vertices_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.el"
         assert main(["generate", "path", "--n", str(MAX_VERTICES + 1), "--out", str(out)]) == 2

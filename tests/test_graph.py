@@ -1,3 +1,5 @@
+import random
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pillarkit import generators
-from pillarkit.errors import GraphParseError, PreconditionError
+from pillarkit.errors import GraphParseError, PreconditionError, StageError
 from pillarkit.generators import (MAX_PAIRS, cycle_graph, hypercube, path_graph, prism,
                                   random_bipartite, random_regular,
                                   subdivided_prism, subdivided_prism_rungs)
@@ -402,6 +404,43 @@ def test_random_regular_matches_shuffle_reference(n, d, seed, restarts):
     ref, attempts = ref_random_regular(n, d, seed)
     assert attempts == restarts  # the pairing restarts after a dead end
     assert _fields(random_regular(n, d, seed)) == _fields(ref)
+
+
+def _accepted_rr_sample(count: int) -> list[tuple[int, int]]:
+    """The near-complete degrees that never finished without the pairing cap,
+    then a seeded draw of other (n, d) with n <= 200 that the precondition accepts."""
+    rng = random.Random(0)
+    out = [(100, 97), (100, 98)]
+    while len(out) < count:
+        n = rng.randint(1, 200)
+        d = rng.randrange(n)
+        if n * d % 2 == 0:
+            out.append((n, d))
+    return out
+
+
+@pytest.mark.parametrize("n, d", _accepted_rr_sample(16))
+def test_random_regular_ends_on_every_accepted_input(n, d):
+    # at n <= 200 a pairing took at most 0.06 s (at d = n - 2), so the cap's
+    # 200 pairings end within about 12 s on a 2-vCPU Xeon
+    start = time.perf_counter()
+    try:
+        g = random_regular(n, d, 0)
+    except StageError as exc:
+        assert exc.stage == "pairing" and exc.details["pairings"] == generators._MAX_PAIRINGS
+    else:
+        assert g.n == n and all(g.degree(v) == d for v in range(n))
+    assert time.perf_counter() - start < 30
+
+
+def test_random_regular_starves_at_the_pairing_cap(monkeypatch):
+    # rr(20, 17) seed 0 hits 2 dead ends, so its third pairing is the first to succeed
+    monkeypatch.setattr(generators, "_MAX_PAIRINGS", 3)
+    assert _fields(random_regular(20, 17, 0)) == _fields(ref_random_regular(20, 17, 0)[0])
+    monkeypatch.setattr(generators, "_MAX_PAIRINGS", 2)
+    with pytest.raises(StageError, match="all 2 pairings") as err:
+        random_regular(20, 17, 0)
+    assert err.value.stage == "pairing"
 
 
 @settings(max_examples=200, deadline=None)

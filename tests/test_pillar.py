@@ -20,7 +20,7 @@ from pillarkit.pillar import (Adjuster, Detour, Pillar, _check_link_pair,
 from pillarkit.primitives import Expansion, find_q3_bruteforce
 
 from util import (all_simple_path_lengths, planted_prism_with_noise, ref_least_common_length,
-                  torus)
+                  ref_link_pair, torus)
 
 def natural_pillar(s: int, ell: int) -> tuple[Graph, Pillar]:
     g = subdivided_prism(s, ell)
@@ -631,13 +631,17 @@ class TestLinkWork:
         assert outcomes == ["low-degree legs only 1 apart (need 2)"] * 2 + ["ok"]
         assert len(carves) == 3
 
-    @pytest.mark.parametrize("stage", ["link-connect", "link-length"])
-    def test_link_failure_reports_alignments(self, monkeypatch, stage):
+    # link-connect fails at a rung's index, here 0; link-length, as a real
+    # one does, names no index
+    @pytest.mark.parametrize("stage, details", [("link-connect", {"index": 0}),
+                                                ("link-length", {})],
+                             ids=["link-connect", "link-length"])
+    def test_link_failure_reports_alignments(self, monkeypatch, stage, details):
         plans = []
 
         def fail(*args):
             plans.append(args)
-            raise StageError(stage, "stub", {"index": 0})
+            raise StageError(stage, "stub", details)
 
         monkeypatch.setattr(pillar_mod, "_link_aligned", fail)
         g = planted_prism_with_noise(8, 5, 40, seed=0)
@@ -650,9 +654,63 @@ class TestLinkWork:
         # round 0's two krakens and round 1's one
         assert err.value.details["carved"] == 3
         k = err.value.details["cycle_length"]
-        # one plan per alignment, and no count of lengths tried
-        assert err.value.details["alignments"] == 2 * 2 * k == len(plans)
+        # one plan per alignment, but a reflection shares its shift's index
+        # 0: k plans per pair when that fails, 2k otherwise
+        assert err.value.details["alignments"] == 2 * 2 * k
+        assert err.value.details["plans"] == 2 * (k if details else 2 * k) == len(plans)
         assert "attempts" not in err.value.details
+
+    def test_link_pair_as_if_every_alignment_were_planned(self, monkeypatch):
+        """Every pair find_pillar links on planted prisms 0-19 and rr(2000, 12)
+        0-2, linked again by _link_pair and by the loop that plans all 2k
+        alignments: the same pillar or the same last error.  The pairs are
+        linked at their own config and at two tighter ones, where most fail
+        (at index 0, at a later index, or at link-length).  No reflection is
+        planned whose shift failed at index 0, and every other one is, up to
+        the pillar."""
+        pairs = []
+        real_pair = pillar_mod._link_pair
+        for case, seeds in (("planted", range(20)), ("rr", range(3))):
+            for seed in seeds:
+                g, cfg = _link_input(case, seed)
+                monkeypatch.setattr(pillar_mod, "_link_pair",
+                                    lambda *args: pairs.append((args, cfg)) or real_pair(*args))
+                assert verify_pillar(g, find_pillar(g, cfg, seed=seed)).valid
+        monkeypatch.undo()
+        plans = []  # (kb's alignment, the index its failed plan names, or "ok")
+        real_link = pillar_mod._link_aligned
+
+        def link(h, ka, kb, *rest):
+            try:
+                out = real_link(h, ka, kb, *rest)
+            except StageError as exc:
+                plans.append((kb.cycle.vertices, exc.details.get("index")))
+                raise
+            plans.append((kb.cycle.vertices, "ok"))
+            return out
+
+        monkeypatch.setattr(pillar_mod, "_link_aligned", link)
+        failed = skipped = 0
+        ends = set()  # how the plans ended: "ok", or the index a failure names
+        for (g, h, ids, ka, kb, high, _), cfg in pairs:
+            for tighter in ({}, {"link_expansion_size": 4}, {"pillar_ell_min": 12}):
+                rc = RunConfig(d=cfg.d, overrides={**cfg.overrides, **tighter}).resolve(h.n)
+                args = (g, h, ids, ka, kb, high, rc)
+                plans.clear()
+                pillar, count, last_error = pillar_mod._link_pair(*args)
+                assert (pillar, last_error) == ref_link_pair(*args)
+                order = [_rotate_kraken(kb, shift, reflect).cycle.vertices
+                         for reflect in (False, True) for shift in range(kb.k)]
+                first_failed = {order.index(al) for al, at in plans if at == 0} & set(range(kb.k))
+                want = [al for i, al in enumerate(order) if i - kb.k not in first_failed]
+                if pillar is not None:
+                    want = want[:want.index(plans[-1][0]) + 1]
+                assert [al for al, _ in plans] == want and count == len(plans)
+                ends.update(at for _, at in plans)
+                failed += pillar is None
+                skipped += 2 * kb.k - count if pillar is None else 0
+        assert len(pairs) == 23 and failed >= 30 and skipped >= 100
+        assert {"ok", 0, 1, None} <= ends  # None: link-length names no index
 
 
 class TestCarvedKrakens:

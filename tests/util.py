@@ -18,6 +18,7 @@ from pillarkit.expander import ExpanderParams, epsilon
 from pillarkit.generators import random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path, _trace, induced_subgraph
 from pillarkit.kraken import Kraken, KrakenSearchState, LegLink, find_kraken
+from pillarkit.pillar import Pillar, _link_aligned, _rotate_kraken, _translate_pillar, verify_pillar
 from pillarkit.primitives import Expansion
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -606,3 +607,55 @@ def ref_subdivided_prism(s: int, ell: int) -> Graph:
         nxt += ell - 1
         edges.extend(zip(chain, chain[1:]))
     return Graph(nxt, edges)
+
+
+# -- the planted search path as it was before its repeats were cut ---------
+
+
+def ref_shortest_cycle_from(g: Graph, start: int, dead) -> list[int] | None:
+    """``kraken._shortest_cycle_from`` with its depth map: a reached
+    neighbour closes the cycle only when it is no nearer the start than u."""
+    parent = {start: -1}
+    depth = {start: 0}
+    queue = [start]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for w in g.neighbors(u):
+            if w in dead:
+                continue
+            if w not in parent:
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                queue.append(w)
+            elif w != parent[u] and depth[w] >= depth[u]:
+                chain_u = [u]
+                while parent[chain_u[-1]] != -1:
+                    chain_u.append(parent[chain_u[-1]])
+                on_u = set(chain_u)
+                chain_w = [w]
+                while chain_w[-1] not in on_u:
+                    chain_w.append(parent[chain_w[-1]])
+                meet = chain_w.pop()
+                cu = chain_u[:chain_u.index(meet) + 1]
+                return cu[::-1] + chain_w
+    return None
+
+
+def ref_link_pair(g: Graph, h: Graph, ids, ka: Kraken, kb: Kraken, high, rc):
+    """``pillar._link_pair`` planning every one of the 2k alignments,
+    reflected ones included: (the first pillar or None, the last error)."""
+    last_error = None
+    for reflect in (False, True):
+        for shift in range(kb.k):
+            aligned = _rotate_kraken(kb, shift, reflect)
+            try:
+                ell, paths = _link_aligned(h, ka, aligned, rc.pillar_ell_min, rc.ell_max, high, rc)
+            except StageError as exc:
+                last_error = str(exc)
+                continue
+            out = _translate_pillar(Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths)), ids)
+            assert verify_pillar(g, out).valid
+            return out, None
+    return None, last_error
