@@ -205,8 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"not found: {exc}")
+    except StageError as exc:  # a generator has nothing to find, only a stage that starved
+        print(f"{'starved' if args.command == 'generate' else 'not found'}: {exc}")
         for key, val in sorted(exc.details.items()):
             print(f"  {key} = {val}")
         return 1

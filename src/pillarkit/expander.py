@@ -97,8 +97,8 @@ class ExpansionReport:
 
 _EXACT_CAP = 20  # exact mode enumerates every medium set, so only small graphs
 _MAX_ROUNDS = 30  # extract_expander's rounds of peeling and splitting
-EXPANSION_TRIALS = 40  # sampled-check trials of find_pillar's extraction and the CLI bench
-EXPANSION_SAMPLE_CAP = 2000  # the same two callers' cap on the size of a sampled set
+EXPANSION_TRIALS = 40  # sampled-check trials of the CLI bench
+EXPANSION_SAMPLE_CAP = 2000  # the CLI bench's cap on the size of a sampled set
 
 
 def _size_bounds(n: int, params: ExpanderParams) -> tuple[int, int]:
@@ -285,18 +285,22 @@ def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
 def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
                      trials: int = 200, sample_cap: int | None = None) -> tuple[Graph, list[int]]:
     """Extract a bipartite subgraph H with min degree >= d that passes the
-    sampled expansion check; return (H, ids).
+    sampled expansion check; return (H, ids).  The check draws ``trials``
+    connected sets of at most ``sample_cap`` vertices (and at most half of
+    H), so it cannot see a sparse cut whose smaller side is larger, nor
+    one that its samples miss: a clean H is not certified to expand.
 
     ``ids`` is the sorted list of g's ids that H keeps: vertex i of H is
-    ``ids[i]`` in g.  This is the only id map the package has.  When H
-    keeps every vertex of a bipartite g, H is g itself.
+    ``ids[i]`` in g.  When H keeps every vertex of a bipartite g, H is g
+    itself.
 
     Needs average degree at least 8d.  Bipartiteness comes from the
     stored two-coloring when the input is bipartite, else from a greedy
     max-cut (in-side edges dropped).  Then: peel low-degree vertices,
     run the sampled violation search, and on a violation recurse into
     the denser side of the witness cut until the check comes back clean,
-    for at most _MAX_ROUNDS = 30 rounds.
+    for at most _MAX_ROUNDS = 30 rounds.  A witness holds between 1 and
+    half of the kept vertices, so neither side of the cut is empty.
     """
     if d < 1:
         raise PreconditionError("target degree must be >= 1")
@@ -318,9 +322,6 @@ def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
             return h, keep_sorted
         witness = {keep_sorted[v] for v in report.witness}  # back to cut ids
         rest = keep - witness
-        if not rest or not witness:
-            raise StageError("extract-split", f"degenerate witness split at d={d}",
-                             {"witness": len(witness), "rest": len(rest)})
         dens_w = _avg_degree_within(cut, witness)
         dens_r = _avg_degree_within(cut, rest)
         keep = witness if dens_w >= dens_r else rest
@@ -329,7 +330,5 @@ def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
 
 
 def _avg_degree_within(g: Graph, members: set[int]) -> float:
-    if not members:
-        return 0.0
     inner = sum(1 for v in members for w in g.neighbors(v) if w in members)
     return inner / len(members)

@@ -224,9 +224,8 @@ class Cycle:
         if any(not (0 <= v < g.n) for v in vs):
             out.append("vertex id out of range")
             return out
-        floor = 4 if g.is_bipartite() else 3
-        if len(vs) < floor:
-            out.append(f"cycle shorter than {floor}")
+        if len(vs) < 3:  # on a bipartite g, 3 distinct vertices miss an edge below
+            out.append("cycle shorter than 3")
         for a, b in zip(vs, vs[1:] + vs[:1]):
             if not g.has_edge(a, b):
                 out.append(f"missing edge {a}-{b}")

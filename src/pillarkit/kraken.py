@@ -9,7 +9,7 @@ vertices or re-seated on well-separated anchor sets.
 
 The robust pipeline searches the survivor graph G - U directly: a
 sublinear expander's definition already pays for deleting a small set
-(the eps(x)*x deletion budget), so the caller's one extraction suffices.
+(the eps(x)*x deletion budget), so G - U needs no extraction of its own.
 Nor is G - U copied: krakens are carved on the host's ids with U as a dead set.
 """
 
@@ -31,6 +31,7 @@ from .validity import ValidityReport, json_int
 
 _MAX_LINK_ROUNDS = 64  # _finish's rounds of linking legs and shortcut rewrites
 _BALL_CANDIDATES = 20  # ball centers find_large_ball tries for each anchor
+_CYCLE_STARTS = 24  # start vertices _carve draws for its shortest-cycle search
 
 @dataclass(frozen=True)
 class Kraken:
@@ -198,7 +199,7 @@ def _shortest_cycle_from(g: Graph, start: int, dead: set[int] | frozenset[int]) 
 
 
 def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
-                t: int = 1, seed: int = 0, *, sample_starts: int = 24) -> Kraken:
+                t: int = 1, seed: int = 0) -> Kraken:
     """Carve a kraken out of a connected graph.
 
     Three stages, each claiming territory the later ones must respect:
@@ -218,15 +219,15 @@ def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
         s = max(1, math.ceil(200 * math.log(g.n) ** 3 / 0.1)) if g.n > 2 else 1
     if t < 1:
         raise PreconditionError("leg size t must be >= 1")
-    return _carve(g, range(g.n), frozenset(), k_max, max(1, s), t, seed, sample_starts)
+    return _carve(g, range(g.n), frozenset(), k_max, max(1, s), t, seed)
 
 
 def _carve(g: Graph, verts: range | list[int], dead: set[int] | frozenset[int], k_max: int,
-           s: int, t: int, seed: int, sample_starts: int = 24) -> Kraken:
+           s: int, t: int, seed: int) -> Kraken:
     """find_kraken's search in the sorted piece ``verts`` of g minus dead, on g's
     ids: a copy of the piece keeps their order, so its rows, draws and kraken are these."""
     rng = random.Random(seed)
-    starts = rng.sample(verts, min(len(verts), sample_starts))
+    starts = rng.sample(verts, min(len(verts), _CYCLE_STARTS))
     # The host's floor: on a bipartite piece of a non-bipartite host, 3 never stops
     # the loop early, and only a strictly shorter cycle replaces best: same cycle.
     floor = 4 if g.is_bipartite() else 3
@@ -346,14 +347,14 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     search in G - U, ``_carve_rounds`` carves the whole collection, and the
     first kraken of it that qualifies is returned, checked; if none does,
     ``_finish`` runs the second half on the collection.  Krakens are collected
-    in the survivor graph as it is, with no second extraction (the
-    caller's expander pays for deleting U through its deletion budget) and
-    no copy: each is carved on g's ids, with U and the earlier krakens'
-    surroundings as a dead set.  The Q3-free hypothesis is certified by
-    brute force on small graphs and otherwise taken from the caller (pass
-    ``q3_free=True``); what the hypothesis buys algorithmically, the bound
-    on vertices dominated by U, is checked directly either way.  Stages
-    starve with a StageError naming the stage.
+    in the survivor graph as it is, with no extraction (an expander pays for
+    deleting U through its deletion budget) and no copy: each is carved on
+    g's ids, with U and the earlier krakens' surroundings as a dead set.
+    The Q3-free hypothesis is certified by brute force on small graphs and
+    otherwise taken from the caller (pass ``q3_free=True``); what the
+    hypothesis buys algorithmically, the bound on vertices dominated by U,
+    is checked directly either way.  Stages starve with a StageError naming
+    the stage.
     """
     rc = config.resolve(g.n)
     if seed is None:

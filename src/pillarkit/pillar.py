@@ -5,7 +5,7 @@ the end-to-end driver.
 
 Each result is checked once, by its checker on the graph it is returned
 in: ``link_krakens`` checks the pillar its paths form in g, and
-``find_pillar`` checks its pillar in g, not in the expander it searched.
+``find_pillar`` checks its pillar in g, not in the host it searched.
 Public entry points check their inputs; private steps trust what the code
 before them established.
 """
@@ -24,7 +24,7 @@ from .kraken import (Kraken, _carve_rounds, _child_seed, _finish, _high_degree, 
 from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
 from .validity import ValidityReport, json_int
-from .expander import EXPANSION_SAMPLE_CAP, EXPANSION_TRIALS, _max_cut_graph, extract_expander
+from .expander import _max_cut_graph
 
 @dataclass(frozen=True)
 class Pillar:
@@ -260,7 +260,6 @@ def _subset_sum(values: list[int], target: int) -> list[int] | None:
 _EXACT_NODE_BUDGET = 2_000_000  # nodes _exact_fixed_path's DFS visits before it gives up
 _PROBE_STEPS = 6  # parity steps either side of ell that _probe_exact tries
 _CONNECTOR_EXACT_CAP = 64  # largest graph the connector searches by complete DFS
-_D_TARGET = 2  # find_pillar's first degree target for the expander it extracts
 _MAX_KRAKENS = 8  # rounds of find_pillar's kraken search before it gives up
 _LINK_SLACK = 8  # length a linked rung's detours may add past the longest core
 
@@ -602,7 +601,7 @@ def _rotate_kraken(kr: Kraken, shift: int, reflect: bool) -> Kraken:
         kr.s, kr.t)
 
 
-def _translate_pillar(p: Pillar, ids: list[int]) -> Pillar:
+def _translate_pillar(p: Pillar, ids: range | list[int]) -> Pillar:
     return Pillar(
         p.s, p.ell,
         Cycle(tuple(ids[v] for v in p.cycle1.vertices)),
@@ -613,11 +612,12 @@ def _translate_pillar(p: Pillar, ids: list[int]) -> Pillar:
 def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     """The end-to-end driver.
 
-    Pass to a well-expanding bipartite subgraph when the degree allows it
-    (otherwise keep g); search the largest piece of that for a cube, and
-    return one as the smallest pillar; else search the piece's max-cut
-    host, bipartite and spanning, amassing disjoint krakens until two
-    share a cycle length and linking them with equal-length paths.
+    Search the largest piece of g for a cube, and return one as the
+    smallest pillar; else search the piece's max-cut host, bipartite and
+    spanning, amassing disjoint krakens until two share a cycle length and
+    linking them with equal-length paths.  No expander is extracted: on
+    the benchmark's rr(10^4, 12) inputs ``extract_expander`` returned this
+    same max-cut host, and no certificate clause rests on expansion.
 
     The krakens come in up to ``_MAX_KRAKENS`` rounds, as in robust_kraken.
     Round i carves a collection lazily in h minus U, the union of the
@@ -638,23 +638,10 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     rc = config.resolve(g.n)
     if seed is None:
         seed = rc.seed
-    # pass to a bipartite expanding subgraph at degree target _D_TARGET, or
-    # at the largest target the average degree supports; too sparse for
-    # either, keep g.  Vertex i of h is ids[i] in g.
-    h, ids = g, range(g.n)
-    avg = g.average_degree()  # extract_expander needs at least 8 * target
-    for target in sorted({t for t in (_D_TARGET, max(1, int(avg // 8))) if 8 * t <= avg},
-                         reverse=True):
-        try:
-            h, ids = extract_expander(
-                g, target, config.params, seed=_child_seed(seed, 0),
-                trials=EXPANSION_TRIALS, sample_cap=EXPANSION_SAMPLE_CAP)
-            break
-        except StageError:
-            continue
-    piece = _largest_piece(h)
-    h = induced_subgraph(h, piece)
-    ids = [ids[v] for v in piece]
+    ids = _largest_piece(g)  # vertex i of h is ids[i] in g
+    h = induced_subgraph(g, ids)
+    # child seed 0 seeded the expander extraction and stays unused, so the
+    # cube and round seeds, and with them every certificate, keep their tags
 
     if h.n <= Q3_CAP:
         cube = find_q3_bruteforce(h)
@@ -667,7 +654,7 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
             raise InternalError(f"internal: cube pillar invalid ({rep})")
         return pillar
 
-    h = _max_cut_graph(h)  # the extracted expander is bipartite already: h itself
+    h = _max_cut_graph(h)  # h itself when the piece is bipartite
     high = _high_degree(h, rc)
     tried: list[tuple[int, int, str | None]] = []  # (cycle length, plans, last error) per pair
     found: list[Kraken] = []  # each round's finished kraken
@@ -698,9 +685,9 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
                       "plans": sum(plans for _, plans, _ in tried), "carved": carved})
 
 
-def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: list[Kraken],
-                     high: frozenset[int], rc: ResolvedConfig, tried: list,
-                     in_collection: bool) -> Pillar | None:
+def _link_to_earlier(g: Graph, h: Graph, ids: range | list[int], kr: Kraken,
+                     earlier: list[Kraken], high: frozenset[int], rc: ResolvedConfig,
+                     tried: list, in_collection: bool) -> Pillar | None:
     """Link kr to each earlier kraken of its length: the first pillar, or None with kr kept."""
     for mate in [old for old in earlier if old.k == kr.k]:
         try:
@@ -719,8 +706,8 @@ def _link_to_earlier(g: Graph, h: Graph, ids: list[int], kr: Kraken, earlier: li
     return None
 
 
-def _link_pair(g: Graph, h: Graph, ids: list[int], ka: Kraken, kb: Kraken, high: frozenset[int],
-               rc: ResolvedConfig) -> tuple[Pillar | None, int, str | None]:
+def _link_pair(g: Graph, h: Graph, ids: range | list[int], ka: Kraken, kb: Kraken,
+               high: frozenset[int], rc: ResolvedConfig) -> tuple[Pillar | None, int, str | None]:
     """One plan per alignment of a checked pair: (the first pillar, in g's
     ids, or None; the plans run; the last plan's error).  A shift and its
     reflection share index 0 (kb's vertex ``shift``), and ``_link_aligned``

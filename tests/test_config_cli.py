@@ -312,7 +312,7 @@ class TestCli:
         out = tmp_path / "x.el"
         assert main(["generate", "random-regular", "--n", "20", "--d", "17",
                      "--seed", "0", "--out", str(out)]) == 1
-        assert capsys.readouterr().out.startswith("not found: stage 'pairing'")
+        assert capsys.readouterr().out.startswith("starved: stage 'pairing'")
         assert not out.exists()
 
     def test_generate_past_max_vertices_exit_2(self, tmp_path, capsys):

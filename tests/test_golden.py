@@ -105,8 +105,8 @@ TORUS = {  # side: (ell, digest); every pillar has s = 4
 
 
 def test_sparse_random_regular_pillar():
-    """rr(10^4, 5) is too sparse to extract an expander from and not
-    bipartite, so the krakens are carved and linked in its max-cut host."""
+    """rr(10^4, 5) is not bipartite, so the krakens are carved and linked
+    in its max-cut host."""
     pillar = find_pillar(random_regular(10000, 5, 0), RunConfig(d=5), 0)
     assert (pillar.s, pillar.ell) == (4, 17)
     assert _digest(pillar) == "5b74cbe1535a08d495e6d39a950d3d83453004858c66b3f19cdbe952ea6e2531"
@@ -187,8 +187,9 @@ def test_torus_assembly_stage():
     assert err.value.details == {"kraken": 0, "leg": 2}
 
 
-# The sampled expansion check and the extraction built on it: their seeded
-# random draws and greedy choices decide every certificate above.
+# The sampled expansion check and the extraction built on it: public
+# primitives that no search calls, so their seeded random draws and greedy
+# choices are pinned here and decide no certificate above.
 EXPANSION_REPORT = {
     # (graph, d, seed): a witness after deleting edges (F nonempty), found
     # on the 25th sample at d = 20; one with nothing deleted at d = 50; and
@@ -231,9 +232,9 @@ EXTRACTED_AT_SCALE = ("d790a0e351ac660ef281739f3ac106bbe39f2500fc794a8a9895c42a8
 
 
 def test_extracted_expander_at_benchmark_scale(monkeypatch):
-    """The extraction find_pillar runs on an rr(10^4, 12) graph at seed 0,
-    with its sample cap EXPANSION_SAMPLE_CAP = 2000: unlike the n = 2000 cases above,
-    its sampled sets run past 1000 vertices."""
+    """The extraction on one of the benchmark's rr(10^4, 12) graphs at
+    seed 0, with bench's sample cap EXPANSION_SAMPLE_CAP = 2000: unlike the
+    n = 2000 cases above, its sampled sets run past 1000 vertices."""
     reports = []
     real = expander_mod.check_expansion
     monkeypatch.setattr(expander_mod, "check_expansion",

@@ -14,11 +14,11 @@ from pillarkit.generators import (MAX_PAIRS, cycle_graph, hypercube, path_graph,
                                   subdivided_prism, subdivided_prism_rungs)
 from pillarkit.expander import _max_cut_graph, greedy_max_cut_sides
 import pillarkit.graph as graph_module
-from pillarkit.graph import (MAX_VERTICES, Graph, _parse_lines, ball, induced_degree,
+from pillarkit.graph import (MAX_VERTICES, Cycle, Graph, _parse_lines, ball, induced_degree,
                              induced_subgraph, largest_component, load_graph,
                              parity, save_graph)
 
-from util import (all_simple_path_lengths, random_connected_graph, ref_graph,
+from util import (all_simple_path_lengths, random_connected_graph, ref_cycle_valid, ref_graph,
                   ref_random_regular, ref_subdivided_prism, to_nx)
 
 class TestLoadGraph:
@@ -394,6 +394,37 @@ def _built(build, *args):
 def test_graph_matches_set_row_reference(case):
     n, edges = case
     assert _built(Graph, n, edges) == _built(ref_graph, n, edges)
+
+
+_CYCLE_HOSTS = [  # five bipartite graphs, then four that are not
+    hypercube(3), cycle_graph(4), path_graph(5), random_bipartite(4, 4, 0.6, 0), Graph(2, [(0, 1)]),
+    cycle_graph(3), cycle_graph(5), prism(3), Graph(5, [(u, v) for u in range(5) for v in range(u)]),
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(_CYCLE_HOSTS), st.integers(0, 6), st.data())
+def test_cycle_floor_of_3_keeps_validity(g, length, data):
+    """Cycle.failures asks for 3 vertices on every graph.  On a simple
+    bipartite graph, 3 distinct vertices always miss one of their three
+    edges, so validity equals the old bipartite floor of 4.  The sequences
+    mostly walk along edges, so short valid cycles and near-misses come up."""
+    vs = [data.draw(st.integers(-1, g.n))]
+    for _ in range(length - 1):
+        row = g.neighbors(vs[-1]) if 0 <= vs[-1] < g.n else ()
+        walk = row and data.draw(st.integers(0, 3)) > 0
+        vs.append(data.draw(st.sampled_from(row) if walk else st.integers(-1, g.n)))
+    vs = tuple(vs[:length])
+    assert Cycle(vs).is_valid(g) == ref_cycle_valid(g, vs)
+
+
+@pytest.mark.parametrize("vs, message", [((0, 1, 2), "missing edge 2-0"),
+                                         ((0, 1), "cycle shorter than 3")])
+def test_short_cycle_messages_on_a_bipartite_graph(vs, message):
+    """On the path 0-1-2 a triangle misses its closing edge; two vertices
+    are under the floor."""
+    failures = Cycle(vs).failures(path_graph(3))
+    assert message in failures and "cycle shorter than 4" not in failures
 
 
 @pytest.mark.parametrize("n, d, seed, restarts", [

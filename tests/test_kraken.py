@@ -476,25 +476,32 @@ class TestStarvedLinking:
 
 
 @pytest.fixture
-def extractions(monkeypatch) -> list[int]:
-    """The target degree of every extract_expander call, wherever a
-    module imported it from."""
-    real = expander.extract_expander
-    calls: list[int] = []
+def extractions(monkeypatch) -> list[str]:
+    """The name of every extract_expander and check_expansion call,
+    wherever a module imported it from."""
+    calls: list[str] = []
+    for name in ("extract_expander", "check_expansion"):
+        real = getattr(expander, name)
 
-    def counted(g, d, *args, **kwargs):
-        calls.append(d)
-        return real(g, d, *args, **kwargs)
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    for mod in (expander, kraken, pillar):
-        if getattr(mod, "extract_expander", None) is real:
-            monkeypatch.setattr(mod, "extract_expander", counted)
+        for mod in (expander, kraken, pillar):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
     return calls
 
 
 class TestOneExtraction:
-    """find_pillar extracts the expander, once per target degree; the
-    kraken search inside it never extracts again."""
+    """Neither find_pillar nor the kraken search inside it extracts an
+    expander or checks expansion: find_pillar searches the max-cut host of
+    g's largest piece on every input."""
+
+    def test_spy_sees_an_extraction(self, extractions):
+        expander.extract_expander(random_regular(200, 12, 0), 1,
+                                  expander.ExpanderParams(0.1, 0.2, 12), trials=2)
+        assert extractions[0] == "extract_expander" and "check_expansion" in extractions
 
     @pytest.mark.parametrize("host", [False, True])
     def test_robust_kraken_extracts_nothing(self, extractions, host):
@@ -502,9 +509,9 @@ class TestOneExtraction:
         robust_kraken(g, frozenset(), RunConfig(d=12), seed=0, q3_free=True)
         assert extractions == []
 
-    def test_find_pillar_extracts_once_per_target(self, extractions):
+    def test_find_pillar_extracts_nothing(self, extractions):
         find_pillar(random_regular(2000, 12, 0), RunConfig(d=12), 0)
-        assert extractions and len(extractions) == len(set(extractions))
+        assert extractions == []
 
 
 @pytest.fixture

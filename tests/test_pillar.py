@@ -1,4 +1,5 @@
 import gc
+import random
 import time
 
 import pytest
@@ -416,6 +417,19 @@ class TestFindPillar:
         assert verify_pillar(g, p).valid
         assert p.s == 8 and p.ell == 5
 
+    def test_cube_of_g_the_max_cut_host_loses(self):
+        """Two rr(2000, 20) joined by 5 edges hold a cube that the greedy
+        max-cut loses.  The cube search runs on g's largest piece, before
+        the host is cut, so the cube pillar comes back."""
+        a, b = random_regular(2000, 20, 2), random_regular(2000, 20, 1002)
+        rng = random.Random(2)
+        edges = a.edges() + [(u + 2000, v + 2000) for u, v in b.edges()]
+        edges += [(rng.randrange(2000), 2000 + rng.randrange(2000)) for _ in range(5)]
+        g = Graph(4000, edges)
+        p = find_pillar(g, RunConfig(d=20), 0)
+        assert (p.s, p.ell) == (4, 1)
+        assert verify_pillar(g, p).valid
+
     def test_pillar_from_cube_certificate(self):
         g = hypercube(3)
         cert = find_q3_bruteforce(g)
@@ -785,9 +799,9 @@ def test_each_carved_kraken_is_judged_and_checked_once(monkeypatch, case, seed):
 
 
 def test_non_bipartite_host_searches_its_max_cut():
-    """subdivided_prism(5, 5) is too sparse to extract from, and its 5-cycles
-    make it non-bipartite, so find_pillar carves in its max-cut host, where
-    the krakens find too little room."""
+    """subdivided_prism(5, 5)'s 5-cycles make it non-bipartite, so
+    find_pillar carves in its max-cut host, where the krakens find too
+    little room."""
     with pytest.raises(StageError, match="no unclaimed neighbour of cycle vertex 22 has "
                                          "room for a leg") as err:
         find_pillar(subdivided_prism(5, 5), RunConfig(d=3), seed=0)

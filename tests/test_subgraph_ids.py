@@ -1,6 +1,6 @@
 """Searches on inputs whose ids differ from those of a graph they came
-from: padded graphs, whose expander extraction drops vertices, and
-induced subgraphs.  A graph carries no id map, so every result must be
+from: padded graphs, whose search drops the isolated vertices outside
+the largest piece, and induced subgraphs.  A graph carries no id map, so every result must be
 valid in, and use the ids of, the graph the search was given."""
 
 import dataclasses

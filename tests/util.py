@@ -465,10 +465,9 @@ def ref_piece(g: Graph, dead) -> tuple[Graph, list[int]]:
     return induced_subgraph(sub, piece), [alive[v] for v in piece]
 
 
-def ref_carve(g: Graph, dead, k_max: int, s: int, t: int, seed: int,
-              sample_starts: int) -> Kraken:
+def ref_carve(g: Graph, dead, k_max: int, s: int, t: int, seed: int) -> Kraken:
     sub, ids = ref_piece(g, dead)
-    kr = find_kraken(sub, k_max, s, t, seed, sample_starts=sample_starts)
+    kr = find_kraken(sub, k_max, s, t, seed)
     remap = lambda v: ids[v]
     return Kraken(
         Cycle(tuple(remap(v) for v in kr.cycle.vertices)),
@@ -494,6 +493,15 @@ def ref_graph(n: int, edges) -> Graph:
         nbrs[u].add(v)
         nbrs[v].add(u)
     return Graph._from_rows(tuple(tuple(sorted(s)) for s in nbrs))
+
+
+def ref_cycle_valid(g: Graph, vs: tuple[int, ...]) -> bool:
+    """``Cycle(vs).is_valid(g)`` as it was first written: distinct ids in
+    range, at least 4 of them on a bipartite g and 3 otherwise, and every
+    edge around the cycle present."""
+    return (len(set(vs)) == len(vs) and all(0 <= v < g.n for v in vs)
+            and len(vs) >= (4 if g.is_bipartite() else 3)
+            and all(g.has_edge(a, b) for a, b in zip(vs, vs[1:] + vs[:1])))
 
 
 def ref_random_regular(n: int, d: int, seed: int) -> tuple[Graph, int]:
