@@ -5,8 +5,7 @@ independently checkable certificates at every stage."""
 from .config import RunConfig, ResolvedConfig, load_config, save_config
 from .errors import (GraphParseError, InternalError, LengthNotRealizedError,
                      NoPathError, PillarkitError, PreconditionError, StageError)
-from .expander import (ExpanderParams, ExpansionReport, check_expansion,
-                       epsilon, extract_expander)
+from .expander import ExpanderParams, ExpansionReport, check_expansion, epsilon
 from .graph import (Cycle, Graph, Path, VertexSet, ball, induced_degree,
                     induced_subgraph, largest_component, load_graph, parity,
                     save_graph)

@@ -41,10 +41,13 @@ class StageError(PillarkitError):
 
 
 class LengthNotRealizedError(PillarkitError):
-    """No path of the requested exact length; reports nearest achievable."""
+    """No path of the requested exact length.  Only the detour strategy
+    (``Adjuster.realize``) fills ``nearest``, with the nearest lengths its
+    detours realize; after a complete search proved the length
+    unrealizable it is empty, since no other length was searched."""
 
     def __init__(self, target: int, nearest: list[int]):
-        near = ", ".join(str(x) for x in nearest) if nearest else "none found"
-        super().__init__(f"length {target} not realized (nearest achievable: {near})")
+        near = f" (nearest achievable: {', '.join(map(str, nearest))})" if nearest else ""
+        super().__init__(f"length {target} not realized{near}")
         self.target = target
         self.nearest = list(nearest)

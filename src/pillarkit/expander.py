@@ -1,5 +1,6 @@
-"""Sublinear expansion: the rate function, expansion checking, and
-extraction of a bipartite subgraph with a minimum-degree guarantee.
+"""Sublinear expansion: the rate function and expansion checking, plus
+the greedy max-cut host that find_pillar searches and the d-core peel of
+the cube searches.
 
 A graph is treated as expanding if every medium set X (k/2 <= |X| <= n/2)
 keeps |N(X)| >= eps(|X|)*|X| even after an adversary deletes an edge set F
@@ -19,8 +20,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import PreconditionError, StageError
-from .graph import Graph, bfs_layers, induced_subgraph
+from .errors import PreconditionError
+from .graph import Graph, bfs_layers
 
 @dataclass(frozen=True)
 class ExpanderParams:
@@ -96,7 +97,6 @@ class ExpansionReport:
 
 
 _EXACT_CAP = 20  # exact mode enumerates every medium set, so only small graphs
-_MAX_ROUNDS = 30  # extract_expander's rounds of peeling and splitting
 EXPANSION_TRIALS = 40  # sampled-check trials of the CLI bench
 EXPANSION_SAMPLE_CAP = 2000  # the CLI bench's cap on the size of a sampled set
 
@@ -231,7 +231,7 @@ def _check_sampled(g: Graph, params: ExpanderParams, seed: int, trials: int,
     return ExpansionReport("sampled", trials, params=params)
 
 
-# -- extraction --------------------------------------------------------
+# -- the max-cut host and the d-core ------------------------------------
 
 
 def greedy_max_cut_sides(g: Graph) -> list[int]:
@@ -262,13 +262,12 @@ def _max_cut_graph(g: Graph) -> Graph:
                                    for u, row in enumerate(g._adj)]), side, g.comp)
 
 
-def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
-    """Iteratively drop vertices with fewer than d neighbors inside keep."""
+def _peel(g: Graph, d: int) -> set[int]:
+    """The d-core of g: iteratively drop vertices with fewer than d neighbors left."""
     # Not on bfs_layers: it peels by degree and does not traverse.
-    full = len(keep) == g.n  # keep is all of g: a degree is the length of a row
-    deg = {v: len(g._adj[v]) if full else sum(map(keep.__contains__, g._adj[v])) for v in keep}
-    queue = [v for v, dv in deg.items() if dv < d]
-    alive = set(keep)
+    deg = [len(row) for row in g._adj]
+    queue = [v for v, dv in enumerate(deg) if dv < d]
+    alive = set(range(g.n))
     while queue:
         v = queue.pop()
         if v not in alive:
@@ -280,55 +279,3 @@ def _peel(g: Graph, keep: set[int], d: int) -> set[int]:
                 if deg[w] < d:
                     queue.append(w)
     return alive
-
-
-def extract_expander(g: Graph, d: int, params: ExpanderParams, *, seed: int = 0,
-                     trials: int = 200, sample_cap: int | None = None) -> tuple[Graph, list[int]]:
-    """Extract a bipartite subgraph H with min degree >= d that passes the
-    sampled expansion check; return (H, ids).  The check draws ``trials``
-    connected sets of at most ``sample_cap`` vertices (and at most half of
-    H), so it cannot see a sparse cut whose smaller side is larger, nor
-    one that its samples miss: a clean H is not certified to expand.
-
-    ``ids`` is the sorted list of g's ids that H keeps: vertex i of H is
-    ``ids[i]`` in g.  When H keeps every vertex of a bipartite g, H is g
-    itself.
-
-    Needs average degree at least 8d.  Bipartiteness comes from the
-    stored two-coloring when the input is bipartite, else from a greedy
-    max-cut (in-side edges dropped).  Then: peel low-degree vertices,
-    run the sampled violation search, and on a violation recurse into
-    the denser side of the witness cut until the check comes back clean,
-    for at most _MAX_ROUNDS = 30 rounds.  A witness holds between 1 and
-    half of the kept vertices, so neither side of the cut is empty.
-    """
-    if d < 1:
-        raise PreconditionError("target degree must be >= 1")
-    if g.average_degree() < 8 * d:
-        raise PreconditionError(
-            f"average degree {g.average_degree():.3f} below 8*d = {8 * d}")
-    cut = _max_cut_graph(g)
-    keep = set(range(cut.n))
-    for round_no in range(_MAX_ROUNDS):
-        keep = _peel(cut, keep, d)
-        if len(keep) < max(2, d + 1):
-            raise StageError("extract-peel", f"no expander found at d={d}",
-                             {"survivors": len(keep)})
-        keep_sorted = sorted(keep)
-        h = induced_subgraph(cut, keep)
-        report = check_expansion(h, params, "sampled", seed=seed + round_no,
-                                 trials=trials, sample_cap=sample_cap)
-        if report.clean:
-            return h, keep_sorted
-        witness = {keep_sorted[v] for v in report.witness}  # back to cut ids
-        rest = keep - witness
-        dens_w = _avg_degree_within(cut, witness)
-        dens_r = _avg_degree_within(cut, rest)
-        keep = witness if dens_w >= dens_r else rest
-    raise StageError("extract-rounds", f"no clean subgraph within {_MAX_ROUNDS} rounds",
-                     {"survivors": len(keep)})
-
-
-def _avg_degree_within(g: Graph, members: set[int]) -> float:
-    inner = sum(1 for v in members for w in g.neighbors(v) if w in members)
-    return inner / len(members)

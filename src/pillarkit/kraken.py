@@ -345,8 +345,10 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
 
     This is one round of ``find_pillar``'s: ``_survivor_state`` sets up the
     search in G - U, ``_carve_rounds`` carves the whole collection, and the
-    first kraken of it that qualifies is returned, checked; if none does,
-    ``_finish`` runs the second half on the collection.  Krakens are collected
+    first kraken of it that qualifies is returned; if none does, ``_finish``
+    runs the second half on the collection.  Either way the kraken returned
+    was checked by ``verify_kraken`` in g: a collected one by ``_carve`` as
+    it was carved, an upgraded one by ``_assemble``.  Krakens are collected
     in the survivor graph as it is, with no extraction (an expander pays for
     deleting U through its deletion budget) and no copy: each is carved on
     g's ids, with U and the earlier krakens' surroundings as a dead set.
@@ -374,8 +376,6 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
                if _qualifies(g, kr, state.high_degree, uset, rc)), None)
     if kr is None:
         kr = _finish(state)
-    elif not (rep := verify_kraken(g, kr)).valid:
-        raise InternalError(f"internal: collected kraken invalid ({rep})")
     return (kr, state) if return_state else kr
 
 

@@ -258,7 +258,6 @@ def _subset_sum(values: list[int], target: int) -> list[int] | None:
 
 
 _EXACT_NODE_BUDGET = 2_000_000  # nodes _exact_fixed_path's DFS visits before it gives up
-_PROBE_STEPS = 6  # parity steps either side of ell that _probe_exact tries
 _CONNECTOR_EXACT_CAP = 64  # largest graph the connector searches by complete DFS
 _MAX_KRAKENS = 8  # rounds of find_pillar's kraken search before it gives up
 _LINK_SLACK = 8  # length a linked rung's detours may add past the longest core
@@ -372,7 +371,9 @@ def connect_fixed_length(g: Graph, f1: Expansion, f2: Expansion, ell: int,
     Strategy ladder: complete DFS when the graph is small enough, else a
     base path through the expansions with even-cycle detours spliced in
     to make up the length (subset sum over their increments).  Failures
-    raise LengthNotRealizedError carrying the nearest achievable lengths.
+    raise LengthNotRealizedError.  Only the detour strategy fills its
+    ``nearest``, with the nearest lengths its detours realize; when the
+    complete DFS proves that no path has length ell, ``nearest`` is empty.
     """
     rc = config.resolve(g.n)
     uset = frozenset(avoid)
@@ -396,7 +397,7 @@ def connect_fixed_length(g: Graph, f1: Expansion, f2: Expansion, ell: int,
         if found is not None:
             return found
         if complete:
-            raise LengthNotRealizedError(ell, _probe_exact(g, v1, v2, ell, uset, rc))
+            raise LengthNotRealizedError(ell, [])
         # budget blown: fall through to the detour strategy
 
     base = _base_path(g, f1, f2, uset, rc.params)
@@ -408,21 +409,6 @@ def connect_fixed_length(g: Graph, f1: Expansion, f2: Expansion, ell: int,
     if bad or path.ends not in ((v1, v2), (v2, v1)):
         raise InternalError(f"internal: spliced path invalid ({bad})")
     return path
-
-
-def _probe_exact(g: Graph, v1: int, v2: int, ell: int, uset: frozenset[int],
-                 rc: ResolvedConfig) -> list[int]:
-    step = 2 if g.side is not None else 1
-    nearest = []
-    for delta in range(step, step * (_PROBE_STEPS + 1), step):
-        for cand in (ell - delta, ell + delta):
-            if cand < 1 or cand > rc.ell_max:
-                continue
-            if _exact_fixed_path(g, v1, v2, cand, uset)[0] is not None:
-                nearest.append(cand)
-        if nearest:
-            break
-    return sorted(nearest)
 
 
 # -- linking two krakens ------------------------------------------------
@@ -616,8 +602,10 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     smallest pillar; else search the piece's max-cut host, bipartite and
     spanning, amassing disjoint krakens until two share a cycle length and
     linking them with equal-length paths.  No expander is extracted: on
-    the benchmark's rr(10^4, 12) inputs ``extract_expander`` returned this
+    the benchmark's rr(10^4, 12) inputs the old extraction returned this
     same max-cut host, and no certificate clause rests on expansion.
+    Child seed 0 seeded that extraction and stays unused, so the cube and
+    round seeds, and with them every pinned certificate, keep their tags.
 
     The krakens come in up to ``_MAX_KRAKENS`` rounds, as in robust_kraken.
     Round i carves a collection lazily in h minus U, the union of the
@@ -640,8 +628,6 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
         seed = rc.seed
     ids = _largest_piece(g)  # vertex i of h is ids[i] in g
     h = induced_subgraph(g, ids)
-    # child seed 0 seeded the expander extraction and stays unused, so the
-    # cube and round seeds, and with them every certificate, keep their tags
 
     if h.n <= Q3_CAP:
         cube = find_q3_bruteforce(h)

@@ -214,7 +214,7 @@ def find_q3_bruteforce(g: Graph, cap: int = Q3_CAP) -> Q3Certificate | None:
     """
     if g.n > cap:
         raise PreconditionError(f"brute-force cube search capped at n <= {cap} (got {g.n})")
-    core = _peel(g, range(g.n), 3)
+    core = _peel(g, 3)
     rows: dict[int, frozenset[int]] = {}
     for v in sorted(core):
         cube = _cube_at(g, v, core, rows)
@@ -234,7 +234,7 @@ def find_q3_sampled(g: Graph, seed: int, trials: int = 64) -> Q3Certificate | No
     vertex drawn again is skipped.  Past the 3-core test, a None is only
     as strong as the sampling.
     """
-    core = _peel(g, range(g.n), 3)
+    core = _peel(g, 3)
     if len(core) < 8:
         return None
     pool = sorted(core)

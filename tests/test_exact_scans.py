@@ -72,7 +72,7 @@ def test_violation_counting_branch(attach, removed):
 @pytest.mark.parametrize("p", [ExpanderParams(0.1, 0.2, 12), ExpanderParams(0.9, 0.2, 5000)],
                          ids=["d12", "d5000"])
 def test_violation_same_on_sampled_sets_at_scale(p):
-    """Sets of lo..1000 vertices drawn as extraction draws them, from the
+    """Sets of lo..1000 vertices drawn as the sampled check draws them, from the
     max-cut host of rr(2000, 12).  At d = 12 every set reaches the pass bound
     within a few members; at d = 5000 some only pass the counting greedy."""
     host = _max_cut_graph(random_regular(2000, 12, 0))
@@ -126,10 +126,9 @@ def test_greedy_max_cut_same_sides(g):
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs(), st.data(), st.integers(0, 6), st.booleans())
-def test_peel_same_survivors(g, data, d, whole):
-    keep = set(range(g.n)) if whole else data.draw(st.sets(st.integers(0, g.n - 1)))
-    assert _peel(g, set(keep), d) == ref_peel(g, keep, d)
+@given(graphs(), st.integers(0, 6))
+def test_peel_same_survivors(g, d):
+    assert _peel(g, d) == ref_peel(g, set(range(g.n)), d)
 
 
 class _Built(Exception):
@@ -163,7 +162,7 @@ def test_robust_kraken_rejects_out_of_range_u(bad):
 def test_find_q3_sampled_searches_each_drawn_vertex_once(monkeypatch):
     # connected and cubic: cube-free, and all of it is the 3-core
     g = random_regular(60, 3, 0)
-    assert len(_peel(g, range(g.n), 3)) == g.n
+    assert len(_peel(g, 3)) == g.n
     searched = []
     real = primitives_mod._cube_at
     monkeypatch.setattr(primitives_mod, "_cube_at",
@@ -179,7 +178,7 @@ def test_planted_inputs_have_no_3_core(seed):
     """The benchmark's planted prisms: subdivided rungs and noise chains
     peel away, so the cube search returns before drawing a vertex."""
     g = planted_prism_with_noise(8, 5, 40, seed)
-    assert _peel(g, range(g.n), 3) == set()
+    assert _peel(g, 3) == set()
 
 
 # Cores of the hosts below, before pendant trees and extra edges: the cube;
@@ -271,7 +270,7 @@ def test_find_q3_sampled_same_cube_on_each_core(core, size, trials):
     """Every vertex of the cube and of K4,4 lies on a cube, so the first
     draw finds one, whatever the budget of draws; the other cores hold none."""
     g = _with_tail(core)
-    assert len(_peel(g, range(g.n), 3)) == size
+    assert len(_peel(g, 3)) == size
     for seed in range(8):
         got = _check_sampled_cube(g, seed, trials)
         assert (got is not None) == (core in ("cube", "K4,4"))

@@ -1,13 +1,11 @@
 import math
-import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pillarkit.errors import PreconditionError, StageError
-from pillarkit.expander import (ExpanderParams, check_expansion, epsilon,
-                                extract_expander, greedy_max_cut_sides)
+from pillarkit.errors import PreconditionError
+from pillarkit.expander import ExpanderParams, check_expansion, epsilon, greedy_max_cut_sides
 from pillarkit.generators import random_bipartite, random_regular
 from pillarkit.graph import Graph
 
@@ -141,102 +139,9 @@ class TestCheckExpansion:
 
 
 class TestExtractExpander:
-    def test_complete_bipartite_unchanged(self):
-        g = random_bipartite(50, 50, 1.0, seed=0)
-        h, ids = extract_expander(g, 6, ExpanderParams(0.1, 0.2, 6), seed=0)
-        assert h == g and list(ids) == list(range(g.n))
-
-    def test_star_below_degree_bound(self):
-        g = Graph(101, [(0, i) for i in range(1, 101)])
-        with pytest.raises(PreconditionError):
-            extract_expander(g, 2, ExpanderParams(0.1, 0.2, 2))
-
-    def test_random_regular_extraction(self):
-        g = random_regular(1000, 16, seed=7)
-        p = ExpanderParams(0.1, 0.2, 2)
-        h, ids = extract_expander(g, 2, p, seed=0, trials=80, sample_cap=200)
-        assert h.n == len(ids) > 0 and h.min_degree() >= 2 and h.is_bipartite()
-        rep = check_expansion(h, p, "sampled", seed=99, trials=80, sample_cap=200)
-        assert rep.clean
-
-    def test_labels_map_into_parent(self):
-        g = random_regular(200, 16, seed=1)
-        h, ids = extract_expander(g, 2, ExpanderParams(0.1, 0.2, 2), seed=0, trials=40)
-        for a in range(h.n):
-            for b in h.neighbors(a):
-                assert g.has_edge(ids[a], ids[b])
-
-    def test_unlabelled_input_is_not_copied(self):
-        g = random_bipartite(50, 50, 1.0, seed=0)
-        h, ids = extract_expander(g, 6, ExpanderParams(0.1, 0.2, 6), seed=0)
-        assert h is g
-        assert list(ids) == list(range(g.n))
-
-    @staticmethod
-    def assert_extracted(g: Graph, h: Graph, ids: list[int], d: int, params: ExpanderParams):
-        assert h.min_degree() >= d and h.is_bipartite()
-        for a, b in h.edges():
-            assert g.has_edge(ids[a], ids[b])
-        assert check_expansion(h, params, "sampled", seed=7, trials=200).clean
-
-    def test_peel_drops_pendant_paths(self):
-        core = random_bipartite(50, 50, 0.5, seed=3)
-        edges = core.edges()
-        for i in range(10):  # a 3-vertex path hung on core vertex i
-            a = core.n + 3 * i
-            edges += [(i, a), (a, a + 1), (a + 1, a + 2)]
-        g = Graph(core.n + 30, edges)
-        p = ExpanderParams(0.1, 0.2, 2)
-        h, ids = extract_expander(g, 2, p, seed=0)
-        assert list(ids) == list(range(core.n))
-        self.assert_extracted(g, h, ids, 2, p)
-
-    def test_witness_split_keeps_one_side_of_a_bridge(self):
-        a = random_bipartite(50, 50, 0.2, seed=2)
-        b = random_bipartite(50, 50, 0.2, seed=12)
-        g = Graph(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()] + [(0, a.n)])
-        p = ExpanderParams(0.1, 0.2, 1)
-        h, ids = extract_expander(g, 1, p, seed=0)
-        assert set(ids) in (set(range(a.n)), set(range(a.n, g.n)))
-        self.assert_extracted(g, h, ids, 1, p)
+    """The greedy max-cut that gives find_pillar its bipartite host."""
 
     def test_greedy_cut_recovers_bipartition(self):
         g = random_bipartite(20, 20, 0.4, seed=4)
         sides = greedy_max_cut_sides(g)
         assert all(sides[u] != sides[v] for u, v in g.edges())
-
-
-@st.composite
-def dense_graphs(draw):
-    """Graphs dense enough to extract from (at d >= 2 the pendant vertices
-    give the peel something to drop), with a target degree d, parameters
-    and a seed for the extraction."""
-    n = draw(st.integers(10, 32))
-    p = draw(st.sampled_from([0.7, 0.85, 1.0]))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    pendants = draw(st.integers(0, 6))
-    edges += [(n + i, rng.randrange(n)) for i in range(pendants)]
-    params = ExpanderParams(draw(st.sampled_from([0.1, 0.5, 0.9])), 0.2, draw(st.integers(1, 12)))
-    g = Graph(n + pendants, edges)
-    d = draw(st.integers(1, max(1, int(g.average_degree() // 8))))
-    return g, d, params, draw(st.integers(0, 2 ** 16))
-
-
-@settings(max_examples=200, deadline=None)
-@given(dense_graphs())
-def test_extracted_ids_name_the_kept_cut_edges(case):
-    """H is exactly the graph of g's edges between kept ids that cross the
-    greedy max-cut, numbered in the order of ``ids``."""
-    g, d, params, seed = case
-    assume(not g.is_bipartite() and g.average_degree() >= 8 * d)
-    try:
-        h, ids = extract_expander(g, d, params, seed=seed, trials=20)
-    except StageError:
-        return
-    assert len(ids) == h.n and all(a < b for a, b in zip(ids, ids[1:]))
-    side = greedy_max_cut_sides(g)
-    index = {v: i for i, v in enumerate(ids)}
-    edges = [(index[u], index[v]) for u, v in g.edges()
-             if u in index and v in index and side[u] != side[v]]
-    assert h == Graph(len(ids), edges)

@@ -11,12 +11,11 @@ import json
 
 import pytest
 
-from pillarkit import expander as expander_mod
 from pillarkit import kraken as kraken_mod
 from pillarkit.certificates import dumps_certificate
 from pillarkit.config import RunConfig
 from pillarkit.errors import StageError
-from pillarkit.expander import ExpanderParams, _max_cut_graph, check_expansion, extract_expander
+from pillarkit.expander import ExpanderParams, _max_cut_graph, check_expansion
 from pillarkit.generators import hypercube, random_regular
 from pillarkit.graph import Graph, save_graph
 from pillarkit.kraken import robust_kraken
@@ -187,9 +186,9 @@ def test_torus_assembly_stage():
     assert err.value.details == {"kraken": 0, "leg": 2}
 
 
-# The sampled expansion check and the extraction built on it: public
-# primitives that no search calls, so their seeded random draws and greedy
-# choices are pinned here and decide no certificate above.
+# The sampled expansion check: a public primitive that no search calls
+# (``pillarkit bench`` runs it), so its seeded random draws are pinned here
+# and decide no certificate above.
 EXPANSION_REPORT = {
     # (graph, d, seed): a witness after deleting edges (F nonempty), found
     # on the 25th sample at d = 20; one with nothing deleted at d = 50; and
@@ -208,42 +207,6 @@ def test_sampled_expansion_report(name, d, seed):
         g, params = random_regular(2000, d, seed), ExpanderParams(0.1, 0.2, d)
     report = check_expansion(g, params, "sampled", seed=seed, trials=40)
     assert _sha(report.to_json_dict()) == EXPANSION_REPORT[name, d, seed]
-
-
-EXTRACTED = {
-    0: "eec73e28677f618892f9f582d9222046241e849cedb18b41776337e315c817c3",
-    1: "788238d263f7d656673e68a9165801ed9abbaadc9c95668914c2cc7b6220f7af",
-    2: "c45459068d4ce2e5b9ec0b6d20007790a95501695427a63287082320dc2ca022",
-}
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_extracted_expander_rows(seed):
-    """rr(2000, 12) is not bipartite, so this runs the greedy max-cut, the
-    peel and the sampled check."""
-    g = random_regular(2000, 12, seed)
-    h, ids = extract_expander(g, 1, ExpanderParams(0.1, 0.2, 12), seed=seed, trials=40)
-    assert _sha([h.edges(), list(ids)]) == EXTRACTED[seed]
-
-
-# (rows and ids, the report of every round)
-EXTRACTED_AT_SCALE = ("d790a0e351ac660ef281739f3ac106bbe39f2500fc794a8a9895c42a8294a76d",
-                      "c433b79638c1f8d0503783541e20569b652401b031cf8e9d32db53899d8bfbd9")
-
-
-def test_extracted_expander_at_benchmark_scale(monkeypatch):
-    """The extraction on one of the benchmark's rr(10^4, 12) graphs at
-    seed 0, with bench's sample cap EXPANSION_SAMPLE_CAP = 2000: unlike the
-    n = 2000 cases above, its sampled sets run past 1000 vertices."""
-    reports = []
-    real = expander_mod.check_expansion
-    monkeypatch.setattr(expander_mod, "check_expansion",
-                        lambda *args, **kw: reports.append(real(*args, **kw)) or reports[-1])
-    g = random_regular(10000, 12, 0)
-    h, ids = extract_expander(g, 1, ExpanderParams(0.1, 0.2, 12), seed=0, trials=40,
-                              sample_cap=2000)
-    assert (_sha([h.edges(), list(ids)]), _sha([r.to_json_dict() for r in reports])) \
-        == EXTRACTED_AT_SCALE
 
 
 # The sampled cube search: its draws decide which cube comes back, with

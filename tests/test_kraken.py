@@ -477,31 +477,30 @@ class TestStarvedLinking:
 
 @pytest.fixture
 def extractions(monkeypatch) -> list[str]:
-    """The name of every extract_expander and check_expansion call,
-    wherever a module imported it from."""
+    """The name of every check_expansion call, wherever a module imported
+    it from."""
     calls: list[str] = []
-    for name in ("extract_expander", "check_expansion"):
-        real = getattr(expander, name)
+    real = expander.check_expansion
 
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append("check_expansion")
+        return real(*args, **kwargs)
 
-        for mod in (expander, kraken, pillar):
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counted)
+    for mod in (expander, kraken, pillar):
+        if getattr(mod, "check_expansion", None) is real:
+            monkeypatch.setattr(mod, "check_expansion", counted)
     return calls
 
 
 class TestOneExtraction:
-    """Neither find_pillar nor the kraken search inside it extracts an
-    expander or checks expansion: find_pillar searches the max-cut host of
-    g's largest piece on every input."""
+    """Neither find_pillar nor the kraken search inside it checks
+    expansion: find_pillar searches the max-cut host of g's largest piece
+    on every input."""
 
-    def test_spy_sees_an_extraction(self, extractions):
-        expander.extract_expander(random_regular(200, 12, 0), 1,
-                                  expander.ExpanderParams(0.1, 0.2, 12), trials=2)
-        assert extractions[0] == "extract_expander" and "check_expansion" in extractions
+    def test_spy_sees_an_expansion_check(self, extractions):
+        expander.check_expansion(random_regular(200, 12, 0),
+                                 expander.ExpanderParams(0.1, 0.2, 12), "sampled", trials=2)
+        assert extractions == ["check_expansion"]
 
     @pytest.mark.parametrize("host", [False, True])
     def test_robust_kraken_extracts_nothing(self, extractions, host):

@@ -124,9 +124,10 @@ class TestConnectFixedLength:
 
     def test_avoid_set_respected(self):
         g = cycle_graph(8)
-        with pytest.raises(LengthNotRealizedError):
+        with pytest.raises(LengthNotRealizedError) as err:
             connect_fixed_length(g, Expansion(0, frozenset({0}), 0),
                                  Expansion(4, frozenset({4}), 0), 4, {1, 7}, self.CFG)
+        assert err.value.nearest == [] and "nearest" not in str(err.value)
 
     def test_overlapping_expansions_rejected(self):
         g = cycle_graph(8)

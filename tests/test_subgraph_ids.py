@@ -3,7 +3,6 @@ from: padded graphs, whose search drops the isolated vertices outside
 the largest piece, and induced subgraphs.  A graph carries no id map, so every result must be
 valid in, and use the ids of, the graph the search was given."""
 
-import dataclasses
 
 import pytest
 
@@ -84,13 +83,14 @@ def test_cli_finds_a_pillar_in_a_padded_file(tmp_path):
     assert main(["verify", "pillar", "--graph", str(graph_file), "--cert", str(cert_file)]) == 0
 
 
-def test_robust_kraken_checks_its_early_return(monkeypatch):
-    real = kraken_mod._carve
+def test_robust_kraken_early_return_is_checked_as_carved(monkeypatch):
+    """robust_kraken returns a collected kraken without a second check:
+    _carve checked it in g before it joined the collection."""
+    real = kraken_mod.Kraken
 
     def off_by_one_leg_size(*args):
-        kr = real(*args)
-        return dataclasses.replace(kr, t=kr.t + 1)
+        return real(*args[:-1], args[-1] + 1)
 
-    monkeypatch.setattr(kraken_mod, "_carve", off_by_one_leg_size)
-    with pytest.raises(InternalError, match="collected kraken invalid"):
+    monkeypatch.setattr(kraken_mod, "Kraken", off_by_one_leg_size)
+    with pytest.raises(InternalError, match="constructed kraken invalid"):
         robust_kraken(random_regular(2000, 12, 0), frozenset(), RunConfig(), seed=0, q3_free=True)
