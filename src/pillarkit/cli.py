@@ -24,7 +24,6 @@ from .certificates import dumps_certificate, loads_certificate, verify_certifica
 from .config import RunConfig, load_config
 from .errors import (InternalError, LengthNotRealizedError, NoPathError, PillarkitError,
                      PreconditionError, StageError)
-from .expander import EXPANSION_SAMPLE_CAP, EXPANSION_TRIALS, check_expansion
 from .graph import Graph, ball, load_graph, save_graph
 from .kraken import robust_kraken
 from .pillar import find_pillar
@@ -152,17 +151,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 pass
             runs += 1
     writer.writerow(["connect_short", runs, units, f"{time.perf_counter() - t0:.6f}"])
-
-    runs, units = 0, 0
-    t0 = time.perf_counter()
-    if g.n > 0:
-        report = check_expansion(g, rc.params, "sampled", seed=rc.seed,
-                                 trials=EXPANSION_TRIALS,
-                                 sample_cap=EXPANSION_SAMPLE_CAP)
-        runs = 1
-        units = report.samples
-    writer.writerow(["check_expansion_sampled", runs, units,
-                     f"{time.perf_counter() - t0:.6f}"])
     return 0
 
 

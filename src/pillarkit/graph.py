@@ -14,7 +14,7 @@ parent itself.
 Every breadth-first search in the package runs on one kernel,
 :func:`bfs_layers`: it yields the layers of a search in g minus an
 ``avoid`` set, optionally inside a ``within`` set, and callers stop it at
-a radius, a size, or a first target.  Four walks stay separate, each for
+a radius, a size, or a first target.  Three walks stay separate, each for
 a reason given where it is written: ``Graph._adopt``'s two-coloring,
 which checks every edge as it walks, and which a caller that already
 holds the coloring and the components skips (the max-cut host does);
@@ -22,7 +22,6 @@ holds the coloring and the components skips (the max-cut host does);
 them (on the kernel it must finish each layer before it can scan it,
 which made the planted benchmark 19% slower: 1.73 to 2.05 s wall time,
 median of three alternating runs on a 2-vCPU Intel Xeon);
-``expander._sample_connected``, which takes the frontier in random order;
 and ``expander._peel``, which peels by degree and does not traverse.
 """
 

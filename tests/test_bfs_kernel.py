@@ -323,4 +323,4 @@ def test_walks_off_the_kernel_are_the_ones_graph_lists():
     listed = set(re.findall(r"``([\w.]+)``", doc[doc.index("walks stay separate"):]))
     marked = set().union(*map(_marked_walks, FilePath(pillarkit.__file__).parent.glob("*.py")))
     assert listed == marked == {"Graph._adopt", "kraken._shortest_cycle_from",
-                                "expander._sample_connected", "expander._peel"}
+                                "expander._peel"}

@@ -8,11 +8,11 @@ from pillarkit.certificates import (KINDS, dumps_certificate, loads_certificate,
 from pillarkit.cli import main
 from pillarkit.config import RunConfig
 from pillarkit.errors import GraphParseError, PreconditionError
-from pillarkit.expander import ExpanderParams, check_expansion
 from pillarkit.generators import hypercube
 from pillarkit.graph import MAX_VERTICES, load_graph, save_graph
 from pillarkit.pillar import find_pillar
 from pillarkit.primitives import Expansion, find_q3_bruteforce
+from pillarkit.validity import ValidityReport
 
 from util import prism_kraken
 
@@ -31,9 +31,8 @@ def test_every_dumpable_kind_round_trips():
 
 
 def test_expansion_report_is_not_a_certificate():
-    report = check_expansion(hypercube(3), ExpanderParams(0.1, 0.2, 2), "exact")
     with pytest.raises(PreconditionError):
-        dumps_certificate(report)
+        dumps_certificate(ValidityReport())
 
 
 def _kraken_with_legs(change):

@@ -520,7 +520,7 @@ class TestCli:
             raise error("internal: planted")
         cert, out = tmp_path / "q3.json", tmp_path / "c.el"
         assert main(["find", "q3", "--graph", str(q3_file), "--out", str(cert)]) == 0
-        for name in ("find_pillar", "verify_certificate", "check_expansion"):
+        for name in ("find_pillar", "verify_certificate", "connect_short"):
             monkeypatch.setattr(pillarkit.cli, name, broken)
         monkeypatch.setitem(GENERATORS, "cycle", lambda n: broken())
         capsys.readouterr()
@@ -619,7 +619,7 @@ class TestCli:
         lines = [l for l in capsys.readouterr().out.strip().splitlines() if l]
         assert lines[0].startswith("operation,")
         ops = [l.split(",")[0] for l in lines[1:]]
-        assert ops == ["ball_growth", "connect_short", "check_expansion_sampled"]
+        assert ops == ["ball_growth", "connect_short"]
 
     def test_bench_empty_graph_zero_rows(self, tmp_path, capsys):
         g = tmp_path / "empty.el"

@@ -1,11 +1,9 @@
-"""The expander's scans, robust_kraken's set of U-dominated vertices and
-kraken carving in G - U against the code they replaced, kept in ``util``
-as references: same results, and for the samplers the same random draws.
+"""The greedy max-cut, the d-core peel, robust_kraken's set of U-dominated
+vertices and kraken carving in G - U against the code they replaced, kept
+in ``util`` as references, with the same results on the same seeds.
 The cube searches against networkx, on the sampler's replayed draws.
-The graphs are small, often disconnected and often not bipartite, and eps1
-runs up to 0.9 so that violations occur."""
+The graphs are small, often disconnected and often not bipartite."""
 
-import math
 import random
 from unittest import mock
 
@@ -17,16 +15,14 @@ from pillarkit import graph as graph_mod
 from pillarkit import primitives as primitives_mod
 from pillarkit.config import RunConfig
 from pillarkit.errors import PreconditionError, StageError
-from pillarkit.expander import (ExpanderParams, _max_cut_graph, _peel, _sample_connected,
-                                _size_bounds, _violation, epsilon, greedy_max_cut_sides)
+from pillarkit.expander import _peel, greedy_max_cut_sides
 from pillarkit.generators import cycle_graph, hypercube, path_graph, random_regular
 from pillarkit.graph import Graph, _largest_piece
 from pillarkit.kraken import _carve, robust_kraken
 from pillarkit.primitives import find_q3_bruteforce, find_q3_sampled
 
 from util import (hub_graph, nx_has_q3, nx_on_q3, planted_prism_with_noise, ref_bfs_order, ref_carve,
-                  ref_greedy_max_cut_sides, ref_peel, ref_piece, ref_sample_connected, ref_u0,
-                  ref_violation)
+                  ref_greedy_max_cut_sides, ref_peel, ref_piece, ref_u0)
 
 
 @st.composite
@@ -35,87 +31,6 @@ def graphs(draw, max_n=14):
     ids = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=4 * n))
     return Graph(n, edges)
-
-
-params = st.builds(ExpanderParams, st.sampled_from([0.05, 0.3, 0.6, 0.9]),
-                   st.sampled_from([0.05, 0.1, 0.2]), st.integers(1, 60))
-
-
-@settings(max_examples=400, deadline=None)
-@given(graphs(), params, st.data())
-def test_violation_same_witness_and_deletions(g, p, data):
-    members = data.draw(st.permutations(range(g.n)))[:data.draw(st.integers(1, g.n))]
-    assert _violation(g, members, p) == ref_violation(g, members, p)
-
-
-def k5_with(attach: list[tuple[int, int]]) -> Graph:
-    """K5 on 0..4 plus vertices 5 and 6, joined to it by ``attach``."""
-    return Graph(7, [(a, b) for a in range(5) for b in range(a + 1, 5)] + attach)
-
-
-@pytest.mark.parametrize("attach, removed", [
-    # two neighbors of cost 1 under a budget of 2.37: both go
-    ([(0, 5), (1, 6)], [(0, 5), (1, 6)]),
-    # two of cost 2 under a budget of 2.77: the second does not fit
-    ([(0, 5), (1, 5), (0, 6), (1, 6)], None),
-])
-def test_violation_counting_branch(attach, removed):
-    """X = {5, 6} reaches the counting greedy: its two external neighbors
-    exceed the need, and floor(budget) deletions could remove both."""
-    g, p, members = k5_with(attach), ExpanderParams(0.9, 0.2, 30), [5, 6]
-    need = epsilon(2, p) * 2
-    assert 2 - math.floor(g.average_degree() * need) < need <= 2
-    expected = None if removed is None else (frozenset(members), removed)
-    assert _violation(g, members, p) == ref_violation(g, members, p) == expected
-
-
-@pytest.mark.parametrize("p", [ExpanderParams(0.1, 0.2, 12), ExpanderParams(0.9, 0.2, 5000)],
-                         ids=["d12", "d5000"])
-def test_violation_same_on_sampled_sets_at_scale(p):
-    """Sets of lo..1000 vertices drawn as the sampled check draws them, from the
-    max-cut host of rr(2000, 12).  At d = 12 every set reaches the pass bound
-    within a few members; at d = 5000 some only pass the counting greedy."""
-    host = _max_cut_graph(random_regular(2000, 12, 0))
-    lo = _size_bounds(host.n, p)[0]
-    rng = random.Random(15)
-    early = 0
-    for _ in range(100):
-        members = _sample_connected(host, rng, rng.randint(lo, 1000))
-        assert _violation(host, members, p) == ref_violation(host, members, p)
-        outside = {w for v in members for w in host.neighbors(v)} - set(members)
-        need = epsilon(len(members), p) * len(members)
-        early += len(outside) - math.floor(host.average_degree() * need) >= need
-    assert (early == 100) if p.d == 12 else (0 < early < 100)
-
-
-def pendants(t: int) -> Graph:
-    """X = K4 on 0..3, with t outside vertices pendant on vertex 0, and a
-    separate K10 that sets the average degree."""
-    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(0, 4 + i) for i in range(t)]
-    return Graph(4 + t + 10, edges + [(4 + t + a, 4 + t + b) for a in range(10)
-                                      for b in range(a + 1, 10)])
-
-
-@pytest.mark.parametrize("t, expected", [
-    # one short of the bound: the greedy deletes floor(budget) = 4 pendants
-    (4, (frozenset(range(4)), [(0, 4), (0, 5), (0, 6), (0, 7)])),
-    # at the bound: X passes once vertex 0's row is counted
-    (5, None),
-])
-def test_violation_at_the_pass_bound(t, expected):
-    """|N(X)| = t against the pass bound ceil(need) + floor(budget) = 5."""
-    g, p, members = pendants(t), ExpanderParams(0.9, 0.2, 30), [0, 1, 2, 3]
-    need = epsilon(4, p) * 4
-    assert math.ceil(need) + math.floor(g.average_degree() * need) == 5
-    assert _violation(g, members, p) == ref_violation(g, members, p) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(graphs(), st.integers(0, 2 ** 32), st.integers(0, 16))
-def test_sample_connected_same_members_same_draws(g, seed, size):
-    rng, ref_rng = random.Random(seed), random.Random(seed)
-    assert _sample_connected(g, rng, size) == ref_sample_connected(g, ref_rng, size)
-    assert rng.getstate() == ref_rng.getstate()
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,6 @@ from pillarkit.graph import Cycle, Graph, Path, set_distance
 from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink, _augment_links, _child_seed,
                               _high_degree, _link_obstacles, _qualifies, _shortcut_round,
                               find_kraken, robust_kraken, verify_kraken)
-from pillarkit.pillar import find_pillar
 from pillarkit.primitives import Expansion
 
 from util import (covered_hub_graph, hub_graph, prism_kraken, ref_set_distance,
@@ -473,44 +472,6 @@ class TestStarvedLinking:
             run(seed)
         assert err.value.stage == "link-rounds"
         assert free and all(free)
-
-
-@pytest.fixture
-def extractions(monkeypatch) -> list[str]:
-    """The name of every check_expansion call, wherever a module imported
-    it from."""
-    calls: list[str] = []
-    real = expander.check_expansion
-
-    def counted(*args, **kwargs):
-        calls.append("check_expansion")
-        return real(*args, **kwargs)
-
-    for mod in (expander, kraken, pillar):
-        if getattr(mod, "check_expansion", None) is real:
-            monkeypatch.setattr(mod, "check_expansion", counted)
-    return calls
-
-
-class TestOneExtraction:
-    """Neither find_pillar nor the kraken search inside it checks
-    expansion: find_pillar searches the max-cut host of g's largest piece
-    on every input."""
-
-    def test_spy_sees_an_expansion_check(self, extractions):
-        expander.check_expansion(random_regular(200, 12, 0),
-                                 expander.ExpanderParams(0.1, 0.2, 12), "sampled", trials=2)
-        assert extractions == ["check_expansion"]
-
-    @pytest.mark.parametrize("host", [False, True])
-    def test_robust_kraken_extracts_nothing(self, extractions, host):
-        g = _max_cut_graph(hub_graph(0)) if host else hub_graph(0)
-        robust_kraken(g, frozenset(), RunConfig(d=12), seed=0, q3_free=True)
-        assert extractions == []
-
-    def test_find_pillar_extracts_nothing(self, extractions):
-        find_pillar(random_regular(2000, 12, 0), RunConfig(d=12), 0)
-        assert extractions == []
 
 
 @pytest.fixture

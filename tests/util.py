@@ -14,7 +14,7 @@ from itertools import product
 import networkx as nx
 
 from pillarkit.errors import InternalError, PreconditionError, StageError
-from pillarkit.expander import ExpanderParams, epsilon
+from pillarkit.expander import ExpanderParams
 from pillarkit.generators import random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path, _trace, induced_subgraph
 from pillarkit.kraken import Kraken, KrakenSearchState, LegLink, find_kraken
@@ -141,16 +141,6 @@ def torus(a: int, b: int) -> Graph:
             edges.append((i * b + j, (i + 1) % a * b + j))
             edges.append((i * b + j, i * b + (j + 1) % b))
     return Graph(a * b, edges)
-
-
-def clique_chain(m: int, count: int) -> Graph:
-    """``count`` copies of K_m joined in a path, the last vertex of each
-    clique to the first of the next: each clique has at most two external
-    neighbours, so small sets violate expansion."""
-    edges = [(c * m + i, c * m + j) for c in range(count)
-             for i in range(m) for j in range(i + 1, m)]
-    edges += [(c * m + m - 1, (c + 1) * m) for c in range(count - 1)]
-    return Graph(m * count, edges)
 
 
 def prism_kraken(s_param: int = 1) -> tuple[Graph, Kraken]:
@@ -316,52 +306,6 @@ def ref_least_common_length(rungs, lo: int, hi: int) -> int | None:
         lengths = {len(core.vertices) - 1 + sum(pick) for pick in product(*options.values())}
         common = lengths if common is None else common & lengths
     return min((x for x in common if lo <= x <= hi), default=None)
-
-
-def ref_violation(g: Graph, members: list[int], params: ExpanderParams):
-    """(X, F) or None: F empty first, then the greedy on sorted counts."""
-    xset = set(members)
-    counts: dict[int, int] = {}
-    for v in members:
-        for w in g.neighbors(v):
-            if w not in xset:
-                counts[w] = counts.get(w, 0) + 1
-    need = epsilon(len(members), params) * len(members)
-    if len(counts) < need:
-        return frozenset(members), []
-    budget = g.average_degree() * need
-    removed: list[tuple[int, int]] = []
-    spent = 0
-    remaining = len(counts)
-    for cost, y in sorted((c, y) for y, c in counts.items()):
-        if spent + cost > budget:
-            break
-        spent += cost
-        remaining -= 1
-        removed.extend((min(u, y), max(u, y)) for u in g.neighbors(y) if u in xset)
-        if remaining < need:
-            return frozenset(members), removed
-    return None
-
-
-def ref_sample_connected(g: Graph, rng: random.Random, size: int) -> list[int]:
-    """A connected set grown from a random frontier vertex, one vertex at
-    a time."""
-    start = rng.randrange(g.n)
-    out = [start]
-    seen = {start}
-    frontier = [start]
-    while frontier and len(out) < size:
-        u = frontier.pop(rng.randrange(len(frontier)))
-        nbrs = [w for w in g.neighbors(u) if w not in seen]
-        rng.shuffle(nbrs)
-        for w in nbrs:
-            if len(out) >= size:
-                break
-            seen.add(w)
-            out.append(w)
-            frontier.append(w)
-    return out
 
 
 def ref_greedy_max_cut_sides(g: Graph, order: list[int]) -> list[int]:
