@@ -6,11 +6,6 @@ checker, a heuristic search that carves a kraken out of free territory,
 and the robust pipeline that keeps finding krakens inside a forbidden-set
 survivor graph until one has its legs either ending at high-degree
 vertices or re-seated on well-separated anchor sets.
-
-The robust pipeline searches the survivor graph G - U directly: a
-sublinear expander's definition already pays for deleting a small set
-(the eps(x)*x deletion budget), so G - U needs no extraction of its own.
-Nor is G - U copied: krakens are carved on the host's ids with U as a dead set.
 """
 
 from __future__ import annotations
@@ -341,22 +336,13 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     """Find a kraken in the graph minus U whose legs are each either ended
     at a high-degree vertex or fully low-degree, with the low-degree legs
     pairwise well separated (and separated from U) away from the
-    high-degree set.
-
-    This is one round of ``find_pillar``'s: ``_survivor_state`` sets up the
-    search in G - U, ``_carve_rounds`` carves the whole collection, and the
-    first kraken of it that qualifies is returned; if none does, ``_finish``
-    runs the second half on the collection.  Either way the kraken returned
-    was checked by ``verify_kraken`` in g: a collected one by ``_carve`` as
-    it was carved, an upgraded one by ``_assemble``.  Krakens are collected
-    in the survivor graph as it is, with no extraction (an expander pays for
-    deleting U through its deletion budget) and no copy: each is carved on
-    g's ids, with U and the earlier krakens' surroundings as a dead set.
-    The Q3-free hypothesis is certified by brute force on small graphs and
-    otherwise taken from the caller (pass ``q3_free=True``); what the
-    hypothesis buys algorithmically, the bound on vertices dominated by U,
-    is checked directly either way.  Stages starve with a StageError naming
-    the stage.
+    high-degree set: the first kraken of one ``_round`` in G - U, which
+    ``_survivor_state`` sets up once U and the vertices it dominates are
+    under their caps.  The Q3-free hypothesis is certified by brute force
+    on small graphs and otherwise taken from the caller (pass
+    ``q3_free=True``); what the hypothesis buys algorithmically, the bound
+    on vertices dominated by U, is checked directly either way.  Stages
+    starve with a StageError naming the stage.
     """
     rc = config.resolve(g.n)
     if seed is None:
@@ -371,11 +357,7 @@ def robust_kraken(g: Graph, u: frozenset[int] | set[int], config: RunConfig, *,
     if len(uset) > rc.u_cap:
         raise PreconditionError(f"|U| = {len(uset)} over the cap {rc.u_cap}")
     state = _survivor_state(g, uset, rc, _high_degree(g, rc))
-    list(_carve_rounds(state, seed))  # every round: each kraken joins state.collection
-    kr = next((kr for kr in state.collection
-               if _qualifies(g, kr, state.high_degree, uset, rc)), None)
-    if kr is None:
-        kr = _finish(state)
+    kr = next(_round(state, seed))
     return (kr, state) if return_state else kr
 
 
@@ -398,7 +380,7 @@ def _survivor_state(g: Graph, uset: frozenset[int], rc: ResolvedConfig,
 
 def _finish(state: KrakenSearchState) -> Kraken:
     """The robust second half, for a carved collection none of whose krakens
-    qualifies (the caller judges them): anchors are built, and each round
+    qualifies (``_round`` judges them): anchors are built, and each round
     of the link loop links what free legs it can, assembles the first fully
     linked kraken, or else makes one shortcut rewrite and goes round again.
     Without a rewrite, or after ``_MAX_LINK_ROUNDS`` rounds, it raises stage
@@ -487,10 +469,24 @@ def _child_seed(seed: int, tag: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + tag) & 0xFFFFFFFFFFFF
 
 
-def _carve_rounds(state: KrakenSearchState, seed: int) -> Iterator[Kraken]:
-    """Carve the collection round by round, yielding each kraken once it joins the state."""
+def _round(state: KrakenSearchState, seed: int) -> Iterator[Kraken]:
+    """One round of the robust search, the one place a round is spelled
+    out: up to ``kraken_count`` krakens carved one by one in G - U, each
+    yielded as it joins ``state.collection`` if it qualifies (``_qualifies``
+    on the state's L and U); if none has after the last carve, ``_finish``'s
+    kraken from the whole collection.  The first yield is the round's
+    kraken, checked in g by ``_carve`` or ``_assemble``, and a caller may
+    stop there: a carve reads only the krakens before it.  Each is carved on
+    g's ids in the largest piece left once U and the ball of radius
+    ``kraken_separation`` off L around U, U0 and the earlier krakens are
+    dead.  G - U is neither copied nor extracted: a sublinear expander pays
+    for deleting U through its eps(x)*x deletion budget.  Carving stops
+    early at a piece under 3 vertices or a starved carve; a round that
+    carves nothing starves as ``kraken-collection``.
+    """
     g, rc = state.graph, state.cfg
-    for round_no in range(rc.kraken_count):
+    qualified = False
+    for carve_no in range(rc.kraken_count):
         used = set()
         for kr in state.collection:
             used |= kr.vertex_set()
@@ -502,7 +498,7 @@ def _carve_rounds(state: KrakenSearchState, seed: int) -> Iterator[Kraken]:
             break
         try:
             kr = _carve(g, verts, avoid, rc.k_max, max(1, rc.m), rc.leg_size,
-                        _child_seed(seed, 1000 + round_no))
+                        _child_seed(seed, 1000 + carve_no))
         except StageError as exc:
             if not state.collection:
                 raise StageError("kraken-collection", f"no kraken found: {exc}",
@@ -510,9 +506,13 @@ def _carve_rounds(state: KrakenSearchState, seed: int) -> Iterator[Kraken]:
             break
         state.collection.append(kr)
         state.links.append({})
-        yield kr
+        if _qualifies(g, kr, state.high_degree, state.forbidden, rc):
+            qualified = True
+            yield kr
     if not state.collection:
         raise StageError("kraken-collection", "no kraken found in the survivor graph", {})
+    if not qualified:
+        yield _finish(state)
 
 
 def _build_anchors(state: KrakenSearchState) -> None:

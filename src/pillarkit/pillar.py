@@ -19,7 +19,7 @@ from .errors import (InternalError, LengthNotRealizedError, NoPathError,
                      PreconditionError, StageError)
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
                     distances_from, induced_subgraph, parity, shortest_set_path)
-from .kraken import (Kraken, _carve_rounds, _child_seed, _finish, _high_degree, _qualifies,
+from .kraken import (Kraken, KrakenSearchState, _child_seed, _high_degree, _round,
                      _survivor_state, _under_separation, verify_kraken)
 from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
@@ -607,21 +607,20 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     Child seed 0 seeded that extraction and stays unused, so the cube and
     round seeds, and with them every pinned certificate, keep their tags.
 
-    The krakens come in up to ``_MAX_KRAKENS`` rounds, as in robust_kraken.
-    Round i carves a collection lazily in h minus U, the union of the
-    earlier rounds' krakens; each kraken that qualifies is paired as it is
-    carved with each earlier qualifying one of the round and of its cycle
-    length, and a pair failing ``_check_link_pair`` is skipped.  If none
-    links, the round's kraken is its first qualifying one, or ``_finish``'s
-    when none qualifies, and it is paired with each earlier round's.  Each
-    alignment of a pair is planned at most once (``_link_aligned``), at the
-    least length from ``pillar_ell_min`` up that all its rungs realize; a
-    reflected alignment is not planned when its shift's plan failed at
-    index 0, which the two share (``_link_pair``).  The ``pigeonhole`` and
-    ``link`` StageErrors count the ``carved`` krakens of every round, and
-    ``link`` its ``pairs``, their ``alignments`` and the ``plans`` run.  A
-    round whose U is over ``u_cap`` starves as ``u-bound``.  ``seed``
-    defaults to the config's ``seed``.
+    The krakens come in up to ``_MAX_KRAKENS`` rounds of ``_round``, round
+    i in h minus U, the union of the earlier rounds' krakens.  Each kraken
+    a round yields is paired as it comes with each earlier one of the round
+    and of its cycle length, and a pair failing ``_check_link_pair`` is
+    skipped.  If none links, the round's kraken, its first, is paired with
+    each earlier round's.  Each alignment of a pair is planned at most once
+    (``_link_aligned``), at the least length from ``pillar_ell_min`` up
+    that all its rungs realize; a reflected alignment is not planned when
+    its shift's plan failed at index 0, which the two share
+    (``_link_pair``).  The ``pigeonhole`` and ``link`` StageErrors count the
+    ``carved`` krakens of every round, and ``link`` its ``pairs``, their
+    ``alignments`` and the ``plans`` run.  A round whose U is over
+    ``u_cap`` starves as ``u-bound``.  ``seed`` defaults to the config's
+    ``seed``.
     """
     rc = config.resolve(g.n)
     if seed is None:
@@ -643,24 +642,23 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     h = _max_cut_graph(h)  # h itself when the piece is bipartite
     high = _high_degree(h, rc)
     tried: list[tuple[int, int, str | None]] = []  # (cycle length, plans, last error) per pair
-    found: list[Kraken] = []  # each round's finished kraken
-    carved = 0
+    found: list[Kraken] = []  # each round's kraken
+    states: list[KrakenSearchState] = []  # each round's, for the krakens it carved
     for i in range(_MAX_KRAKENS):
         try:
             state = _survivor_state(h, frozenset().union(*map(Kraken.vertex_set, found)), rc, high)
+            states.append(state)
             kept: list[Kraken] = []
-            for kr in _carve_rounds(state, _child_seed(seed, 2 + i)):
-                carved += 1
-                if _qualifies(h, kr, high, state.forbidden, rc) and (pillar := _link_to_earlier(
-                        g, h, ids, kr, kept, high, rc, tried, in_collection=True)):
+            for kr in _round(state, _child_seed(seed, 2 + i)):
+                if pillar := _link_to_earlier(g, h, ids, kr, kept, high, rc, tried, in_collection=True):
                     return pillar
-            kr = kept[0] if kept else _finish(state)
         except StageError:
             if not tried:
                 raise
             break  # the pairs that failed to link are the better report
-        if pillar := _link_to_earlier(g, h, ids, kr, found, high, rc, tried, in_collection=False):
+        if pillar := _link_to_earlier(g, h, ids, kept[0], found, high, rc, tried, in_collection=False):
             return pillar
+    carved = sum(len(state.collection) for state in states)
     if not tried:
         raise StageError("pigeonhole",
                          f"no two of {len(found)} krakens share a cycle length",

@@ -15,7 +15,7 @@ from pillarkit.errors import InternalError, PreconditionError
 from pillarkit.generators import GENERATORS
 from pillarkit.graph import MAX_VERTICES, save_graph
 
-from util import torus
+from util import cycle_chain, torus
 
 class TestRunConfig:
     def test_relaxed_defaults_resolve(self):
@@ -359,6 +359,16 @@ class TestCli:
         assert main(["generate", "cycle", "--n", "100", "--out", str(g)]) == 0
         assert main(["find", "pillar", "--graph", str(g), "--seed", "0"]) == 1
         assert "not found" in capsys.readouterr().out
+
+    def test_find_pillar_pigeonhole_exit_1(self, tmp_path, capsys):
+        # test_pillar.py's pigeonhole starvation, through the CLI's stage report
+        g, cfgfile = tmp_path / "chain.el", tmp_path / "chain.cfg"
+        g.write_text(save_graph(cycle_chain()))
+        cfgfile.write_text(RunConfig(d=4, overrides={"k_max": 18}).to_text())
+        assert main(["find", "pillar", "--graph", str(g), "--config", str(cfgfile),
+                     "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "not found: stage 'pigeonhole'" in out and "\n  carved = 21\n" in out
 
     def test_find_q3_modes(self, q3_file, tmp_path, capsys):
         cert = tmp_path / "q3.json"

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 
 import pytest
 
 from pillarkit import expander, graph, kraken, pillar, primitives
+from pillarkit.certificates import dumps_certificate
 from pillarkit.config import RunConfig
 from pillarkit.errors import InternalError, PreconditionError, StageError
 from pillarkit.expander import _max_cut_graph
@@ -297,6 +299,24 @@ class TestRobustKraken:
         rc = cfg.resolve(g.n)
         assert _qualifies(g, kr, frozenset(), frozenset(), rc)
 
+    @pytest.mark.parametrize("name, seed, carved, digest", [
+        ("rr", 0, 1, "345ca3fb0024ed748a362000ff67e5a0ff6c103f4d2dc371a18e7ae04b496030"),
+        ("rr", 1, 1, "bb4c11d9efb4b49be946f4ea690839ddacfd36889ea42a534701f23bdd3dc894"),
+        ("rr", 2, 1, "1127df00a075d61ddcc2e3c236750924c671234aa76540fe457e0b8fea50e9e5"),
+        ("hubs", 6, 2, "5ed8894de2d95bea71c50714d4800cf5f5e2639a029795bf3307cafb1b626c82"),
+    ], ids=["rr0", "rr1", "rr2", "hubs6"])
+    def test_round_stops_at_its_answer(self, monkeypatch, name, seed, carved, digest):
+        # the first qualifying kraken is the round's, and a later carve
+        # cannot change it: robust_kraken carves no further, and returns
+        # the kraken that a round carving all kraken_count would pick
+        carves = []
+        real = kraken._carve
+        monkeypatch.setattr(kraken, "_carve", lambda *args: carves.append(1) or real(*args))
+        g = random_regular(2000, 12, seed) if name == "rr" else hub_graph(seed)
+        kr = robust_kraken(g, frozenset(), RunConfig(d=12), seed=seed, q3_free=True)
+        assert len(carves) == carved
+        assert hashlib.sha256(dumps_certificate(kr).encode()).hexdigest() == digest
+
     def test_full_pipeline_reseats_legs_on_anchors(self):
         g = random_regular(12000, 4, seed=2)
         cfg = RunConfig(eps1=0.1, eps2=0.2, d=4)
@@ -501,6 +521,15 @@ class TestNoSurvivorCopies:
         u = robust_kraken(g, frozenset(), RunConfig(d=12), seed=0, q3_free=True).vertex_set()
         kr = robust_kraken(g, u, RunConfig(d=12), seed=1, q3_free=True)
         assert verify_kraken(g, kr).valid and not kr.vertex_set() & u
+        assert copies == []
+
+    def test_hub_graph_minus_a_kraken(self, copies):
+        # here the first kraken does not qualify, so later rounds carve in G - U
+        g = hub_graph(0)
+        u = robust_kraken(g, frozenset(), RunConfig(d=12), seed=0, q3_free=True).vertex_set()
+        kr, state = robust_kraken(g, u, RunConfig(d=12), seed=2, q3_free=True, return_state=True)
+        assert verify_kraken(g, kr).valid and not kr.vertex_set() & u
+        assert len(state.collection) > 1
         assert copies == []
 
     @pytest.mark.parametrize("g", [hub_graph(0), covered_hub_graph(0, 10)],

@@ -20,8 +20,8 @@ from pillarkit.pillar import (Adjuster, Detour, Pillar, _check_link_pair,
                               verify_pillar)
 from pillarkit.primitives import Expansion, find_q3_bruteforce
 
-from util import (all_simple_path_lengths, planted_prism_with_noise, ref_least_common_length,
-                  ref_link_pair, torus)
+from util import (all_simple_path_lengths, cycle_chain, planted_prism_with_noise,
+                  ref_least_common_length, ref_link_pair, torus)
 
 def natural_pillar(s: int, ell: int) -> tuple[Graph, Pillar]:
     g = subdivided_prism(s, ell)
@@ -541,7 +541,7 @@ def no_finish(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("find_pillar finished a round")
 
-    monkeypatch.setattr(pillar_mod, "_finish", refuse)
+    monkeypatch.setattr(kraken_mod, "_finish", refuse)
 
 
 class TestLinkWork:
@@ -752,8 +752,8 @@ def test_even_torus_goes_through_the_fallback(monkeypatch, carves, seed, outcome
     _finish raises makes 3, one that links in round 1 makes 6, and seed 0,
     where no alignment of the round-1 pair links, links in round 2 after 9."""
     calls = []
-    real = pillar_mod._finish
-    monkeypatch.setattr(pillar_mod, "_finish", lambda state: calls.append(1) or real(state))
+    real = kraken_mod._finish
+    monkeypatch.setattr(kraken_mod, "_finish", lambda state: calls.append(1) or real(state))
     g = torus(30, 30)
     try:
         got = "ok" if verify_pillar(g, find_pillar(g, RunConfig(d=4), seed)).valid else "invalid"
@@ -764,10 +764,22 @@ def test_even_torus_goes_through_the_fallback(monkeypatch, carves, seed, outcome
     assert len(carves) == [9, 3, 6, 6, 3][seed]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_cycle_lengths_starve_at_pigeonhole(seed):
+    """Round i of cycle_chain's search carves the cycles of lengths 4 + 2i
+    and up, at most 3 of them, and each kraken qualifies; no two share a
+    length, so no pair is tried, and after 8 rounds (3 krakens each in
+    rounds 0-5, then 2 and 1) the search starves at ``pigeonhole``."""
+    with pytest.raises(StageError) as err:
+        find_pillar(cycle_chain(), RunConfig(d=4, overrides={"k_max": 18}), seed)
+    assert err.value.stage == "pigeonhole"
+    assert err.value.details == {"lengths": list(range(4, 19, 2)), "carved": 21}
+
+
 @pytest.mark.parametrize("case, seed", [("torus", 0), ("torus", 1), ("planted", 0),
                                         ("planted", 1), ("rr", 0)])
 def test_each_carved_kraken_is_judged_and_checked_once(monkeypatch, case, seed):
-    """_carve checks each kraken it carves and find_pillar judges it as it is
+    """_carve checks each kraken it carves and its round judges it as it is
     carved; neither happens again where a round ends in _finish (the tori) or
     on its first qualifying kraken (the planted prisms at the default
     separation, and rr(2000, 4) seed 0)."""
@@ -790,7 +802,6 @@ def test_each_carved_kraken_is_judged_and_checked_once(monkeypatch, case, seed):
     monkeypatch.setattr(kraken_mod, "_carve", carve)
     monkeypatch.setattr(kraken_mod, "verify_kraken", verify)
     monkeypatch.setattr(kraken_mod, "_qualifies", judge(kraken_mod._qualifies))
-    monkeypatch.setattr(pillar_mod, "_qualifies", judge(pillar_mod._qualifies))
     try:
         find_pillar(g, RunConfig(d=4), seed)
     except StageError:
@@ -815,7 +826,7 @@ class TestLinkPairContract:
         # a round's kraken is one that qualifies, and so meets every clause
         # of the pair check; a _qualifies that accepts every kraken breaks
         # that, and the break is a bug in the library, not bad input
-        monkeypatch.setattr(pillar_mod, "_qualifies", lambda *args: True)
+        monkeypatch.setattr(kraken_mod, "_qualifies", lambda *args: True)
         g = planted_prism_with_noise(8, 5, 40, seed=seed)
         with pytest.raises(InternalError, match="link check.*apart"):
             find_pillar(g, RunConfig(d=4), seed=seed)

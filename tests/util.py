@@ -143,6 +143,25 @@ def torus(a: int, b: int) -> Graph:
     return Graph(a * b, edges)
 
 
+def cycle_chain() -> Graph:
+    """Cycles of lengths 4, 6, ..., 18 in a chain, 278 vertices: each cycle
+    vertex has a pendant path of 2 new vertices, and a path of length 3
+    joins vertex L // 2 of each cycle of length L to vertex 0 of the next."""
+    edges, n, prev = [], 0, None
+    for length in range(4, 19, 2):
+        cycle = range(n, n + length)
+        n += length
+        edges += [(v, cycle[(i + 1) % length]) for i, v in enumerate(cycle)]
+        for v in cycle:
+            edges += [(v, n), (n, n + 1)]
+            n += 2
+        if prev is not None:
+            edges += [(prev, n), (n, n + 1), (n + 1, cycle[0])]
+            n += 2
+        prev = cycle[length // 2]
+    return Graph(n, edges)
+
+
 def prism_kraken(s_param: int = 1) -> tuple[Graph, Kraken]:
     """Hand-built kraken on subdivided_prism(4,2): the first cycle, the
     rung midpoints as paths, the far endpoints as singleton legs."""
