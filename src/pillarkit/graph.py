@@ -37,8 +37,6 @@ from operator import eq
 
 from .errors import GraphParseError, PreconditionError
 
-VertexSet = frozenset[int]
-
 _EMPTY: frozenset[int] = frozenset()
 
 # load_graph rejects ids from here up: n is max id + 1, so without a bound
@@ -137,12 +135,6 @@ class Graph:
         row = self._adj[u]
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
-
-    def average_degree(self) -> float:
-        return 2.0 * self.m / self.n if self.n else 0.0
-
-    def min_degree(self) -> int:
-        return min((len(r) for r in self._adj), default=0)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]

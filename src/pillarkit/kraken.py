@@ -193,34 +193,19 @@ def _shortest_cycle_from(g: Graph, start: int, dead: set[int] | frozenset[int]) 
     return None
 
 
-def find_kraken(g: Graph, k_max: int | None = None, s: int | None = None,
-                t: int = 1, seed: int = 0) -> Kraken:
-    """Carve a kraken out of a connected graph.
-
-    Three stages, each claiming territory the later ones must respect:
-    find a short cycle from seeded start vertices, walk a private path
-    off every cycle vertex into unclaimed space, then grow each leg to t
-    vertices by BFS through what is still free.  Starving at any stage
-    raises a StageError naming it.  ``s`` defaults to the radius unit
-    200*ln^3(n)/eps1 at eps1 = 0.1; for another eps1, pass ``s``.
-    """
-    if g.n == 0 or max(g.comp) != 0:
-        raise PreconditionError("kraken search needs a connected, nonempty graph")
-    if k_max is None:
-        # ln(n) undershoots the girth on desk-size graphs; 4 admits a
-        # shortest even cycle
-        k_max = max(4, math.floor(math.log(g.n))) if g.n > 2 else 4
-    if s is None:
-        s = max(1, math.ceil(200 * math.log(g.n) ** 3 / 0.1)) if g.n > 2 else 1
-    if t < 1:
-        raise PreconditionError("leg size t must be >= 1")
-    return _carve(g, range(g.n), frozenset(), k_max, max(1, s), t, seed)
-
-
 def _carve(g: Graph, verts: range | list[int], dead: set[int] | frozenset[int], k_max: int,
            s: int, t: int, seed: int) -> Kraken:
-    """find_kraken's search in the sorted piece ``verts`` of g minus dead, on g's
-    ids: a copy of the piece keeps their order, so its rows, draws and kraken are these."""
+    """Carve a kraken with legs of t vertices and radius at most s out of the
+    sorted piece ``verts`` of g minus dead, on g's ids: a copy of the piece
+    keeps their order, so its rows, draws and kraken are these.
+
+    Three stages, each claiming territory the later ones must respect:
+    find a cycle of length at most k_max from seeded start vertices, walk
+    a private path off every cycle vertex into unclaimed space, then grow
+    each leg to t vertices by BFS through what is still free.  Starving at
+    any stage raises a StageError naming it (``cycle``, ``paths`` or
+    ``legs``).
+    """
     rng = random.Random(seed)
     starts = rng.sample(verts, min(len(verts), _CYCLE_STARTS))
     # The host's floor: on a bipartite piece of a non-bipartite host, 3 never stops
@@ -666,7 +651,7 @@ def _assemble(state: KrakenSearchState, i: int) -> Kraken:
                              {"kraken": i, "leg": j})
         # _carve builds every private path as (cycle vertex, end)
         new_paths.append(Path(kr.paths[j].vertices + tr.vertices[1:] + lp.vertices[1:]))
-    claims = set(kr.cycle.vertices)
+    claims = {*state.forbidden, *kr.cycle.vertices}  # no new leg takes a vertex of U
     for p in new_paths:
         claims |= p.vertex_set()
     new_legs: list[Expansion | None] = [None] * kr.k

@@ -4,10 +4,10 @@ scale), kraken-to-kraken linking with one length plan per alignment, and
 the end-to-end driver.
 
 Each result is checked once, by its checker on the graph it is returned
-in: ``link_krakens`` checks the pillar its paths form in g, and
-``find_pillar`` checks its pillar in g, not in the host it searched.
-Public entry points check their inputs; private steps trust what the code
-before them established.
+in: ``find_pillar`` checks its pillar in g, not in the host it searched,
+at its one exit, whether a cube or two linked krakens gave it.  Public
+entry points check their inputs; private steps trust what the code before
+them established.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (InternalError, LengthNotRealizedError, NoPathError,
 from .graph import (Cycle, Graph, Path, _largest_piece, _trace, ball, bfs_layers,
                     distances_from, induced_subgraph, parity, shortest_set_path)
 from .kraken import (Kraken, KrakenSearchState, _child_seed, _high_degree, _round,
-                     _survivor_state, _under_separation, verify_kraken)
+                     _survivor_state, _under_separation)
 from .primitives import (Q3_CAP, Expansion, Q3Certificate, connect_short,
                          find_q3_bruteforce, find_q3_sampled, restrict_and_trim)
 from .validity import ValidityReport, json_int
@@ -414,43 +414,15 @@ def connect_fixed_length(g: Graph, f1: Expansion, f2: Expansion, ell: int,
 # -- linking two krakens ------------------------------------------------
 
 
-def link_krakens(g: Graph, ka: Kraken, kb: Kraken, ell: int,
-                 high_degree: frozenset[int] | set[int],
-                 config: RunConfig) -> list[Path]:
-    """Join matching cycle vertices of two disjoint krakens by disjoint
-    paths of the same exact length ell.
-
-    Three steps: each kraken is verified, the pair (``_check_link_pair``)
-    and ell's parity are checked, then this alignment is planned with ell
-    as its only length (``_link_aligned``), or a StageError says why not.
-    The pillar the paths form with the two cycles passes ``verify_pillar``
-    before they are returned.
-    """
-    rc = config.resolve(g.n)
-    high = frozenset(high_degree)
-    for name, kr in (("first", ka), ("second", kb)):
-        rep = verify_kraken(g, kr)
-        if not rep.valid:
-            raise PreconditionError(f"{name} kraken invalid: {rep}")
-    _check_link_pair(g, ka, kb, high, rc)
-    if ell % 2 != parity(g, ka.cycle.vertices[0], kb.cycle.vertices[0]):
-        raise PreconditionError("target length has the wrong parity")
-    _, paths = _link_aligned(g, ka, kb, ell, ell, high, rc)
-    rep = verify_pillar(g, Pillar(ka.k, ell, ka.cycle, kb.cycle, tuple(paths)))
-    if not rep.valid:
-        raise InternalError(f"internal: linked pillar invalid ({rep})")
-    return paths
-
-
 def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
                      rc: ResolvedConfig) -> None:
     """The preconditions of linking that do not depend on how kb's cycle is
     aligned with ka's or on the target length.  Rotating or reflecting a
     kraken permutes its cycle, ends, legs and paths by one index map, so
     every clause here comes out the same for every alignment.  Both krakens
-    must already pass ``verify_kraken``, as ``robust_kraken``'s do.  The
-    low-degree legs of both are judged in one ``_under_separation`` search,
-    and a failure names the least gap."""
+    must already pass ``verify_kraken``, as every kraken ``_round`` yields
+    does.  The low-degree legs of both are judged in one
+    ``_under_separation`` search, and a failure names the least gap."""
     s = ka.k
     if kb.k != s:
         raise PreconditionError(f"cycle lengths differ: {s} vs {kb.k}")
@@ -473,7 +445,7 @@ def _check_link_pair(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
         raise PreconditionError(f"low-degree legs only {gap} apart (need {rc.separation})")
 
 
-def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, lo: int, hi: int, high: frozenset[int],
+def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
                   rc: ResolvedConfig) -> tuple[int, list[Path]]:
     """One plan for a pair that passed ``_check_link_pair``, kb's cycle
     aligned as given: (ell, the s rungs of length ell), as in Liu and
@@ -482,14 +454,15 @@ def _link_aligned(g: Graph, ka: Kraken, kb: Kraken, lo: int, hi: int, high: froz
     needed, and a shortest path joins the two, clear of the earlier cores.
     Then each rung's detours, clear of every core and earlier detour, enough
     to add ``_LINK_SLACK`` past the longest core (or lo).  Then ell, the
-    least value in [lo, hi] and the config's window that every rung
-    realizes: each core has the pair's parity and each increment is even.
+    least value in the window [lo, hi] = [max(pillar_ell_min, ell_min),
+    ell_max] that every rung realizes: each core has the pair's parity and
+    each increment is even.
     A missing core raises before any detour is built, naming its index; no
     common length raises ``link-length``.  Index 0's core sees kb's
     alignment only through its first vertex: it keeps clear of every later
     leg and path, the same set for an alignment and its reflection.
     """
-    s, lo, hi = ka.k, max(lo, rc.ell_min), min(hi, rc.ell_max)
+    s, lo, hi = ka.k, max(rc.pillar_ell_min, rc.ell_min), rc.ell_max
     cycles = set(ka.cycle.vertices) | set(kb.cycle.vertices)
     z_base = cycles.union(*(p.vertex_set() for kr in (ka, kb) for p in kr.paths))
     cores: list[Path] = []
@@ -601,11 +574,11 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     Search the largest piece of g for a cube, and return one as the
     smallest pillar; else search the piece's max-cut host, bipartite and
     spanning, amassing disjoint krakens until two share a cycle length and
-    linking them with equal-length paths.  No expander is extracted: on
-    the benchmark's rr(10^4, 12) inputs the old extraction returned this
-    same max-cut host, and no certificate clause rests on expansion.
-    Child seed 0 seeded that extraction and stays unused, so the cube and
-    round seeds, and with them every pinned certificate, keep their tags.
+    linking them with equal-length paths.  Either way the pillar is found
+    on the piece's ids, and this one exit translates it to g's and checks
+    it in g: a pillar that fails is an InternalError.  The cube search
+    takes child seed 1 and round i child seed 2 + i; tag 0 seeded a step
+    since deleted and stays unused, so pinned certificates keep their seeds.
 
     The krakens come in up to ``_MAX_KRAKENS`` rounds of ``_round``, round
     i in h minus U, the union of the earlier rounds' krakens.  Each kraken
@@ -626,18 +599,21 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
     if seed is None:
         seed = rc.seed
     ids = _largest_piece(g)  # vertex i of h is ids[i] in g
-    h = induced_subgraph(g, ids)
+    pillar = _translate_pillar(_search_piece(induced_subgraph(g, ids), rc, seed), ids)
+    rep = verify_pillar(g, pillar)
+    if not rep.valid:
+        raise InternalError(f"internal: pillar invalid in g ({rep})")
+    return pillar
 
+
+def _search_piece(h: Graph, rc: ResolvedConfig, seed: int) -> Pillar:
+    """find_pillar's search in the largest piece h, on h's ids."""
     if h.n <= Q3_CAP:
         cube = find_q3_bruteforce(h)
     else:
         cube = find_q3_sampled(h, _child_seed(seed, 1))
     if cube is not None:
-        pillar = _translate_pillar(pillar_from_q3(cube), ids)
-        rep = verify_pillar(g, pillar)
-        if not rep.valid:
-            raise InternalError(f"internal: cube pillar invalid ({rep})")
-        return pillar
+        return pillar_from_q3(cube)
 
     h = _max_cut_graph(h)  # h itself when the piece is bipartite
     high = _high_degree(h, rc)
@@ -650,13 +626,13 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
             states.append(state)
             kept: list[Kraken] = []
             for kr in _round(state, _child_seed(seed, 2 + i)):
-                if pillar := _link_to_earlier(g, h, ids, kr, kept, high, rc, tried, in_collection=True):
+                if pillar := _link_to_earlier(h, kr, kept, high, rc, tried, in_collection=True):
                     return pillar
         except StageError:
             if not tried:
                 raise
             break  # the pairs that failed to link are the better report
-        if pillar := _link_to_earlier(g, h, ids, kept[0], found, high, rc, tried, in_collection=False):
+        if pillar := _link_to_earlier(h, kept[0], found, high, rc, tried, in_collection=False):
             return pillar
     carved = sum(len(state.collection) for state in states)
     if not tried:
@@ -669,9 +645,8 @@ def find_pillar(g: Graph, config: RunConfig, seed: int | None = None) -> Pillar:
                       "plans": sum(plans for _, plans, _ in tried), "carved": carved})
 
 
-def _link_to_earlier(g: Graph, h: Graph, ids: range | list[int], kr: Kraken,
-                     earlier: list[Kraken], high: frozenset[int], rc: ResolvedConfig,
-                     tried: list, in_collection: bool) -> Pillar | None:
+def _link_to_earlier(h: Graph, kr: Kraken, earlier: list[Kraken], high: frozenset[int],
+                     rc: ResolvedConfig, tried: list, in_collection: bool) -> Pillar | None:
     """Link kr to each earlier kraken of its length: the first pillar, or None with kr kept."""
     for mate in [old for old in earlier if old.k == kr.k]:
         try:
@@ -682,7 +657,7 @@ def _link_to_earlier(g: Graph, h: Graph, ids: range | list[int], kr: Kraken,
             # a round's kraken, qualifying or _finish's, meets every clause here,
             # at the same h and config
             raise InternalError(f"internal: kraken pair fails the link check ({exc})") from exc
-        pillar, plans, last_error = _link_pair(g, h, ids, mate, kr, high, rc)
+        pillar, plans, last_error = _link_pair(h, mate, kr, high, rc)
         if pillar is not None:
             return pillar
         tried.append((kr.k, plans, last_error))
@@ -690,10 +665,10 @@ def _link_to_earlier(g: Graph, h: Graph, ids: range | list[int], kr: Kraken,
     return None
 
 
-def _link_pair(g: Graph, h: Graph, ids: range | list[int], ka: Kraken, kb: Kraken,
-               high: frozenset[int], rc: ResolvedConfig) -> tuple[Pillar | None, int, str | None]:
-    """One plan per alignment of a checked pair: (the first pillar, in g's
-    ids, or None; the plans run; the last plan's error).  A shift and its
+def _link_pair(h: Graph, ka: Kraken, kb: Kraken, high: frozenset[int],
+               rc: ResolvedConfig) -> tuple[Pillar | None, int, str | None]:
+    """One plan per alignment of a checked pair: (the first pillar, in h,
+    or None; the plans run; the last plan's error).  A shift and its
     reflection share index 0 (kb's vertex ``shift``), and ``_link_aligned``
     plans that rung from the same sets for both: a shift whose plan failed at
     index 0 is not planned again reflected, and its error stands in."""
@@ -708,15 +683,11 @@ def _link_pair(g: Graph, h: Graph, ids: range | list[int], ka: Kraken, kb: Krake
             aligned = _rotate_kraken(kb, shift, reflect)
             plans += 1
             try:
-                ell, paths = _link_aligned(h, ka, aligned, rc.pillar_ell_min, rc.ell_max, high, rc)
+                ell, paths = _link_aligned(h, ka, aligned, high, rc)
             except StageError as exc:  # _link_aligned's only way to fail
                 last_error = str(exc)
                 if exc.details.get("index") == 0:
                     failed_first[shift] = last_error
                 continue
-            out = _translate_pillar(Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths)), ids)
-            rep = verify_pillar(g, out)
-            if not rep.valid:
-                raise InternalError(f"internal: translated pillar invalid ({rep})")
-            return out, plans, None
+            return Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths)), plans, None
     return None, plans, last_error

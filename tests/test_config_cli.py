@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import pillarkit
 import pillarkit.cli
 from pillarkit.cli import main
-from pillarkit.config import _CONSTANTS, _DEFAULTS, _FLOORS, _KNOBS_INT, ResolvedConfig, RunConfig
+from pillarkit.config import (_CONSTANTS, _DEFAULTS, _FLOORS, _KNOBS_INT, ResolvedConfig,
+                              RunConfig, load_config, save_config)
 from pillarkit.errors import InternalError, PreconditionError
 from pillarkit.generators import GENERATORS
 from pillarkit.graph import MAX_VERTICES, save_graph
@@ -44,6 +45,15 @@ class TestRunConfig:
         back = RunConfig.from_text(cfg.to_text())
         assert back.eps1 == 0.25 and back.d == 16
         assert back.overrides["separation"] == 5
+        assert back.resolve(100) == cfg.resolve(100)
+
+    def test_save_config_round_trip(self, tmp_path):
+        """``find --config`` loads the file that save_config writes."""
+        cfg = RunConfig(eps1=0.25, eps2=0.1, d=16, overrides={"separation": 5, "seed": 7})
+        path = tmp_path / "run.cfg"
+        save_config(cfg, str(path))
+        back = load_config(str(path))
+        assert (back.eps1, back.eps2, back.d) == (0.25, 0.1, 16)
         assert back.resolve(100) == cfg.resolve(100)
 
     def test_every_constant_named_in_text(self):
@@ -227,6 +237,45 @@ def test_every_import_is_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread += [f"{path.name}: {name}" for name in sorted(imported - read - {"annotations"})]
     assert unread == []
+
+
+def test_every_definition_is_read():
+    """Each top-level function, class, constant and method of the package,
+    dunders aside, is named in the package, its tests or the
+    benchmark: as a name read, an attribute, or a string naming it
+    (``monkeypatch.setattr``).  Its own definition and recursive calls do
+    not count, and neither does ``__init__``'s re-export."""
+    root = Path(pillarkit.__file__).parent
+    defined = []  # (module, definition node, name)
+    for path in sorted(root.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.stem, node, t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.stem, f, f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef)]
+    own = {id(inner): name for _, node, name in defined for inner in ast.walk(node)}
+    sources = [p for p in root.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(root.parents[1] / "tests").glob("*.py"),
+                *(root.parents[1] / "perfbench").glob("**/*.py")]
+    named = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if own.get(id(node)) != name:
+                named.add(name)
+    assert sorted(f"{mod}.{name}" for mod, _, name in defined
+                  if name not in named and not name.startswith("__")) == []
 
 
 @pytest.fixture()

@@ -10,9 +10,9 @@ from pillarkit.errors import InternalError, PreconditionError, StageError
 from pillarkit.expander import _max_cut_graph
 from pillarkit.generators import cycle_graph, hypercube, random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path, set_distance
-from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink, _augment_links, _child_seed,
-                              _high_degree, _link_obstacles, _qualifies, _shortcut_round,
-                              find_kraken, robust_kraken, verify_kraken)
+from pillarkit.kraken import (Kraken, KrakenSearchState, LegLink, _augment_links, _carve,
+                              _child_seed, _high_degree, _link_obstacles, _qualifies,
+                              _shortcut_round, robust_kraken, verify_kraken)
 from pillarkit.primitives import Expansion
 
 from util import (covered_hub_graph, hub_graph, prism_kraken, ref_set_distance,
@@ -156,17 +156,25 @@ class TestKrakenMutations:
         assert checked
 
 
+def carve(g: Graph, t: int, seed: int, **overrides: int) -> Kraken:
+    """_carve in the whole of g, at the config's k_max and leg radius m."""
+    rc = RunConfig(overrides=overrides).resolve(g.n)
+    return _carve(g, range(g.n), frozenset(), rc.k_max, rc.m, t, seed)
+
+
 class TestFindKraken:
+    """_carve, the kraken search, in the whole of a graph."""
+
     def test_hypercube_pendant_kraken(self):
         g = hypercube(3)
-        kr = find_kraken(g, t=1, seed=0)
+        kr = carve(g, t=1, seed=0)
         assert kr.k == 4
         assert verify_kraken(g, kr).valid
         assert all(p.length == 1 for p in kr.paths)  # a matching off the 4-cycle
 
     def test_bare_cycle_starves_at_paths(self):
         with pytest.raises(StageError) as err:
-            find_kraken(cycle_graph(10), k_max=12, t=1, seed=0)
+            carve(cycle_graph(10), t=1, seed=0)
         assert err.value.stage == "paths"
 
     def test_end_skips_a_neighbour_without_room_for_its_leg(self):
@@ -176,30 +184,25 @@ class TestFindKraken:
         for i in range(4):
             edges += [(4 + i, i), (4 + i, 8 + 2 * i), (8 + 2 * i, 9 + 2 * i)]
         g = Graph(16, edges)
-        kr = find_kraken(g, t=2, seed=0)
+        kr = carve(g, t=2, seed=0)
         assert verify_kraken(g, kr).valid
         assert sorted(kr.ends) == [8, 10, 12, 14]
 
     def test_cycle_too_long_for_cap(self):
         with pytest.raises(StageError) as err:
-            find_kraken(cycle_graph(30), k_max=5, t=1, seed=0)
+            carve(cycle_graph(30), t=1, seed=0, k_max=5)
         assert err.value.stage == "cycle"
 
     def test_random_regular_with_big_legs(self):
         g = random_regular(10000, 10, seed=1)
-        kr = find_kraken(g, t=50, seed=1)
+        kr = carve(g, t=50, seed=1)
         assert verify_kraken(g, kr).valid
         assert all(leg.size == 50 for leg in kr.legs)
 
-    def test_disconnected_rejected(self):
-        g = Graph(6, [(0, 1), (2, 3)])
-        with pytest.raises(PreconditionError):
-            find_kraken(g, t=1, seed=0)
-
     def test_deterministic(self):
         g = random_regular(500, 6, seed=3)
-        a = find_kraken(g, t=4, seed=9)
-        b = find_kraken(g, t=4, seed=9)
+        a = carve(g, t=4, seed=9)
+        b = carve(g, t=4, seed=9)
         assert a == b
 
 
@@ -409,6 +412,18 @@ class TestRobustKraken:
         second = robust_kraken(g, u, cfg, seed=2, q3_free=True)
         assert verify_kraken(g, second).valid
         assert not (second.vertex_set() & u)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 5])
+    def test_assembled_legs_avoid_u(self, seed):
+        """U holds the lowest neighbour of every hub, the first one a leg
+        seated on a hub would take as a fresh neighbour."""
+        g = hub_graph(seed)
+        u = frozenset(g.neighbors(hub)[0] for hub in range(40))
+        kr, state = robust_kraken(g, u, RunConfig(d=12), seed=seed, q3_free=True,
+                                  return_state=True)
+        assert state.anchors  # the kraken comes from _assemble
+        assert verify_kraken(g, kr).valid
+        assert not (kr.vertex_set() & u)
 
 
 def _rr300(seed: int):

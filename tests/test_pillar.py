@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import time
@@ -14,10 +15,9 @@ from pillarkit.generators import (cycle_graph, hypercube, random_regular,
                                   subdivided_prism, subdivided_prism_rungs)
 from pillarkit.graph import Cycle, Graph, Path
 from pillarkit.kraken import Kraken
-from pillarkit.pillar import (Adjuster, Detour, Pillar, _check_link_pair,
-                              _rotate_kraken, connect_fixed_length,
-                              find_pillar, link_krakens, pillar_from_q3,
-                              verify_pillar)
+from pillarkit.pillar import (Adjuster, Detour, Pillar, _check_link_pair, _link_aligned,
+                              _rotate_kraken, connect_fixed_length, find_pillar,
+                              pillar_from_q3, verify_pillar)
 from pillarkit.primitives import Expansion, find_q3_bruteforce
 
 from util import (all_simple_path_lengths, cycle_chain, planted_prism_with_noise,
@@ -224,7 +224,24 @@ class TestAdjuster:
         assert 18 in err.value.nearest
 
 
+def _link_at(g: Graph, ka: Kraken, kb: Kraken, ell: int, high: frozenset[int],
+             cfg: RunConfig) -> list[Path]:
+    """A pair that passes _check_link_pair, planned by _link_aligned with its
+    window pinned to [ell, ell]: the rungs of a pillar its checker accepts
+    in g, or a StageError."""
+    rc = RunConfig(d=cfg.d, overrides={**cfg.overrides, "pillar_ell_min": ell,
+                                       "ell_max": ell}).resolve(g.n)
+    _check_link_pair(g, ka, kb, high, rc)
+    got, paths = _link_aligned(g, ka, kb, high, rc)
+    assert got == ell
+    assert verify_pillar(g, Pillar(ka.k, ell, ka.cycle, kb.cycle, tuple(paths))).valid
+    return paths
+
+
 class TestLinkKrakens:
+    """Linking two krakens: the pair's clauses (``_check_link_pair``), then
+    one plan at a pinned length (``_link_aligned``)."""
+
     def build_prism_krakens(self):
         g = subdivided_prism(4, 5)  # rung i: (i, 8+4i..11+4i, 4+i)
         ka = Kraken(Cycle((0, 1, 2, 3)), tuple(8 + 4 * i for i in range(4)),
@@ -238,7 +255,7 @@ class TestLinkKrakens:
     def test_recovers_prism_rungs(self):
         g, ka, kb = self.build_prism_krakens()
         cfg = RunConfig(d=4)
-        paths = link_krakens(g, ka, kb, 5, frozenset(), cfg)
+        paths = _link_at(g, ka, kb, 5, frozenset(), cfg)
         rungs = {frozenset(r) for r in subdivided_prism_rungs(4, 5)}
         assert {frozenset(p.vertices) for p in paths} == rungs
         pillar = Pillar(4, 5, ka.cycle, kb.cycle, tuple(paths))
@@ -261,7 +278,7 @@ class TestLinkKrakens:
     def test_high_degree_end_uses_its_neighbourhood(self, monkeypatch):
         g, ka, kb = self.build_prism_krakens()
         cases = self.record_cases(monkeypatch)
-        paths = link_krakens(g, ka, kb, 5, frozenset({8}), RunConfig(d=4))
+        paths = _link_at(g, ka, kb, 5, frozenset({8}), RunConfig(d=4))
         assert (0, "first", 1) in cases
         assert verify_pillar(g, Pillar(4, 5, ka.cycle, kb.cycle, tuple(paths))).valid
 
@@ -275,48 +292,23 @@ class TestLinkKrakens:
                     tuple(Expansion(8 + 4 * i, frozenset({8 + 4 * i, 24 + i}), 1) for i in range(4)),
                     ka.paths, s=1, t=2)
         cases = self.record_cases(monkeypatch)
-        paths = link_krakens(big, ka, kb, 5, frozenset({28}), RunConfig(d=4))
+        paths = _link_at(big, ka, kb, 5, frozenset({28}), RunConfig(d=4))
         assert (0, "first", 3) in cases
         assert verify_pillar(big, Pillar(4, 5, ka.cycle, kb.cycle, tuple(paths))).valid
-
-    def test_invalid_link_output_is_an_internal_error(self, monkeypatch):
-        # link_krakens checks the pillar its paths form before returning them
-        g, ka, kb = self.build_prism_krakens()
-        real = pillar_mod._link_aligned
-
-        def reversed_paths(*args):
-            ell, paths = real(*args)
-            return ell, paths[::-1]
-
-        monkeypatch.setattr(pillar_mod, "_link_aligned", reversed_paths)
-        with pytest.raises(InternalError, match="linked pillar invalid"):
-            link_krakens(g, ka, kb, 5, frozenset(), RunConfig(d=4))
 
     def test_cycle_length_mismatch(self):
         g, ka, kb = self.build_prism_krakens()
         short = Kraken(Cycle(kb.cycle.vertices[:3]), kb.ends[:3], kb.legs[:3],
                        kb.paths[:3], kb.s, kb.t)
-        with pytest.raises(PreconditionError):
-            link_krakens(g, ka, short, 5, frozenset(), RunConfig(d=4))
-
-    def test_wrong_parity_rejected(self):
-        g, ka, kb = self.build_prism_krakens()
-        with pytest.raises(PreconditionError, match="parity"):
-            link_krakens(g, ka, kb, 4, frozenset(), RunConfig(d=4))
-
-    def test_invalid_kraken_rejected(self):
-        g, ka, kb = self.build_prism_krakens()
-        # singleton legs cannot be expansions of t = 2 vertices
-        bad = Kraken(ka.cycle, ka.ends, ka.legs, ka.paths, ka.s, 2)
-        with pytest.raises(PreconditionError, match="first kraken invalid"):
-            link_krakens(g, bad, kb, 5, frozenset(), RunConfig(d=4))
+        with pytest.raises(PreconditionError, match="cycle lengths differ: 4 vs 3"):
+            _check_link_pair(g, ka, short, frozenset(), RunConfig(d=4).resolve(g.n))
 
     def test_legs_closer_than_separation_rejected(self):
         g, ka, kb = self.build_prism_krakens()
         cfg = RunConfig(d=4)
         cfg.overrides["separation"] = 4  # legs on one rung are 3 apart
         with pytest.raises(PreconditionError, match="low-degree legs only 3 apart"):
-            link_krakens(g, ka, kb, 5, frozenset(), cfg)
+            _check_link_pair(g, ka, kb, frozenset(), cfg.resolve(g.n))
 
     def test_krakens_in_different_components_rejected(self):
         g, ka, kb = self.build_prism_krakens()
@@ -327,18 +319,18 @@ class TestLinkKrakens:
                                      leg.radius) for leg in kb.legs),
                      tuple(Path(shift(p.vertices)) for p in kb.paths), kb.s, kb.t)
         with pytest.raises(PreconditionError, match="different components"):
-            link_krakens(two, ka, far, 5, frozenset(), RunConfig(d=4))
+            _check_link_pair(two, ka, far, frozenset(), RunConfig(d=4).resolve(two.n))
 
     def test_non_bipartite_host_rejected(self):
         g, ka, kb = self.build_prism_krakens()
         n = g.n
         odd = Graph(n + 3, g.edges() + [(n, n + 1), (n + 1, n + 2), (n + 2, n)])
         with pytest.raises(PreconditionError, match="bipartite"):
-            link_krakens(odd, ka, kb, 5, frozenset(), RunConfig(d=4))
+            _check_link_pair(odd, ka, kb, frozenset(), RunConfig(d=4).resolve(odd.n))
 
     def test_output_paths_disjoint_and_internal(self):
         g, ka, kb = self.build_prism_krakens()
-        paths = link_krakens(g, ka, kb, 5, frozenset(), RunConfig(d=4))
+        paths = _link_at(g, ka, kb, 5, frozenset(), RunConfig(d=4))
         seen = set()
         cycles = set(ka.cycle.vertices) | set(kb.cycle.vertices)
         for p in paths:
@@ -474,8 +466,8 @@ def _alignments(kb: Kraken):
 class TestLinkSkips:
     """The criterion-9 prisms' linked pair.  find_pillar checks a pair once,
     not once per alignment, since the pair check gives one outcome for
-    every alignment; and link_krakens at a fixed ell returns paths of that
-    length or raises a StageError."""
+    every alignment; and a plan whose window is pinned to one ell returns
+    paths of that length or raises a StageError."""
 
     @staticmethod
     def _outcome(h, ka, kb, high, rc):
@@ -503,7 +495,7 @@ class TestLinkSkips:
             par = pillar_mod.parity(h, ka.cycle.vertices[0], al.cycle.vertices[0])
             for ell in range(2 - par, 16, 2):
                 try:
-                    paths = link_krakens(h, ka, al, ell, high, _planted_config())
+                    paths = _link_at(h, ka, al, ell, high, _planted_config())
                 except StageError:
                     outcomes.add("stage")
                     continue
@@ -547,10 +539,6 @@ def no_finish(monkeypatch) -> None:
 class TestLinkWork:
     @pytest.mark.parametrize("case, seed", _LINKED)
     def test_each_alignment_planned_once(self, monkeypatch, case, seed):
-        verified = []
-        real_verify = pillar_mod.verify_kraken
-        monkeypatch.setattr(pillar_mod, "verify_kraken",
-                            lambda g, kr: verified.append(kr) or real_verify(g, kr))
         plans = []
         real_link = pillar_mod._link_aligned
 
@@ -561,7 +549,8 @@ class TestLinkWork:
         monkeypatch.setattr(pillar_mod, "_link_aligned", link)
         g, cfg = _link_input(case, seed)
         assert verify_pillar(g, find_pillar(g, cfg, seed=seed)).valid
-        assert not verified  # _carve verified both krakens as it carved them
+        # _carve verified both krakens as it carved them, and linking cannot again
+        assert not hasattr(pillar_mod, "verify_kraken")
         assert plans and len(set(plans)) == len(plans)
 
     @pytest.mark.parametrize("case, seed", _LINKED + [("sparse", 0), ("sparse", 3)])
@@ -576,11 +565,11 @@ class TestLinkWork:
         lengths = []  # the planned length, or None where no length was common
         real_link = pillar_mod._link_aligned
 
-        def link(g, ka, kb, lo, hi, high, rc):
+        def link(g, ka, kb, high, rc):
             rungs.clear()
-            window = (max(lo, rc.ell_min), min(hi, rc.ell_max))
+            window = (max(rc.pillar_ell_min, rc.ell_min), rc.ell_max)
             try:
-                ell, paths = real_link(g, ka, kb, lo, hi, high, rc)
+                ell, paths = real_link(g, ka, kb, high, rc)
             except StageError as exc:
                 if exc.stage == "link-length":
                     assert len(rungs) == ka.k and ref_least_common_length(rungs, *window) is None
@@ -601,13 +590,13 @@ class TestLinkWork:
         real_link = pillar_mod._link_aligned
         first: list[tuple] = []
 
-        def link(g, ka, kb, ell, *rest):
+        def link(g, ka, kb, *rest):
             pair = (ka.cycle.vertex_set(), kb.cycle.vertex_set())
             if not first:
                 first.append(pair)
             if pair == first[0]:
                 raise StageError("link-connect", "index 1: stub", {"index": 0})
-            return real_link(g, ka, kb, ell, *rest)
+            return real_link(g, ka, kb, *rest)
 
         tried = []
         real_pair = pillar_mod._link_pair
@@ -707,10 +696,10 @@ class TestLinkWork:
         monkeypatch.setattr(pillar_mod, "_link_aligned", link)
         failed = skipped = 0
         ends = set()  # how the plans ended: "ok", or the index a failure names
-        for (g, h, ids, ka, kb, high, _), cfg in pairs:
+        for (h, ka, kb, high, _), cfg in pairs:
             for tighter in ({}, {"link_expansion_size": 4}, {"pillar_ell_min": 12}):
                 rc = RunConfig(d=cfg.d, overrides={**cfg.overrides, **tighter}).resolve(h.n)
-                args = (g, h, ids, ka, kb, high, rc)
+                args = (h, ka, kb, high, rc)
                 plans.clear()
                 pillar, count, last_error = pillar_mod._link_pair(*args)
                 assert (pillar, last_error) == ref_link_pair(*args)
@@ -820,6 +809,33 @@ def test_non_bipartite_host_searches_its_max_cut():
     assert err.value.stage == "kraken-collection"
 
 
+@pytest.mark.parametrize("branch", ["cube", "linked"])
+def test_one_exit_checks_the_pillar_in_g(monkeypatch, branch):
+    """Whether a cube or a linked pair gives the pillar, find_pillar checks
+    it in g at one exit: rungs out of order are the same internal error."""
+    if branch == "cube":
+        real_cube = pillar_mod.pillar_from_q3
+
+        def reversed_rungs(cert):
+            cube = real_cube(cert)
+            return dataclasses.replace(cube, paths=cube.paths[::-1])
+
+        monkeypatch.setattr(pillar_mod, "pillar_from_q3", reversed_rungs)
+        g, cfg = hypercube(3), RunConfig(d=4)
+    else:
+        real_link = pillar_mod._link_aligned
+
+        def reversed_paths(*args):
+            ell, paths = real_link(*args)
+            return ell, paths[::-1]
+
+        monkeypatch.setattr(pillar_mod, "_link_aligned", reversed_paths)
+        g, cfg = planted_prism_with_noise(8, 5, 40, seed=0), _planted_config()
+    with pytest.raises(InternalError,
+                       match=r"^internal: pillar invalid in g \(invalid: \[path-endpoint-cycle1\]"):
+        find_pillar(g, cfg, seed=0)
+
+
 class TestLinkPairContract:
     @pytest.mark.parametrize("seed", range(5))
     def test_broken_kraken_contract_is_an_internal_error(self, monkeypatch, seed):
@@ -841,10 +857,10 @@ class TestLinkPairContract:
         calls, refused, planned = [], [], []
         real = pillar_mod._link_aligned
 
-        def spy(h, ka, kb, lo, *rest):
-            calls.append((h.n, lo))
+        def spy(h, ka, kb, high, rc):
+            calls.append((h.n, max(rc.pillar_ell_min, rc.ell_min)))  # the window's low end
             try:
-                ell, paths = real(h, ka, kb, lo, *rest)
+                ell, paths = real(h, ka, kb, high, rc)
             except StageError as exc:
                 refused.append(exc.details.get("cores"))
                 raise

@@ -17,8 +17,8 @@ from pillarkit.errors import InternalError, PreconditionError, StageError
 from pillarkit.expander import ExpanderParams
 from pillarkit.generators import random_regular, subdivided_prism
 from pillarkit.graph import Cycle, Graph, Path, _trace, induced_subgraph
-from pillarkit.kraken import Kraken, KrakenSearchState, LegLink, find_kraken
-from pillarkit.pillar import Pillar, _link_aligned, _rotate_kraken, _translate_pillar, verify_pillar
+from pillarkit.kraken import Kraken, KrakenSearchState, LegLink, _carve
+from pillarkit.pillar import Pillar, _link_aligned, _rotate_kraken, verify_pillar
 from pillarkit.primitives import Expansion
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -430,7 +430,7 @@ def ref_piece(g: Graph, dead) -> tuple[Graph, list[int]]:
 
 def ref_carve(g: Graph, dead, k_max: int, s: int, t: int, seed: int) -> Kraken:
     sub, ids = ref_piece(g, dead)
-    kr = find_kraken(sub, k_max, s, t, seed)
+    kr = _carve(sub, range(sub.n), frozenset(), k_max, s, t, seed)
     remap = lambda v: ids[v]
     return Kraken(
         Cycle(tuple(remap(v) for v in kr.cycle.vertices)),
@@ -614,19 +614,19 @@ def ref_shortest_cycle_from(g: Graph, start: int, dead) -> list[int] | None:
     return None
 
 
-def ref_link_pair(g: Graph, h: Graph, ids, ka: Kraken, kb: Kraken, high, rc):
+def ref_link_pair(h: Graph, ka: Kraken, kb: Kraken, high, rc):
     """``pillar._link_pair`` planning every one of the 2k alignments,
-    reflected ones included: (the first pillar or None, the last error)."""
+    reflected ones included: (the first pillar in h or None, the last error)."""
     last_error = None
     for reflect in (False, True):
         for shift in range(kb.k):
             aligned = _rotate_kraken(kb, shift, reflect)
             try:
-                ell, paths = _link_aligned(h, ka, aligned, rc.pillar_ell_min, rc.ell_max, high, rc)
+                ell, paths = _link_aligned(h, ka, aligned, high, rc)
             except StageError as exc:
                 last_error = str(exc)
                 continue
-            out = _translate_pillar(Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths)), ids)
-            assert verify_pillar(g, out).valid
+            out = Pillar(ka.k, ell, ka.cycle, aligned.cycle, tuple(paths))
+            assert verify_pillar(h, out).valid
             return out, None
     return None, last_error
